@@ -3,8 +3,8 @@
 // Each benchmark runs the corresponding experiment end to end on the
 // simulated machine and reports the experiment's headline numbers as
 // custom metrics, so `go test -bench=. -benchmem` regenerates the
-// paper's rows. Full tables render via the cmd/ tools
-// (limit-overhead, limit-sync, limit-hw).
+// paper's rows. Full tables render via limit-experiments (-only ID
+// selects one, e.g. -only T1).
 package limitsim_test
 
 import (

@@ -1,12 +1,13 @@
 // Command limit-experiments runs the complete reproduction — every
-// table and figure from DESIGN.md's per-experiment index — and writes
-// the results either as plain text (default) or as the Markdown body
-// used in EXPERIMENTS.md (-markdown).
+// table, figure, ablation and experiment in the experiments.Sections
+// registry (DESIGN.md's per-experiment index) — and writes the results
+// either as plain text (default) or as the Markdown body used in
+// EXPERIMENTS.md (-markdown).
 //
-// A failed experiment (faulted or deadlocked simulation) no longer
-// aborts the whole reproduction: the section reports the error, the
-// kernel trace tail (when available) goes to stderr, the remaining
-// sections still run, and the process exits nonzero.
+// A failed experiment (faulted or deadlocked simulation, or violated
+// result oracles) does not abort the whole reproduction: the section
+// reports the error, the kernel trace tail (when available) goes to
+// stderr, the remaining sections still run, and the process exits 1.
 //
 // Usage:
 //
@@ -20,14 +21,14 @@
 //
 // -only runs just the sections whose title starts with the given
 // prefix (case-insensitive), e.g. -only M2 or -only "F5". Sections not
-// selected are skipped entirely — their simulations never run.
+// selected are skipped entirely — their simulations never run. A
+// prefix that matches no section lists the section titles and exits 2.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -39,7 +40,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "experiment scale factor")
 	markdown := flag.Bool("markdown", false, "emit Markdown section wrappers")
 	parallel := flag.Int("parallel", 0, "worker count trials fan out across (0 = GOMAXPROCS, 1 = serial); output is byte-identical at every width")
-	only := flag.String("only", "", "run only sections whose title starts with this prefix (case-insensitive)")
+	only := flag.String("only", "", "run only sections whose title starts with this prefix (case-insensitive; no match lists the sections and exits 2)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -47,221 +48,44 @@ func main() {
 		os.Exit(2)
 	}
 
+	all := experiments.Sections(experiments.Scale(*scale))
+	var selected []experiments.Section
+	for _, sec := range all {
+		if strings.HasPrefix(strings.ToLower(sec.Title), strings.ToLower(*only)) {
+			selected = append(selected, sec)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "limit-experiments: no section matches -only %q; available sections:\n", *only)
+		for _, sec := range all {
+			fmt.Fprintf(os.Stderr, "  %s\n", sec.Title)
+		}
+		os.Exit(2)
+	}
+
 	experiments.SetParallel(*parallel)
-	s := experiments.Scale(*scale)
 	w := os.Stdout
 	failed := 0
-
-	report := func(title string, err error) {
-		failed++
-		fmt.Fprintf(os.Stderr, "limit-experiments: %s: %v\n", title, err)
-		var fe *machine.FaultError
-		if errors.As(err, &fe) {
-			fmt.Fprintln(os.Stderr, "kernel trace tail:")
-			fe.DumpTrace(os.Stderr, 40)
+	for _, sec := range selected {
+		if *markdown {
+			fmt.Fprintf(w, "### %s\n\n```text\n", sec.Title)
+		} else {
+			fmt.Fprintf(w, "%s\n%s\n\n", sec.Title, strings.Repeat("#", len(sec.Title)))
 		}
-	}
-
-	section := func(title string, render func(io.Writer) error) {
-		if *only != "" && !strings.HasPrefix(strings.ToLower(title), strings.ToLower(*only)) {
-			return
+		if err := sec.Run(w); err != nil {
+			failed++
+			fmt.Fprintf(w, "(experiment failed: %v)\n", err)
+			fmt.Fprintf(os.Stderr, "limit-experiments: %s: %v\n", sec.Title, err)
+			var fe *machine.FaultError
+			if errors.As(err, &fe) {
+				fmt.Fprintln(os.Stderr, "kernel trace tail:")
+				fe.DumpTrace(os.Stderr, 40)
+			}
 		}
 		if *markdown {
-			fmt.Fprintf(w, "### %s\n\n```text\n", title)
-			if err := render(w); err != nil {
-				fmt.Fprintf(w, "(experiment failed: %v)\n", err)
-				report(title, err)
-			}
 			fmt.Fprintf(w, "```\n\n")
-			return
-		}
-		fmt.Fprintf(w, "%s\n%s\n\n", title, strings.Repeat("#", len(title)))
-		if err := render(w); err != nil {
-			fmt.Fprintf(w, "(experiment failed: %v)\n", err)
-			report(title, err)
 		}
 	}
-
-	section("T1 — Access-method cost", func(w io.Writer) error {
-		r, err := experiments.RunTable1(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("T2 — Read-sequence breakdown", func(w io.Writer) error {
-		r, err := experiments.RunTable2(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("T3 — Context-switch cost", func(w io.Writer) error {
-		r, err := experiments.RunTable3(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("S1 — Self-measurement (LiMiT measuring LiMiT)", func(w io.Writer) error {
-		r, err := experiments.RunSelfMeasure(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("F1 — Measurement self-perturbation", func(w io.Writer) error {
-		r, err := experiments.RunFig1(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("F2 — Slowdown vs instrumentation density", func(w io.Writer) error {
-		r, err := experiments.RunFig2(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-
-	// Case studies run lazily on first use, so -only selections that
-	// skip F3/F4/F6 never pay for them.
-	var cs *experiments.CaseStudyResult
-	var csErr error
-	csDone := false
-	getCS := func() (*experiments.CaseStudyResult, error) {
-		if !csDone {
-			csDone = true
-			cs, csErr = experiments.RunCaseStudies(s)
-		}
-		return cs, csErr
-	}
-	renderCS := func(f func(r *experiments.CaseStudyResult, w io.Writer)) func(io.Writer) error {
-		return func(w io.Writer) error {
-			r, err := getCS()
-			if err != nil {
-				return err
-			}
-			f(r, w)
-			return nil
-		}
-	}
-	section("F3 — Critical-section length distributions",
-		renderCS(func(r *experiments.CaseStudyResult, w io.Writer) { r.RenderFig3(w) }))
-	section("F4 — Cycle decomposition",
-		renderCS(func(r *experiments.CaseStudyResult, w io.Writer) { r.RenderFig4(w) }))
-	section("F6 — Kernel vs user cycles",
-		renderCS(func(r *experiments.CaseStudyResult, w io.Writer) { r.RenderFig6(w) }))
-	section("F5 — MySQL longitudinal", func(w io.Writer) error {
-		r, err := experiments.RunFig5(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("T4 — Sampling vs precise attribution", func(w io.Writer) error {
-		r, err := experiments.RunTable4(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("T5 — Counter multiplexing estimation error", func(w io.Writer) error {
-		r, err := experiments.RunTable5(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("F7 — Hardware-counter enhancements", func(w io.Writer) error {
-		r, err := experiments.RunFig7(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("F8 — Bottleneck identification (multi-event)", func(w io.Writer) error {
-		r, err := experiments.RunFig8(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("F9 — Consolidation interference", func(w io.Writer) error {
-		r, err := experiments.RunFig9(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-
-	section("A1 — Overflow folding mechanism", func(w io.Writer) error {
-		r, err := experiments.RunAblationOverflow(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("A2 — Quantum vs PC-rewind rate", func(w io.Writer) error {
-		r, err := experiments.RunAblationQuantum(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("A3 — Mutex spin budget", func(w io.Writer) error {
-		r, err := experiments.RunAblationSpins(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("A4 — Scheduler placement policy", func(w io.Writer) error {
-		r, err := experiments.RunAblationScheduler(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	})
-	section("M1 — Multi-tenant attribution under the double context switch", func(w io.Writer) error {
-		r, err := experiments.RunM1(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		if !r.Clean() {
-			return errors.New("tenant attribution oracles reported violations")
-		}
-		return nil
-	})
-	section("M2 — Multiplexed-estimate error vs exact LiMiT reads", func(w io.Writer) error {
-		r, err := experiments.RunM2(s)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		if !r.Clean() {
-			return errors.New("group accounting oracles reported violations")
-		}
-		return nil
-	})
 
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "limit-experiments: %d section(s) failed\n", failed)

@@ -80,12 +80,8 @@ func TestExitCodeContract(t *testing.T) {
 		// Exit 2: stray positional arguments, everywhere.
 		{"limit-chaos stray arg", "limit-chaos", []string{"bogus"}, 2},
 		{"limit-fleet stray arg", "limit-fleet", []string{"bogus"}, 2},
-		{"limit-ablate stray arg", "limit-ablate", []string{"bogus"}, 2},
 		{"limit-experiments stray arg", "limit-experiments", []string{"bogus"}, 2},
-		{"limit-hw stray arg", "limit-hw", []string{"bogus"}, 2},
-		{"limit-overhead stray arg", "limit-overhead", []string{"bogus"}, 2},
 		{"limit-profile stray arg", "limit-profile", []string{"bogus"}, 2},
-		{"limit-sync stray arg", "limit-sync", []string{"bogus"}, 2},
 		{"limitctl unknown subcommand", "limitctl", []string{"bogus"}, 2},
 
 		// Exit 2: unknown flags (the flag package's own discipline)
@@ -96,6 +92,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-chaos unknown mix", "limit-chaos", []string{"-mix", "bogus"}, 2},
 		{"limit-chaos unknown tenant mix", "limit-chaos", []string{"-tenants", "3", "-mix", "bogus"}, 2},
 		{"limit-chaos unknown soak mix", "limit-chaos", []string{"-soak", "-mix", "bogus"}, 2},
+		{"limit-experiments unmatched only", "limit-experiments", []string{"-only", "Z9"}, 2},
 		{"limit-fleet unknown space", "limit-fleet", []string{"-space", "bogus"}, 2},
 		{"limit-fleet ablate without soak", "limit-fleet", []string{"-ablate-reclaim"}, 2},
 		{"limitctl merge no files", "limitctl", []string{"merge"}, 2},
@@ -144,6 +141,21 @@ func TestUnknownMixListsAvailable(t *testing.T) {
 	for _, want := range []string{"vcpu-preempt-storm", "tenant-pmi-storm", "tenant-full-mix"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("tenant unknown-mix stderr missing %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// TestUnmatchedOnlyListsSections pins the -only error surface: a
+// prefix that matches no section must exit 2 before any simulation
+// runs, name itself and enumerate the registry's section titles.
+func TestUnmatchedOnlyListsSections(t *testing.T) {
+	code, stderr := run(t, "limit-experiments", "-only", "Z9")
+	if code != 2 {
+		t.Fatalf("unmatched -only exited %d, want 2\nstderr: %s", code, stderr)
+	}
+	for _, want := range []string{`-only "Z9"`, "available sections:", "T1 — Access-method cost", "M2 — "} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("unmatched-only stderr missing %q:\n%s", want, stderr)
 		}
 	}
 }
