@@ -2,13 +2,13 @@ package metrics
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
+	"limitsim/internal/jsonl"
 	"limitsim/internal/kernel"
 	"limitsim/internal/telemetry"
 )
@@ -87,108 +87,187 @@ func FromKernel(k *kernel.Kernel) []Frame {
 	return out
 }
 
-// WriteJSONL renders frames one JSON object per line. Output is
-// byte-deterministic: fixed field order, integer values only.
+// WriteJSONL renders frames one JSON object per line, byte for byte as
+// json.Encoder renders a Frame. Output is byte-deterministic: fixed
+// field order, integer values only.
 func WriteJSONL(w io.Writer, frames []Frame) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range frames {
-		if err := enc.Encode(&frames[i]); err != nil {
-			return err
-		}
+		line = appendFrame(line[:0], &frames[i])
+		bw.Write(line) // a write error sticks; Flush returns it
 	}
 	return bw.Flush()
 }
 
-// jsonlFrame and jsonlSample are the strict parse shapes for one
-// WriteJSONL line. Pointer fields distinguish absent from zero so
-// required-field checks can name what is missing.
-type jsonlFrame struct {
-	Seq     *uint64       `json:"seq"`
-	Cycle   *uint64       `json:"cycle"`
-	TID     *int          `json:"tid"`
-	Tenant  *int          `json:"tenant"`
-	Final   *bool         `json:"final"`
-	Samples []jsonlSample `json:"samples"`
-}
-
-type jsonlSample struct {
-	Name    *string `json:"name"`
-	Value   *uint64 `json:"value"`
-	Enabled *uint64 `json:"enabled"`
-	Running *uint64 `json:"running"`
-}
-
-// frameDrift builds the typed schema-drift error for a frame stream:
-// the same *telemetry.SchemaError the registry merge raises, so fleet
-// and report consumers distinguish drift (a versioning bug) from
-// ordinary I/O failures with one errors.As.
-func frameDrift(line int, detail string) error {
-	return &telemetry.SchemaError{
-		Kind:   "frame",
-		Name:   fmt.Sprintf("line %d", line),
-		Detail: detail,
+func appendFrame(b []byte, f *Frame) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, f.Seq, 10)
+	b = append(b, `,"cycle":`...)
+	b = strconv.AppendUint(b, f.Cycle, 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(f.TID), 10)
+	if f.Tenant != nil {
+		b = append(b, `,"tenant":`...)
+		b = strconv.AppendInt(b, int64(*f.Tenant), 10)
 	}
+	if f.Final {
+		b = append(b, `,"final":true`...)
+	}
+	if f.Samples == nil {
+		return append(b, `,"samples":null}`+"\n"...)
+	}
+	b = append(b, `,"samples":[`...)
+	for i := range f.Samples {
+		s := &f.Samples[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"name":`...)
+		b = jsonl.AppendString(b, s.Name)
+		b = append(b, `,"value":`...)
+		b = strconv.AppendUint(b, s.Value, 10)
+		b = append(b, `,"enabled":`...)
+		b = strconv.AppendUint(b, s.Enabled, 10)
+		b = append(b, `,"running":`...)
+		b = strconv.AppendUint(b, s.Running, 10)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}
+
+// The JSONL schemas of a frame and a sample; the constants index their
+// fields.
+var (
+	frameSchema  = jsonl.NewSchema([]string{"seq", "cycle", "tid", "samples"}, "tenant", "final")
+	sampleSchema = jsonl.NewSchema([]string{"name", "value", "enabled", "running"})
+)
+
+const (
+	fSeq = iota
+	fCycle
+	fTID
+	fSamples
+	fTenant
+	fFinal
+)
+
+const (
+	sName = iota
+	sValue
+	sEnabled
+	sRunning
+)
+
+// lineError maps a decode error on one line of a stream to the parse
+// contract. Schema drift (an unknown, duplicate or missing field)
+// becomes the same *telemetry.SchemaError the registry merge raises, so
+// fleet and report consumers distinguish drift (a versioning bug) from
+// ordinary I/O failures with one errors.As; malformed JSON stays an
+// ordinary error.
+func lineError(stream string, line int, err error) error {
+	var fe *jsonl.FieldError
+	if errors.As(err, &fe) {
+		return &telemetry.SchemaError{
+			Kind:   "frame",
+			Name:   fmt.Sprintf("line %d", line),
+			Detail: err.Error(),
+		}
+	}
+	return fmt.Errorf("metrics: %s line %d: %w", stream, line, err)
+}
+
+// interner returns one string per distinct name, so a parsed stream
+// holds each name once however many lines repeat it.
+type interner map[string]string
+
+func (in interner) intern(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	in[s] = s
+	return s
 }
 
 // ParseJSONL reads a frame stream written by WriteJSONL. Parsing is
-// strict: an unknown field or a missing required field is schema drift
-// and fails with a *telemetry.SchemaError naming the line; malformed
-// JSON fails with an ordinary error. Nothing is silently skipped or
-// defaulted.
+// strict: an unknown, duplicate or missing required field is schema
+// drift and fails with a *telemetry.SchemaError naming the line;
+// malformed JSON, including bytes after a line's object, fails with an
+// ordinary error. Nothing is silently skipped or defaulted.
 func ParseJSONL(r io.Reader) ([]Frame, error) {
-	var out []Frame
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
-		dec.DisallowUnknownFields()
-		var jf jsonlFrame
-		if err := dec.Decode(&jf); err != nil {
-			if strings.Contains(err.Error(), "unknown field") {
-				return nil, frameDrift(line, err.Error())
+	var (
+		out   []Frame
+		d     jsonl.Decoder
+		names = interner{}
+		hint  int // the previous frame's sample count
+	)
+	err := jsonl.ReadLines(r, func(line int, b []byte) error {
+		d.Reset(b)
+		f := Frame{Samples: make([]Sample, 0, hint)}
+		err := d.Object(frameSchema, func(i int) error {
+			var err error
+			switch i {
+			case fSeq:
+				f.Seq, err = d.Uint()
+			case fCycle:
+				f.Cycle, err = d.Uint()
+			case fTID:
+				var tid int64
+				tid, err = d.Int()
+				f.TID = int(tid)
+			case fTenant:
+				var tenant int64
+				tenant, err = d.Int()
+				t := int(tenant)
+				f.Tenant = &t
+			case fFinal:
+				f.Final, err = d.Bool()
+			case fSamples:
+				err = d.Array(func(n int) error {
+					var s Sample
+					if err := parseSample(&d, &s, names); err != nil {
+						return fmt.Errorf("sample %d: %w", n, err)
+					}
+					f.Samples = append(f.Samples, s)
+					return nil
+				})
 			}
-			return nil, fmt.Errorf("metrics: frames line %d: %w", line, err)
+			return err
+		})
+		if err == nil {
+			err = d.End()
 		}
-		switch {
-		case jf.Seq == nil:
-			return nil, frameDrift(line, "missing field \"seq\"")
-		case jf.Cycle == nil:
-			return nil, frameDrift(line, "missing field \"cycle\"")
-		case jf.TID == nil:
-			return nil, frameDrift(line, "missing field \"tid\"")
-		case jf.Samples == nil:
-			return nil, frameDrift(line, "missing field \"samples\"")
+		if err != nil {
+			return lineError("frames", line, err)
 		}
-		f := Frame{Seq: *jf.Seq, Cycle: *jf.Cycle, TID: *jf.TID, Tenant: jf.Tenant}
-		if jf.Final != nil {
-			f.Final = *jf.Final
-		}
-		f.Samples = make([]Sample, len(jf.Samples))
-		for i, js := range jf.Samples {
-			switch {
-			case js.Name == nil:
-				return nil, frameDrift(line, fmt.Sprintf("sample %d: missing field \"name\"", i))
-			case js.Value == nil:
-				return nil, frameDrift(line, fmt.Sprintf("sample %d: missing field \"value\"", i))
-			case js.Enabled == nil:
-				return nil, frameDrift(line, fmt.Sprintf("sample %d: missing field \"enabled\"", i))
-			case js.Running == nil:
-				return nil, frameDrift(line, fmt.Sprintf("sample %d: missing field \"running\"", i))
-			}
-			f.Samples[i] = Sample{Name: *js.Name, Value: *js.Value, Enabled: *js.Enabled, Running: *js.Running}
-		}
+		hint = len(f.Samples)
 		out = append(out, f)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+func parseSample(d *jsonl.Decoder, s *Sample, names interner) error {
+	return d.Object(sampleSchema, func(i int) error {
+		var err error
+		switch i {
+		case sName:
+			var b []byte
+			b, err = d.StringBytes()
+			s.Name = names.intern(b)
+		case sValue:
+			s.Value, err = d.Uint()
+		case sEnabled:
+			s.Enabled, err = d.Uint()
+		case sRunning:
+			s.Running, err = d.Uint()
+		}
+		return err
+	})
 }
 
 // Merge combines frame streams from several runs or shards into one

@@ -102,6 +102,16 @@ func TestFrameJSONLSchemaDrift(t *testing.T) {
 		`{"seq":0,"cycle":1,"tid":1,"samples":[{"name":"cycles","enabled":1,"running":1}]}`,
 		`{"seq":0,"cycle":1,"tid":1,"samples":[{"name":"cycles","value":1,"running":1}]}`,
 		`{"seq":0,"cycle":1,"tid":1,"samples":[{"name":"cycles","value":1,"enabled":1}]}`,
+		// A null required field is a missing one.
+		`{"seq":null,"cycle":1,"tid":1,"samples":[]}`,
+		`{"seq":0,"cycle":1,"tid":1,"samples":null}`,
+		// Keys match exactly: case-folded keys are unknown fields.
+		`{"SEQ":0,"Cycle":1,"TID":1,"Samples":[]}`,
+		`{"seq":0,"cycle":1,"tid":1,"samples":[{"Name":"cycles","value":1,"enabled":1,"running":1}]}`,
+		// A key appears once: the last duplicate does not win.
+		`{"seq":0,"seq":7,"cycle":1,"tid":1,"samples":[]}`,
+		`{"seq":0,"cycle":1,"tid":1,"final":false,"final":true,"samples":[]}`,
+		`{"seq":0,"cycle":1,"tid":1,"samples":[{"name":"cycles","value":1,"value":2,"enabled":1,"running":1}]}`,
 	}
 	for _, line := range drifts {
 		_, err := ParseJSONL(strings.NewReader(line))
@@ -113,13 +123,23 @@ func TestFrameJSONLSchemaDrift(t *testing.T) {
 			t.Errorf("SchemaError for %s = %+v, want kind=frame name~line 1", line, se)
 		}
 	}
-	// Malformed JSON is an ordinary parse error, not drift.
-	_, err := ParseJSONL(strings.NewReader(`{"seq":0,`))
-	if err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if errors.As(err, &se) {
-		t.Error("malformed JSON misreported as schema drift")
+	// Malformed JSON is an ordinary parse error, not drift: truncated
+	// lines, and bytes or a second object after a line's object.
+	frame := `{"seq":0,"cycle":1,"tid":1,"samples":[]}`
+	for _, line := range []string{
+		`{"seq":0,`,
+		frame + ` junk`,
+		frame + `{"seq":9}`,
+		frame + `}`,
+		`{"seq":-1,"cycle":1,"tid":1,"samples":[]}`,
+		`{"seq":0,"cycle":1.5,"tid":1,"samples":[]}`,
+	} {
+		_, err := ParseJSONL(strings.NewReader(line))
+		if err == nil {
+			t.Errorf("malformed line accepted: %s", line)
+		} else if errors.As(err, &se) {
+			t.Errorf("malformed line misreported as schema drift: %s: %v", line, err)
+		}
 	}
 	// The optional fields stay optional: tenant and final may be absent
 	// or present without tripping the strict parser.

@@ -2,13 +2,12 @@ package metrics
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
+	"limitsim/internal/jsonl"
 	"limitsim/internal/tabwrite"
 )
 
@@ -259,14 +258,27 @@ func (ss *SeriesSet) Rows(defs []*Def) []WindowRow {
 	return rows
 }
 
-// sortedKeys returns a string map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// sortedKeys returns a string map's keys in sorted order, reusing keys
+// (its storage, or itself when it already holds exactly m's keys).
+func sortedKeys[V any](keys []string, m map[string]V) []string {
+	if len(keys) == len(m) {
+		same := true
+		for _, k := range keys {
+			if _, ok := m[k]; !ok {
+				same = false
+				break
+			}
+		}
+		if same {
+			return keys
+		}
 	}
-	sort.Strings(out)
-	return out
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // WriteSeriesJSONL renders rows one JSON object per line,
@@ -274,55 +286,128 @@ func sortedKeys[V any](m map[string]V) []string {
 // metrics keys sorted, metric values with six decimals.
 func WriteSeriesJSONL(w io.Writer, rows []WindowRow) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
+	var inputNames, metricNames []string
 	for i := range rows {
 		r := &rows[i]
-		fmt.Fprintf(bw, "{\"window\":%d,\"start\":%d,\"end\":%d,\"partial\":%v,\"key\":%q,\"inputs\":{",
-			r.Window, r.Start, r.End, r.Partial, r.Key)
-		for j, name := range sortedKeys(r.Inputs) {
+		line = append(line[:0], `{"window":`...)
+		line = strconv.AppendInt(line, int64(r.Window), 10)
+		line = append(line, `,"start":`...)
+		line = strconv.AppendUint(line, r.Start, 10)
+		line = append(line, `,"end":`...)
+		line = strconv.AppendUint(line, r.End, 10)
+		line = append(line, `,"partial":`...)
+		line = strconv.AppendBool(line, r.Partial)
+		line = append(line, `,"key":`...)
+		line = jsonl.AppendString(line, r.Key)
+		line = append(line, `,"inputs":{`...)
+		inputNames = sortedKeys(inputNames, r.Inputs)
+		for j, name := range inputNames {
 			if j > 0 {
-				bw.WriteByte(',')
+				line = append(line, ',')
 			}
-			fmt.Fprintf(bw, "%q:%d", name, r.Inputs[name])
+			line = jsonl.AppendString(line, name)
+			line = append(line, ':')
+			line = strconv.AppendInt(line, r.Inputs[name], 10)
 		}
-		bw.WriteString("},\"metrics\":{")
-		for j, name := range sortedKeys(r.Metrics) {
+		line = append(line, `},"metrics":{`...)
+		metricNames = sortedKeys(metricNames, r.Metrics)
+		for j, name := range metricNames {
 			if j > 0 {
-				bw.WriteByte(',')
+				line = append(line, ',')
 			}
-			fmt.Fprintf(bw, "%q:%.6f", name, r.Metrics[name])
+			line = jsonl.AppendString(line, name)
+			line = append(line, ':')
+			line = strconv.AppendFloat(line, r.Metrics[name], 'f', 6, 64)
 		}
-		bw.WriteString("}}\n")
+		line = append(line, "}}\n"...)
+		bw.Write(line) // a write error sticks; Flush returns it
 	}
 	return bw.Flush()
 }
 
+// rowSchema is the JSONL schema of a WindowRow; the constants index its
+// fields.
+var rowSchema = jsonl.NewSchema([]string{"window", "start", "end", "partial", "key", "inputs", "metrics"})
+
+const (
+	rWindow = iota
+	rStart
+	rEnd
+	rPartial
+	rKey
+	rInputs
+	rMetrics
+)
+
 // ParseSeriesJSONL reads a WriteSeriesJSONL stream back. Strict like
-// ParseJSONL: unknown fields are schema drift (*telemetry.SchemaError).
+// ParseJSONL: every field is required, and an unknown, duplicate or
+// missing field (a duplicate input or metric name included) is schema
+// drift (*telemetry.SchemaError).
 func ParseSeriesJSONL(r io.Reader) ([]WindowRow, error) {
-	var out []WindowRow
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
-		dec.DisallowUnknownFields()
+	var (
+		out   []WindowRow
+		d     jsonl.Decoder
+		names = interner{}
+		// The previous row's map sizes.
+		nInputs, nMetrics int
+	)
+	err := jsonl.ReadLines(r, func(line int, b []byte) error {
+		d.Reset(b)
 		var row WindowRow
-		if err := dec.Decode(&row); err != nil {
-			if strings.Contains(err.Error(), "unknown field") {
-				return nil, frameDrift(line, err.Error())
+		err := d.Object(rowSchema, func(i int) error {
+			var err error
+			switch i {
+			case rWindow:
+				var w int64
+				w, err = d.Int()
+				row.Window = int(w)
+			case rStart:
+				row.Start, err = d.Uint()
+			case rEnd:
+				row.End, err = d.Uint()
+			case rPartial:
+				row.Partial, err = d.Bool()
+			case rKey:
+				var b []byte
+				b, err = d.StringBytes()
+				row.Key = names.intern(b)
+			case rInputs:
+				row.Inputs = make(map[string]int64, nInputs)
+				err = d.Map(func(key []byte) error {
+					name := names.intern(key)
+					if _, dup := row.Inputs[name]; dup {
+						return &jsonl.FieldError{Problem: "duplicate", Field: "inputs." + name}
+					}
+					v, err := d.Int()
+					row.Inputs[name] = v
+					return err
+				})
+			case rMetrics:
+				row.Metrics = make(map[string]float64, nMetrics)
+				err = d.Map(func(key []byte) error {
+					name := names.intern(key)
+					if _, dup := row.Metrics[name]; dup {
+						return &jsonl.FieldError{Problem: "duplicate", Field: "metrics." + name}
+					}
+					v, err := d.Float()
+					row.Metrics[name] = v
+					return err
+				})
 			}
-			return nil, fmt.Errorf("metrics: series line %d: %w", line, err)
+			return err
+		})
+		if err == nil {
+			err = d.End()
 		}
-		if row.Inputs == nil || row.Metrics == nil {
-			return nil, frameDrift(line, "missing field \"inputs\" or \"metrics\"")
+		if err != nil {
+			return lineError("series", line, err)
 		}
+		nInputs, nMetrics = len(row.Inputs), len(row.Metrics)
 		out = append(out, row)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -336,7 +421,7 @@ func RenderSeriesText(w io.Writer, title string, rows []WindowRow) {
 		fmt.Fprintf(w, "%s: no frames\n", title)
 		return
 	}
-	names := sortedKeys(rows[0].Metrics)
+	names := sortedKeys(nil, rows[0].Metrics)
 	header := append([]string{"window", "cycles", "key"}, names...)
 	t := tabwrite.New(title, header...)
 	for i := range rows {

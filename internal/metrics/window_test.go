@@ -286,10 +286,31 @@ func TestSeriesJSONLSchemaDrift(t *testing.T) {
 	if _, err := ParseSeriesJSONL(strings.NewReader(missing)); !errors.As(err, &se) {
 		t.Fatalf("missing inputs/metrics error = %v, want *telemetry.SchemaError", err)
 	}
-	if _, err := ParseSeriesJSONL(strings.NewReader(`{"window":`)); err == nil {
-		t.Error("malformed JSON accepted")
-	} else if errors.As(err, &se) {
-		t.Error("malformed JSON misreported as schema drift")
+	// Every field is required (nothing is silently defaulted), keys
+	// match exactly, and a key appears once.
+	for _, line := range []string{
+		`{"start":0,"end":100,"partial":false,"key":"all","inputs":{},"metrics":{}}`,
+		`{"window":0,"end":100,"partial":false,"key":"all","inputs":{},"metrics":{}}`,
+		`{"window":0,"start":0,"partial":false,"key":"all","inputs":{},"metrics":{}}`,
+		`{"window":0,"start":0,"end":100,"key":"all","inputs":{},"metrics":{}}`,
+		`{"window":0,"start":0,"end":100,"partial":false,"inputs":{},"metrics":{}}`,
+		`{"window":0,"start":0,"end":100,"partial":false,"key":null,"inputs":{},"metrics":{}}`,
+		`{"Window":0,"start":0,"end":100,"partial":false,"key":"all","inputs":{},"metrics":{}}`,
+		`{"window":0,"window":1,"start":0,"end":100,"partial":false,"key":"all","inputs":{},"metrics":{}}`,
+		`{"window":0,"start":0,"end":100,"partial":false,"key":"all","inputs":{"cycles":1,"cycles":2},"metrics":{}}`,
+		`{"window":0,"start":0,"end":100,"partial":false,"key":"all","inputs":{},"metrics":{"cpi":1,"cpi":2}}`,
+	} {
+		if _, err := ParseSeriesJSONL(strings.NewReader(line)); !errors.As(err, &se) {
+			t.Errorf("ParseSeriesJSONL(%s) err = %v, want *telemetry.SchemaError", line, err)
+		}
+	}
+	row := `{"window":0,"start":0,"end":100,"partial":false,"key":"all","inputs":{},"metrics":{}}`
+	for _, line := range []string{`{"window":`, row + ` junk`, row + row, `{"window":0.5}`} {
+		if _, err := ParseSeriesJSONL(strings.NewReader(line)); err == nil {
+			t.Errorf("malformed line accepted: %s", line)
+		} else if errors.As(err, &se) {
+			t.Errorf("malformed line misreported as schema drift: %s: %v", line, err)
+		}
 	}
 }
 
