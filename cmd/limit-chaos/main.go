@@ -91,10 +91,7 @@ func main() {
 	out := io.Writer(os.Stdout)
 	if *report != "" {
 		f, err := os.Create(*report)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "limit-chaos: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
 		out = f
 	}
@@ -152,31 +149,16 @@ func main() {
 	}
 	res := chaos.Run(cfg)
 	res.Render(out)
-
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d run(s) failed\n", errs)
-		os.Exit(1)
-	case *nofixup && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-chaos: fixup disabled but no torn reads detected — checker is blind")
-		os.Exit(1)
-	case !*nofixup && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d invariant violation(s) with fixup enabled\n", violations)
-		os.Exit(1)
-	}
+	check(res.Verdict())
 	if *nofixup {
-		fmt.Printf("detected %d torn-read/invariant violation(s) with fixup disabled, as expected\n", violations)
+		fmt.Printf("detected %d torn-read/invariant violation(s) with fixup disabled, as expected\n", res.TotalViolations())
 	} else {
 		fmt.Println("all invariants held under the full fault mix")
 	}
 }
 
 // runSoak executes the lifecycle soak campaign and applies its exit
-// discipline: failed runs are always fatal; a sabotaged configuration
-// (-nofixup or -ablate-reclaim) must detect its own damage; a healthy
-// one must detect nothing.
+// discipline (SoakResult.Verdict).
 func runSoak(out io.Writer, seeds, pool, waves, iters, k, cores, width, capacity, parallel, tenants int, mixName string, nofixup, ablateReclaim, metrics bool) {
 	if seeds == 0 {
 		seeds = 8
@@ -213,26 +195,21 @@ func runSoak(out io.Writer, seeds, pool, waves, iters, k, cores, width, capacity
 	}
 	res := chaos.RunSoak(cfg)
 	res.Render(out)
-
-	sabotaged := nofixup || ablateReclaim
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d soak run(s) failed\n", errs)
-		os.Exit(1)
-	case sabotaged && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-chaos: ablation enabled but no violations detected — the oracles are blind")
-		os.Exit(1)
-	case !sabotaged && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d violation(s) in a healthy soak\n", violations)
-		os.Exit(1)
-	}
-	if sabotaged {
-		fmt.Printf("detected %d violation(s) under ablation, as expected\n", violations)
+	check(res.Verdict())
+	if nofixup || ablateReclaim {
+		fmt.Printf("detected %d violation(s) under ablation, as expected\n", res.TotalViolations())
 	} else {
 		fmt.Printf("soak clean: churn, kills, clone storms and exhaustion absorbed (%d run(s) degraded gracefully)\n",
 			res.TotalDegraded())
+	}
+}
+
+// check reports a runtime failure (an unwritable report, a failed
+// verdict) and exits 1.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "limit-chaos: %v\n", err)
+		os.Exit(1)
 	}
 }
 

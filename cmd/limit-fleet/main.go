@@ -141,7 +141,7 @@ func main() {
 		} else {
 			res.Render(out)
 		}
-		campaignVerdict(res, *nofixup)
+		check(res.Verdict())
 	case "soak":
 		scfg := chaos.SoakConfig{
 			Seeds: defInt(*seeds, 8), Pool: *pool, Waves: *waves,
@@ -159,7 +159,7 @@ func main() {
 		} else {
 			res.Render(out)
 		}
-		soakVerdict(res, *nofixup || *ablateReclaim)
+		check(res.Verdict())
 	case "f2":
 		spec, err := spaces.F2Spec(experiments.Scale(*scale))
 		check(err)
@@ -232,41 +232,6 @@ func runFleet(cfg fleet.Config, spec fleet.SpaceSpec, spawn fleet.Spawner) *flee
 		os.Exit(1)
 	}
 	return rep
-}
-
-// campaignVerdict applies limit-chaos's exit discipline to the
-// assembled campaign result.
-func campaignVerdict(res *chaos.Result, nofixup bool) {
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d run(s) failed\n", errs)
-		os.Exit(1)
-	case nofixup && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-fleet: fixup disabled but no torn reads detected — checker is blind")
-		os.Exit(1)
-	case !nofixup && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d invariant violation(s) with fixup enabled\n", violations)
-		os.Exit(1)
-	}
-}
-
-// soakVerdict applies limit-chaos's soak exit discipline.
-func soakVerdict(res *chaos.SoakResult, sabotaged bool) {
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d soak run(s) failed\n", errs)
-		os.Exit(1)
-	case sabotaged && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-fleet: ablation enabled but no violations detected — the oracles are blind")
-		os.Exit(1)
-	case !sabotaged && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d violation(s) in a healthy soak\n", violations)
-		os.Exit(1)
-	}
 }
 
 func selfPath() string {

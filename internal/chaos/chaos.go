@@ -20,15 +20,14 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"limitsim/internal/faultinject"
 	"limitsim/internal/invariant"
 	"limitsim/internal/isa"
-	"limitsim/internal/kernel"
 	"limitsim/internal/limit"
-	"limitsim/internal/machine"
 	"limitsim/internal/mem"
 	"limitsim/internal/pmu"
 	"limitsim/internal/runner"
@@ -183,7 +182,8 @@ const deltaSlack = 256
 // as a run error rather than a hang.
 const runSteps = 50_000_000
 
-// MixResult aggregates one mix's runs across all seeds.
+// MixResult aggregates one mix's runs across all seeds. SoakMixResult
+// embeds it.
 type MixResult struct {
 	Name string
 	Runs int
@@ -209,14 +209,8 @@ type MixResult struct {
 	Samples []invariant.Violation
 
 	// Tenant-layer aggregates (zero unless the campaign ran with
-	// Tenants > 1): double-switch and vCPU-migration counts, the
-	// socket uncore total, and the summed |estimate − truth| error of
-	// the share-by-cycles attribution policy.
-	VCpuSwitches   uint64
-	VCpuMigrations uint64
-	TenantPreempts uint64
-	UncoreTotal    uint64
-	UncoreAbsErr   uint64
+	// Tenants > 1).
+	TenantStats
 }
 
 // Violations is the mix's total evidence of broken invariants from
@@ -257,63 +251,43 @@ func (r *Result) TotalRunErrors() int {
 	return n
 }
 
+// Verdict applies the campaign's exit discipline: a failed run is
+// always an error; with the fixup active so is any violation, and under
+// the ablation (Cfg.NoFixup) so is detecting none — a blind checker is
+// as bad as a torn read.
+func (r *Result) Verdict() error {
+	violations := r.TotalViolations()
+	switch errs := r.TotalRunErrors(); {
+	case errs > 0:
+		return fmt.Errorf("%d run(s) failed", errs)
+	case r.Cfg.NoFixup && violations == 0:
+		return errors.New("fixup disabled but no torn reads detected — checker is blind")
+	case !r.Cfg.NoFixup && violations > 0:
+		return fmt.Errorf("%d invariant violation(s) with fixup enabled", violations)
+	}
+	return nil
+}
+
 // Run executes the campaign: for each mix, Seeds independent runs of
 // the instrumented workload under that mix's injector, every run
 // watched by the invariant checker and scored by the value oracle.
 //
-// Runs fan out across cfg.Parallel workers through the runner engine.
-// Each run is a self-contained simulation (own machine, own restored
-// workload memory), outcomes land in slots keyed by (mix, seed) and
-// fold into mix results in key order after the pool drains, and
-// telemetry merges are commutative sums — so the rendered report is
-// byte-identical at every pool width, including the serial engine.
+// It is the campaign's job space run in process: the space's jobs fan
+// out across cfg.Parallel workers through the runner engine, and their
+// outcomes fold in (mix, seed) key order through the same assemble step
+// AssembleCampaign applies to fleet payloads — so the rendered report
+// is byte-identical at every pool width and fleet width.
 func Run(cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	res := &Result{Cfg: cfg, Want: buildWorkload(cfg).want}
-	if cfg.Metrics {
-		// The campaign registry is built by the same constructors as
-		// each worker's, so the post-barrier merges cannot mismatch.
-		res.Telemetry = telemetry.NewRegistry()
-		kernel.NewMetrics(res.Telemetry)
-		if cfg.Tenants > 1 {
-			kernel.NewTenantMetrics(res.Telemetry, cfg.Tenants)
-		}
+	s := NewCampaignSpace(cfg)
+	outs, err := runner.Map(runner.Config{Jobs: s.NumJobs(), Parallel: s.cfg.Parallel}, s.run)
+	if err != nil {
+		panic(err) // jobs are in range and a run records its own failure
 	}
-	rc := runner.Config{Jobs: len(cfg.Mixes) * cfg.Seeds, Parallel: cfg.Parallel}
-	workers := make([]*campaignWorker, rc.Workers())
-	outs := make([]runOutcome, rc.Jobs)
-	runner.Run(rc, func(j, wi int) error {
-		if workers[wi] == nil {
-			workers[wi] = newCampaignWorker(cfg)
-		}
-		mi, s := j/cfg.Seeds, j%cfg.Seeds
-		runOne(cfg, cfg.Mixes[mi], RunSeed(mi, s), workers[wi], &outs[j])
-		return nil
-	})
-	for mi := range cfg.Mixes {
-		mr := MixResult{Name: cfg.Mixes[mi].Name}
-		for s := 0; s < cfg.Seeds; s++ {
-			outs[mi*cfg.Seeds+s].foldInto(&mr)
-		}
-		res.Mixes = append(res.Mixes, mr)
+	res, err := assembleCampaign(s.cfg, outs)
+	if err != nil {
+		panic(err) // in-process outcomes share one registry schema
 	}
-	mergeWorkerTelemetry(res.Telemetry, workers)
 	return res
-}
-
-// mergeWorkerTelemetry folds each worker's aggregate registry into the
-// campaign registry, post-barrier, in worker order. The fold is a
-// commutative sum, so which worker executed which run cannot change
-// the merged block.
-func mergeWorkerTelemetry[W interface{ aggregate() *telemetry.Registry }](agg *telemetry.Registry, workers []W) {
-	if agg == nil {
-		return
-	}
-	for _, ws := range workers {
-		if r := ws.aggregate(); r != nil {
-			agg.MustMerge(r)
-		}
-	}
 }
 
 // workload is one built campaign program.
@@ -367,157 +341,22 @@ func buildWorkload(cfg Config) *workload {
 	return w
 }
 
-// campaignWorker holds one pool worker's reusable run artifacts: the
-// workload (program, memory image, counter tables, delta buffers) is
-// built once and its memory snapshotted, then every run restores the
-// snapshot instead of reassembling; the invariant checker, injector
-// and telemetry registry are Reset between runs instead of
-// reallocated. Only the machine is rebuilt per run — it is the
-// simulation state itself, not scaffolding.
+// campaignWorker is one pool worker: the campaign workload, built once,
+// and the harness that restores it before every run.
 type campaignWorker struct {
-	w    *workload
-	snap *mem.Snapshot
-	chk  *invariant.Checker
-	inj  *faultinject.Injector
-	reg  *telemetry.Registry // per-run scratch registry (nil without Metrics)
-	km   *kernel.Metrics
-	tm   *kernel.TenantMetrics // per-tenant counters (nil unless Metrics && Tenants > 1)
-	agg  *telemetry.Registry   // this worker's cross-run aggregate
+	harness
+	w *workload
 }
 
 func newCampaignWorker(cfg Config) *campaignWorker {
-	ws := &campaignWorker{w: buildWorkload(cfg)}
-	ws.snap = ws.w.space.Snapshot()
-	ws.chk = invariant.New(ws.w.regions)
-	ws.inj = faultinject.New(faultinject.Config{})
-	ws.inj.SetRegions(ws.w.regions)
-	ws.inj.SetCores(cfg.Cores)
-	if cfg.Metrics {
-		ws.reg = telemetry.NewRegistry()
-		ws.km = kernel.NewMetrics(ws.reg)
-		ws.agg = telemetry.NewRegistry()
-		kernel.NewMetrics(ws.agg)
-		if cfg.Tenants > 1 {
-			ws.tm = kernel.NewTenantMetrics(ws.reg, cfg.Tenants)
-			kernel.NewTenantMetrics(ws.agg, cfg.Tenants)
-		}
-	}
-	return ws
+	w := buildWorkload(cfg)
+	return &campaignWorker{w: w, harness: newHarness(w.space, w.regions, cfg.Cores, cfg.Tenants, cfg.Metrics)}
 }
 
-// aggregate is nil-receiver-safe: a pool wider than the job count
-// leaves its surplus worker slots nil.
-func (ws *campaignWorker) aggregate() *telemetry.Registry {
-	if ws == nil {
-		return nil
-	}
-	return ws.agg
-}
-
-// runOutcome is one run's contribution to its mix result, recorded in
-// a keyed slot so the post-barrier fold is order-independent.
-type runOutcome struct {
-	errMsg string
-
-	injected faultinject.Stats
-
-	rewinds        uint64
-	folds          uint64
-	ctxSwitches    uint64
-	migrations     uint64
-	readsCompleted uint64
-
-	tornDeltas        uint64
-	checkerViolations int
-	samples           []invariant.Violation
-
-	vcpuSwitches   uint64
-	vcpuMigrations uint64
-	tenantPreempts uint64
-	uncoreTotal    uint64
-	uncoreAbsErr   uint64
-}
-
-// foldInto replays the outcome onto the mix aggregate exactly as the
-// serial loop used to.
-func (o *runOutcome) foldInto(mr *MixResult) {
-	mr.Runs++
-	if o.errMsg != "" {
-		mr.RunErrors++
-		mr.Errs = append(mr.Errs, o.errMsg)
-	}
-	mr.Injected.Add(o.injected)
-	mr.Rewinds += o.rewinds
-	mr.Folds += o.folds
-	mr.CtxSwitches += o.ctxSwitches
-	mr.Migrations += o.migrations
-	mr.ReadsCompleted += o.readsCompleted
-	mr.TornDeltas += o.tornDeltas
-	mr.CheckerViolations += o.checkerViolations
-	mr.VCpuSwitches += o.vcpuSwitches
-	mr.VCpuMigrations += o.vcpuMigrations
-	mr.TenantPreempts += o.tenantPreempts
-	mr.UncoreTotal += o.uncoreTotal
-	mr.UncoreAbsErr += o.uncoreAbsErr
-	for _, v := range o.samples {
-		if len(mr.Samples) >= 8 {
-			break
-		}
-		mr.Samples = append(mr.Samples, v)
-	}
-}
-
-// runOne executes a single seeded run on worker ws and records its
-// outcome into out. The worker's pooled artifacts are restored/reset
-// to their pristine state first, so a run's behaviour cannot depend on
-// which runs the worker executed before it.
-func runOne(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcome) {
-	feats := pmu.DefaultFeatures()
-	feats.WriteWidth = cfg.WriteWidth
-
-	kcfg := kernel.DefaultConfig()
-	kcfg.Seed = seed
-	kcfg.Quantum = 30_000 // short slices: natural preemption joins the storm
-	kcfg.LimitOverflow = kernel.FoldInKernel
-	if cfg.Tenants > 1 {
-		kcfg.Tenants = cfg.Tenants
-		// Tenant quantum shorter than the thread quantum: vCPU switches
-		// dominate, so nearly every thread deschedule is the double kind.
-		kcfg.TenantQuantum = 12_000
-		if cfg.Cores > 1 {
-			// Undersubscribe residency so the cap binds and cross-tenant
-			// migration pressure is constant, not incidental.
-			kcfg.VCPUs = cfg.Cores - 1
-		}
-	}
-
+// run executes a single seeded campaign run of mix on the worker.
+func (ws *campaignWorker) run(cfg Config, mix Mix, seed uint64) runOutcome {
 	w := ws.w
-	w.space.Restore(ws.snap)
-	m := machine.New(machine.Config{
-		NumCores:      cfg.Cores,
-		PMU:           feats,
-		Kernel:        kcfg,
-		TraceCapacity: 256,
-		Uncore:        cfg.Tenants > 1,
-	})
-
-	icfg := mix.Inject
-	icfg.Seed = seed ^ 0x5ca1ab1e
-	icfg.NumSlots = feats.NumCounters
-	ws.inj.Reset(icfg)
-	ws.inj.Attach(m.Kern)
-
-	ws.chk.Reset()
-	ws.chk.Attach(m.Kern)
-
-	if ws.km != nil {
-		ws.reg.Reset()
-		m.Kern.SetMetrics(ws.km)
-		if ws.tm != nil {
-			m.Kern.SetTenantMetrics(ws.tm)
-		}
-	}
-
+	m := ws.start(machineConfig(seed, cfg.Cores, cfg.WriteWidth, cfg.Tenants), mix.Inject)
 	proc := m.Kern.NewProcess(w.prog, w.space)
 	for i := 0; i < cfg.Threads; i++ {
 		t := m.Kern.Spawn(proc, fmt.Sprintf("chaos%d", i), w.entries[i], seed*31+uint64(i))
@@ -526,33 +365,10 @@ func runOne(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcom
 		}
 	}
 
-	res := m.Run(machine.RunLimits{MaxSteps: runSteps})
-	switch {
-	case res.Err != nil:
-		out.errMsg = fmt.Sprintf("seed %#x: %v", seed, res.Err)
-	case !res.AllDone:
-		out.errMsg = fmt.Sprintf("seed %#x: run hit %d-step bound (livelock?)", seed, runSteps)
-	}
-
+	var out runOutcome
+	simulate(m, seed, &out)
 	ws.chk.Finalize(proc, m.Kern.Threads(), 0)
-
-	if accts := m.Kern.TenantAccts(); accts != nil {
-		ut := m.Kern.UncoreTotal()
-		ws.chk.CheckTenants(accts,
-			m.GroundTruthRing(pmu.EvInstructions, pmu.RingUser), ut,
-			m.Kern.Threads())
-		out.uncoreTotal = ut
-		for _, a := range accts {
-			if a.UncoreEst >= a.Uncore {
-				out.uncoreAbsErr += a.UncoreEst - a.Uncore
-			} else {
-				out.uncoreAbsErr += a.Uncore - a.UncoreEst
-			}
-		}
-		out.vcpuSwitches = m.Kern.Stats.VCpuSwitches
-		out.vcpuMigrations = m.Kern.Stats.VCpuMigrations
-		out.tenantPreempts = m.Kern.Stats.TenantPreemptions
-	}
+	out.checkTenants(m, ws.chk)
 
 	// Value oracle: every stored delta must sit within the static
 	// cost's slack; a torn read is off by a write-limit chunk.
@@ -560,30 +376,12 @@ func runOne(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcom
 		for it := 0; it < cfg.Iters; it++ {
 			d := w.space.Read64(w.bufs[ti] + uint64(it)*8)
 			if d < w.want || d > w.want+deltaSlack {
-				out.tornDeltas++
+				out.TornDeltas++
 			}
 		}
 	}
-
-	out.injected = ws.inj.Stats
-
-	out.folds = m.Kern.Stats.OverflowFolds
-	out.ctxSwitches = m.Kern.Stats.CtxSwitches
-	out.migrations = m.Kern.Stats.Migrations
-	out.readsCompleted = ws.chk.ReadsCompleted
-	for _, t := range m.Kern.Threads() {
-		out.rewinds += t.Stats.FixupRewinds
-	}
-	out.checkerViolations = ws.chk.Count()
-	for _, v := range ws.chk.Violations() {
-		if len(out.samples) >= 8 {
-			break
-		}
-		out.samples = append(out.samples, v)
-	}
-	if ws.km != nil {
-		ws.agg.MustMerge(ws.reg)
-	}
+	ws.finish(m, &out)
+	return out
 }
 
 // Render writes the campaign table (and a violation detail section
@@ -599,8 +397,10 @@ func (r *Result) Render(w io.Writer) {
 	t := tabwrite.New(title,
 		"mix", "runs", "injected", "preempts", "spur-pmi", "delay-pmi",
 		"migrations", "flushes", "rewinds", "folds", "reads", "torn", "violations", "errors")
+	mixes := make([]*MixResult, len(r.Mixes))
 	for i := range r.Mixes {
 		m := &r.Mixes[i]
+		mixes[i] = m
 		t.Row(m.Name, m.Runs, m.Injected.Total(),
 			m.Injected.ForcedPreemptions+m.Injected.RandomPreemptions,
 			m.Injected.SpuriousPMIs, m.Injected.DelayedPMIs,
@@ -609,51 +409,12 @@ func (r *Result) Render(w io.Writer) {
 			m.TornDeltas, m.CheckerViolations, m.RunErrors)
 	}
 	t.Render(w)
-
-	if r.Cfg.Tenants > 1 {
-		tt := tabwrite.New(
-			fmt.Sprintf("Tenant layer (%d tenants): double switches and uncore attribution", r.Cfg.Tenants),
-			"mix", "vcpu-switches", "vcpu-preempts", "vcpu-migrations",
-			"uncore-total", "uncore-abs-err", "err-pct")
-		for i := range r.Mixes {
-			m := &r.Mixes[i]
-			pct := "0.00"
-			if m.UncoreTotal > 0 {
-				pct = fmt.Sprintf("%.2f", 100*float64(m.UncoreAbsErr)/float64(m.UncoreTotal))
-			}
-			tt.Row(m.Name, m.VCpuSwitches, m.TenantPreempts, m.VCpuMigrations,
-				m.UncoreTotal, m.UncoreAbsErr, pct)
+	renderTenants(w, r.Cfg.Tenants, mixes)
+	renderFooter(w, mixes, r.TotalViolations(), func(d *tabwrite.Table, i int) {
+		if m := mixes[i]; m.TornDeltas > 0 {
+			d.Row(m.Name, "-", "torn-delta",
+				fmt.Sprintf("%d measured delta(s) outside [%d,%d]",
+					m.TornDeltas, r.Want, r.Want+deltaSlack))
 		}
-		tt.Render(w)
-	}
-
-	if r.TotalViolations() > 0 {
-		d := tabwrite.New("Invariant violations (samples)", "mix", "thread", "kind", "detail")
-		for i := range r.Mixes {
-			m := &r.Mixes[i]
-			for _, v := range m.Samples {
-				d.Row(m.Name, v.TID, v.Kind, v.Detail)
-			}
-			if m.TornDeltas > 0 {
-				d.Row(m.Name, "-", "torn-delta",
-					fmt.Sprintf("%d measured delta(s) outside [%d,%d]",
-						m.TornDeltas, r.Want, r.Want+deltaSlack))
-			}
-		}
-		d.Render(w)
-	}
-	for i := range r.Mixes {
-		for _, e := range r.Mixes[i].Errs {
-			fmt.Fprintf(w, "run error [%s] %s\n", r.Mixes[i].Name, e)
-		}
-	}
-
-	if r.Telemetry != nil {
-		runs := 0
-		for i := range r.Mixes {
-			runs += r.Mixes[i].Runs
-		}
-		fmt.Fprintf(w, "\nKernel telemetry (merged across %d runs)\n", runs)
-		r.Telemetry.Render(w)
-	}
+	}, r.Telemetry)
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -92,26 +93,47 @@ func TestSoakParallelDeterminism(t *testing.T) {
 }
 
 // TestCampaignWorkerReuseClean pins the pooling contract directly: one
-// worker running the same seed twice in a row (with arbitrary runs in
-// between) must produce identical outcomes — Restore/Reset leave no
+// worker running the same seed twice in a row (with an arbitrary run in
+// between) must produce identical outcomes — every field, tenant
+// accounting and telemetry block included — so Restore/Reset leave no
 // residue.
 func TestCampaignWorkerReuseClean(t *testing.T) {
-	cfg := Config{Seeds: 1, Threads: 4, Iters: 120}.withDefaults()
-	ws := newCampaignWorker(cfg)
-	mix := DefaultMixes()[4] // full-mix: exercises every injector path
+	for _, tenants := range []int{0, 2} {
+		cfg := Config{Seeds: 1, Threads: 4, Iters: 120, Metrics: true, Tenants: tenants}.withDefaults()
+		ws := newCampaignWorker(cfg)
+		mix := cfg.Mixes[len(cfg.Mixes)-1] // the full mix: every injector path
 
-	var first, again runOutcome
-	runOne(cfg, mix, RunSeed(4, 0), ws, &first)
-	var noise runOutcome
-	runOne(cfg, DefaultMixes()[2], RunSeed(2, 7), ws, &noise)
-	runOne(cfg, mix, RunSeed(4, 0), ws, &again)
+		first := ws.run(cfg, mix, RunSeed(4, 0))
+		ws.run(cfg, cfg.Mixes[2], RunSeed(2, 7))
+		again := ws.run(cfg, mix, RunSeed(4, 0))
+		if !reflect.DeepEqual(first, again) {
+			t.Errorf("tenants=%d: worker reuse changed a run's outcome:\nfirst: %+v\nagain: %+v", tenants, first, again)
+		}
+		if first.Telemetry == "" || (tenants > 1 && first.VCpuSwitches == 0) {
+			t.Errorf("tenants=%d: outcome lacks telemetry or tenant accounting: %+v", tenants, first)
+		}
+	}
+}
 
-	var a, b MixResult
-	first.foldInto(&a)
-	again.foldInto(&b)
-	if a.Injected != b.Injected || a.Folds != b.Folds || a.Rewinds != b.Rewinds ||
-		a.ReadsCompleted != b.ReadsCompleted || a.TornDeltas != b.TornDeltas ||
-		a.CheckerViolations != b.CheckerViolations || a.RunErrors != b.RunErrors {
-		t.Errorf("worker reuse changed a run's outcome:\nfirst: %+v\nagain: %+v", a, b)
+// TestSoakWorkerReuseClean is the same contract for the soak worker,
+// whose pooled churn workload recycles slots and table words every
+// wave.
+func TestSoakWorkerReuseClean(t *testing.T) {
+	for _, tenants := range []int{1, 2} {
+		cfg := quickSoakCfg()
+		cfg.Metrics, cfg.Tenants = true, tenants
+		cfg = cfg.withDefaults()
+		ws := newSoakWorker(cfg)
+		mix := cfg.Mixes[len(cfg.Mixes)-1] // full-churn: preempts, kills and clone storms
+
+		first := ws.run(cfg, mix, RunSeed(6, 0))
+		ws.run(cfg, cfg.Mixes[4], RunSeed(4, 3))
+		again := ws.run(cfg, mix, RunSeed(6, 0))
+		if !reflect.DeepEqual(first, again) {
+			t.Errorf("tenants=%d: worker reuse changed a soak run's outcome:\nfirst: %+v\nagain: %+v", tenants, first, again)
+		}
+		if first.Telemetry == "" || first.Clones == 0 || (tenants > 1 && first.VCpuSwitches == 0) {
+			t.Errorf("tenants=%d: soak outcome lacks telemetry, churn or tenant accounting: %+v", tenants, first)
+		}
 	}
 }

@@ -1,15 +1,13 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"limitsim/internal/faultinject"
 	"limitsim/internal/invariant"
 	"limitsim/internal/kernel"
-	"limitsim/internal/machine"
-	"limitsim/internal/mem"
-	"limitsim/internal/pmu"
 	"limitsim/internal/runner"
 	"limitsim/internal/tabwrite"
 	"limitsim/internal/telemetry"
@@ -109,9 +107,9 @@ type SoakConfig struct {
 	// Metrics attaches the kernel telemetry layer to every run and
 	// merges the per-run registries into SoakResult.Telemetry.
 	Metrics bool
-	// Parallel is the worker count seeds fan out across within each
-	// mix: 1 is the serial engine, <= 0 uses GOMAXPROCS. Mixes run
-	// sequentially (workers persist across them); reports stay
+	// Parallel is the worker count runs fan out across: 1 is the
+	// serial engine, <= 0 uses GOMAXPROCS. Each worker builds the churn
+	// workload once and keeps it across every mix; reports stay
 	// byte-identical at every width.
 	Parallel int
 	// Tenants, when > 1, runs that many independent manager+pool copies
@@ -198,14 +196,11 @@ type WaveAcct struct {
 	Partial uint64 // killed (or degraded mid-run) before finishing
 }
 
-// SoakMixResult aggregates one lifecycle mix's runs across all seeds.
+// SoakMixResult aggregates one lifecycle mix's runs across all seeds:
+// the read-path accounting every campaign keeps, plus the lifecycle
+// traffic and the soak's own oracles.
 type SoakMixResult struct {
-	Name      string
-	Runs      int
-	RunErrors int
-	Errs      []string
-
-	Injected faultinject.Stats
+	MixResult
 
 	// Kernel lifecycle traffic.
 	Clones uint64
@@ -220,27 +215,13 @@ type SoakMixResult struct {
 	PartialRuns   uint64
 	Waves         []WaveAcct
 
-	Folds          uint64
-	Rewinds        uint64
-	ReadsCompleted uint64
-
-	// TornDeltas counts exact-path measurements outside the static
-	// cost's slack; BadConservation counts inherited counters whose
-	// reap value diverged from the thread's true instruction count;
-	// Leaks counts resource-leak reports from the end-of-run audit.
-	TornDeltas        uint64
-	BadConservation   uint64
-	Leaks             int
-	CheckerViolations int
-	Samples           []invariant.Violation
-
-	// Tenant-layer aggregates (zero unless the soak ran with
-	// Tenants > 1); see MixResult for their meaning.
-	VCpuSwitches   uint64
-	VCpuMigrations uint64
-	TenantPreempts uint64
-	UncoreTotal    uint64
-	UncoreAbsErr   uint64
+	// TornDeltas (in MixResult) counts exact-path measurements outside
+	// the static cost's slack; BadConservation counts inherited
+	// counters whose reap value diverged from the thread's true
+	// instruction count; Leaks counts resource-leak reports from the
+	// end-of-run audit.
+	BadConservation uint64
+	Leaks           int
 }
 
 // Violations totals the mix's evidence from all three oracles.
@@ -287,220 +268,110 @@ func (r *SoakResult) TotalDegraded() uint64 {
 	return n
 }
 
+// Verdict applies the soak's exit discipline: a failed run is always
+// an error; a sabotaged configuration (Cfg.NoFixup or
+// Cfg.AblateReclaim) must detect its own damage, and a healthy one
+// must detect nothing.
+func (r *SoakResult) Verdict() error {
+	sabotaged := r.Cfg.NoFixup || r.Cfg.AblateReclaim
+	violations := r.TotalViolations()
+	switch errs := r.TotalRunErrors(); {
+	case errs > 0:
+		return fmt.Errorf("%d soak run(s) failed", errs)
+	case sabotaged && violations == 0:
+		return errors.New("ablation enabled but no violations detected — the oracles are blind")
+	case !sabotaged && violations > 0:
+		return fmt.Errorf("%d violation(s) in a healthy soak", violations)
+	}
+	return nil
+}
+
 // RunSoak executes the soak campaign: for each lifecycle mix, Seeds
 // independent long runs of the churn workload under that mix's
 // injector and slot capacity, each audited by the invariant checker
 // and the campaign's leak, conservation and value oracles.
 //
-// Within each mix, seeds fan out across cfg.Parallel workers through
-// the runner engine; mixes themselves run sequentially so the worker
-// pool (and its prebuilt churn workloads) persists across the matrix.
-// Outcomes land in seed-keyed slots and fold in seed order, so the
-// report is byte-identical at every pool width.
+// Like Run, it is the soak's job space run in process: (mix, seed)
+// jobs fan out across cfg.Parallel workers, each worker keeping one
+// prebuilt churn workload for every mix, and the outcomes fold in key
+// order through the assemble step AssembleSoak shares — so the report
+// is byte-identical at every pool width and fleet width.
 func RunSoak(cfg SoakConfig) *SoakResult {
-	cfg = cfg.withDefaults()
-	res := &SoakResult{Cfg: cfg, Want: workloads.BuildChurn(cfg.churn()).Want}
-	if cfg.Metrics {
-		res.Telemetry = telemetry.NewRegistry()
-		kernel.NewMetrics(res.Telemetry)
-		if cfg.Tenants > 1 {
-			kernel.NewTenantMetrics(res.Telemetry, cfg.Tenants)
-		}
+	s := NewSoakSpace(cfg)
+	outs, err := runner.Map(runner.Config{Jobs: s.NumJobs(), Parallel: s.cfg.Parallel}, s.run)
+	if err != nil {
+		panic(err) // jobs are in range and a run records its own failure
 	}
-	rc := runner.Config{Jobs: cfg.Seeds, Parallel: cfg.Parallel}
-	workers := make([]*soakWorker, rc.Workers())
-	for mi := range cfg.Mixes {
-		mix := cfg.Mixes[mi]
-		outs := make([]soakOutcome, cfg.Seeds)
-		runner.Run(rc, func(j, wi int) error {
-			if workers[wi] == nil {
-				workers[wi] = newSoakWorker(cfg)
-			}
-			runOneSoak(cfg, mix, RunSeed(mi, j), workers[wi], &outs[j])
-			return nil
-		})
-		mr := SoakMixResult{Name: mix.Name, Waves: make([]WaveAcct, cfg.Waves)}
-		for s := range outs {
-			outs[s].foldInto(&mr)
-		}
-		res.Mixes = append(res.Mixes, mr)
+	res, err := assembleSoak(s.cfg, outs)
+	if err != nil {
+		panic(err) // in-process outcomes carry cfg.Waves waves and one registry schema
 	}
-	mergeWorkerTelemetry(res.Telemetry, workers)
 	return res
 }
 
-// soakWorker holds one pool worker's reusable soak artifacts: the
-// churn workload is built once and its memory image snapshotted, the
-// checker/injector/registries are Reset between runs. The machine is
-// rebuilt per run.
+// soakWorker is one pool worker: the churn workload, built once, and
+// the harness that restores it before every run.
 type soakWorker struct {
-	w    *workloads.Churn
-	snap *mem.Snapshot
-	chk  *invariant.Checker
-	inj  *faultinject.Injector
-	reg  *telemetry.Registry
-	km   *kernel.Metrics
-	tm   *kernel.TenantMetrics
-	agg  *telemetry.Registry
+	harness
+	w *workloads.Churn
 }
 
 func newSoakWorker(cfg SoakConfig) *soakWorker {
-	ws := &soakWorker{w: workloads.BuildChurn(cfg.churn())}
-	ws.snap = ws.w.Space.Snapshot()
-	ws.chk = invariant.New(ws.w.Regions)
-	ws.inj = faultinject.New(faultinject.Config{})
-	ws.inj.SetRegions(ws.w.Regions)
-	ws.inj.SetCores(cfg.Cores)
-	if cfg.Metrics {
-		ws.reg = telemetry.NewRegistry()
-		ws.km = kernel.NewMetrics(ws.reg)
-		ws.agg = telemetry.NewRegistry()
-		kernel.NewMetrics(ws.agg)
-		if cfg.Tenants > 1 {
-			ws.tm = kernel.NewTenantMetrics(ws.reg, cfg.Tenants)
-			kernel.NewTenantMetrics(ws.agg, cfg.Tenants)
-		}
-	}
-	return ws
+	w := workloads.BuildChurn(cfg.churn())
+	return &soakWorker{w: w, harness: newHarness(w.Space, w.Regions, cfg.Cores, cfg.Tenants, cfg.Metrics)}
 }
 
-// aggregate is nil-receiver-safe: a pool wider than the job count
-// leaves its surplus worker slots nil.
-func (ws *soakWorker) aggregate() *telemetry.Registry {
-	if ws == nil {
-		return nil
-	}
-	return ws.agg
-}
-
-// soakOutcome is one soak run's contribution to its mix result,
-// recorded in a seed-keyed slot for the order-independent fold.
+// soakOutcome is one soak run's contribution to its mix result: the
+// campaign outcome plus lifecycle accounting. Like runOutcome, RunSoak
+// folds it directly and a fleet payload is its JSON encoding.
 type soakOutcome struct {
-	errMsg string
-
-	injected faultinject.Stats
-
-	clones  uint64
-	exits   uint64
-	kills   uint64
-	denials uint64
-
-	degradedRuns  uint64
-	completedRuns uint64
-	partialRuns   uint64
-	waves         []WaveAcct
-
-	folds          uint64
-	rewinds        uint64
-	readsCompleted uint64
-
-	tornDeltas        uint64
-	badConservation   uint64
-	leaks             int
-	checkerViolations int
-	samples           []invariant.Violation
-
-	vcpuSwitches   uint64
-	vcpuMigrations uint64
-	tenantPreempts uint64
-	uncoreTotal    uint64
-	uncoreAbsErr   uint64
+	runOutcome
+	Clones          uint64     `json:"clones"`
+	Exits           uint64     `json:"exits"`
+	Kills           uint64     `json:"kills"`
+	Denials         uint64     `json:"denials"`
+	DegradedRuns    uint64     `json:"degraded_runs"`
+	CompletedRuns   uint64     `json:"completed_runs"`
+	PartialRuns     uint64     `json:"partial_runs"`
+	Waves           []WaveAcct `json:"waves"`
+	BadConservation uint64     `json:"bad_conservation"`
+	Leaks           int        `json:"leaks"`
 }
 
-// foldInto replays the outcome onto the mix aggregate exactly as the
-// serial loop used to.
-func (o *soakOutcome) foldInto(mr *SoakMixResult) {
-	mr.Runs++
-	if o.errMsg != "" {
-		mr.RunErrors++
-		mr.Errs = append(mr.Errs, o.errMsg)
+// add folds one run's outcome into the mix; the caller has checked
+// that it carries len(m.Waves) waves.
+func (m *SoakMixResult) add(o *soakOutcome) {
+	m.MixResult.add(&o.runOutcome)
+	m.Clones += o.Clones
+	m.Exits += o.Exits
+	m.Kills += o.Kills
+	m.Denials += o.Denials
+	m.DegradedRuns += o.DegradedRuns
+	m.CompletedRuns += o.CompletedRuns
+	m.PartialRuns += o.PartialRuns
+	for wv := range o.Waves {
+		m.Waves[wv].Exact += o.Waves[wv].Exact
+		m.Waves[wv].Est += o.Waves[wv].Est
+		m.Waves[wv].Partial += o.Waves[wv].Partial
 	}
-	mr.Injected.Add(o.injected)
-	mr.Clones += o.clones
-	mr.Exits += o.exits
-	mr.Kills += o.kills
-	mr.Denials += o.denials
-	mr.DegradedRuns += o.degradedRuns
-	mr.CompletedRuns += o.completedRuns
-	mr.PartialRuns += o.partialRuns
-	for wv := range o.waves {
-		mr.Waves[wv].Exact += o.waves[wv].Exact
-		mr.Waves[wv].Est += o.waves[wv].Est
-		mr.Waves[wv].Partial += o.waves[wv].Partial
-	}
-	mr.Folds += o.folds
-	mr.Rewinds += o.rewinds
-	mr.ReadsCompleted += o.readsCompleted
-	mr.TornDeltas += o.tornDeltas
-	mr.BadConservation += o.badConservation
-	mr.Leaks += o.leaks
-	mr.CheckerViolations += o.checkerViolations
-	mr.VCpuSwitches += o.vcpuSwitches
-	mr.VCpuMigrations += o.vcpuMigrations
-	mr.TenantPreempts += o.tenantPreempts
-	mr.UncoreTotal += o.uncoreTotal
-	mr.UncoreAbsErr += o.uncoreAbsErr
-	for _, v := range o.samples {
-		if len(mr.Samples) >= 8 {
-			break
-		}
-		mr.Samples = append(mr.Samples, v)
-	}
+	m.BadConservation += o.BadConservation
+	m.Leaks += o.Leaks
 }
 
-// runOneSoak executes a single seeded soak run on worker ws and
-// records its outcome into out.
-func runOneSoak(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *soakOutcome) {
-	feats := pmu.DefaultFeatures()
-	feats.WriteWidth = cfg.WriteWidth
-
-	kcfg := kernel.DefaultConfig()
-	kcfg.Seed = seed
-	kcfg.Quantum = 30_000
-	kcfg.LimitOverflow = kernel.FoldInKernel
-	kcfg.VirtSlotCapacity = cfg.SlotCapacity
-	if mix.SlotCapacity > 0 {
-		kcfg.VirtSlotCapacity = mix.SlotCapacity
-	}
-	kcfg.AblateReclaim = cfg.AblateReclaim
-	if cfg.Tenants > 1 {
-		kcfg.Tenants = cfg.Tenants
-		kcfg.TenantQuantum = 12_000
-		if cfg.Cores > 1 {
-			kcfg.VCPUs = cfg.Cores - 1
-		}
-	}
-
+// run executes a single seeded soak run of mix on the worker.
+func (ws *soakWorker) run(cfg SoakConfig, mix SoakMix, seed uint64) soakOutcome {
 	w := ws.w
-	w.Space.Restore(ws.snap)
-	m := machine.New(machine.Config{
-		NumCores:      cfg.Cores,
-		PMU:           feats,
-		Kernel:        kcfg,
-		TraceCapacity: 256,
-		Uncore:        cfg.Tenants > 1,
-	})
-
-	icfg := mix.Inject
-	icfg.Seed = seed ^ 0x5ca1ab1e
-	icfg.NumSlots = feats.NumCounters
-	if icfg.CloneEvery > 0 {
-		icfg.CloneEntry = w.StubEntry
+	mc := machineConfig(seed, cfg.Cores, cfg.WriteWidth, cfg.Tenants)
+	mc.Kernel.VirtSlotCapacity = cfg.SlotCapacity
+	if mix.SlotCapacity > 0 {
+		mc.Kernel.VirtSlotCapacity = mix.SlotCapacity
 	}
-	ws.inj.Reset(icfg)
-	ws.inj.Attach(m.Kern)
-
-	ws.chk.Reset()
-	ws.chk.Attach(m.Kern)
-
-	if ws.km != nil {
-		ws.reg.Reset()
-		m.Kern.SetMetrics(ws.km)
-		if ws.tm != nil {
-			m.Kern.SetTenantMetrics(ws.tm)
-		}
+	mc.Kernel.AblateReclaim = cfg.AblateReclaim
+	inject := mix.Inject
+	if inject.CloneEvery > 0 {
+		inject.CloneEntry = w.StubEntry
 	}
-
+	m := ws.start(mc, inject)
 	proc := m.Kern.NewProcess(w.Prog, w.Space)
 	for mt := 0; mt < cfg.Tenants; mt++ {
 		name := "churn-mgr"
@@ -512,13 +383,8 @@ func runOneSoak(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *s
 		mgr.Tenant = mt
 	}
 
-	res := m.Run(machine.RunLimits{MaxSteps: runSteps})
-	switch {
-	case res.Err != nil:
-		out.errMsg = fmt.Sprintf("seed %#x: %v", seed, res.Err)
-	case !res.AllDone:
-		out.errMsg = fmt.Sprintf("seed %#x: run hit %d-step bound (livelock?)", seed, runSteps)
-	}
+	var out soakOutcome
+	res := simulate(m, seed, &out.runOutcome)
 
 	// Leak oracle: with every thread exited, the kernel's resource
 	// ledgers must read zero. Under AblateReclaim they must NOT — the
@@ -544,19 +410,19 @@ func runOneSoak(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *s
 			continue
 		}
 		if v, ok := ws.chk.ReapValue(t.ID, 0); ok && v != t.Stats.UserInstructions {
-			out.badConservation++
+			out.BadConservation++
 		}
 	}
 
 	// Value oracle: every exact-path measurement a worker published
 	// before finishing (or dying) must sit within the static cost's
 	// slack; estimated runs are flagged, counted, and skipped.
-	out.waves = make([]WaveAcct, cfg.Waves)
+	out.Waves = make([]WaveAcct, cfg.Waves)
 	for ri := 0; ri < w.Runs(); ri++ {
 		wave := ri / (cfg.Tenants * cfg.Pool)
 		est := w.Estimated(ri)
 		if est {
-			out.degradedRuns++
+			out.DegradedRuns++
 		}
 		n := w.Done(ri)
 		if n > uint64(cfg.Iters) {
@@ -564,14 +430,14 @@ func runOneSoak(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *s
 		}
 		switch {
 		case n < uint64(cfg.Iters):
-			out.partialRuns++
-			out.waves[wave].Partial++
+			out.PartialRuns++
+			out.Waves[wave].Partial++
 		case est:
-			out.completedRuns++
-			out.waves[wave].Est++
+			out.CompletedRuns++
+			out.Waves[wave].Est++
 		default:
-			out.completedRuns++
-			out.waves[wave].Exact++
+			out.CompletedRuns++
+			out.Waves[wave].Exact++
 		}
 		if est {
 			continue
@@ -579,54 +445,26 @@ func runOneSoak(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *s
 		for i := uint64(0); i < n; i++ {
 			d := w.Delta(ri, int(i))
 			if d < w.Want || d > w.Want+deltaSlack {
-				out.tornDeltas++
+				out.TornDeltas++
 			}
 		}
 	}
 
-	// Tenant attribution oracles: per-guest instruction conservation,
-	// no cross-tenant leakage, and uncore-share bounds — they must hold
-	// under every lifecycle storm, kills and clone stampedes included.
-	if accts := m.Kern.TenantAccts(); accts != nil {
-		ut := m.Kern.UncoreTotal()
-		ws.chk.CheckTenants(accts,
-			m.GroundTruthRing(pmu.EvInstructions, pmu.RingUser), ut,
-			m.Kern.Threads())
-		out.uncoreTotal = ut
-		for _, a := range accts {
-			if a.UncoreEst >= a.Uncore {
-				out.uncoreAbsErr += a.UncoreEst - a.Uncore
-			} else {
-				out.uncoreAbsErr += a.Uncore - a.UncoreEst
-			}
-		}
-		out.vcpuSwitches = m.Kern.Stats.VCpuSwitches
-		out.vcpuMigrations = m.Kern.Stats.VCpuMigrations
-		out.tenantPreempts = m.Kern.Stats.TenantPreemptions
-	}
+	// The tenant oracles must hold under every lifecycle storm, kills
+	// and clone stampedes included.
+	out.checkTenants(m, ws.chk)
+	ws.finish(m, &out.runOutcome)
 
-	out.injected = ws.inj.Stats
-	out.clones = m.Kern.Stats.Clones
-	out.exits = m.Kern.Stats.Exits
-	out.kills = m.Kern.Stats.Kills
-	out.denials = m.Kern.Resources().SlotDenials
-	out.folds = m.Kern.Stats.OverflowFolds
-	out.readsCompleted = ws.chk.ReadsCompleted
-	for _, t := range m.Kern.Threads() {
-		out.rewinds += t.Stats.FixupRewinds
-	}
-	out.checkerViolations = ws.chk.Count()
+	out.Clones = m.Kern.Stats.Clones
+	out.Exits = m.Kern.Stats.Exits
+	out.Kills = m.Kern.Stats.Kills
+	out.Denials = m.Kern.Resources().SlotDenials
 	for _, v := range ws.chk.Violations() {
 		if v.Kind == invariant.KindLeak {
-			out.leaks++
-		}
-		if len(out.samples) < 8 {
-			out.samples = append(out.samples, v)
+			out.Leaks++
 		}
 	}
-	if ws.km != nil {
-		ws.agg.MustMerge(ws.reg)
-	}
+	return out
 }
 
 // Render writes the soak report: the mix table, the per-wave
@@ -652,31 +490,17 @@ func (r *SoakResult) Render(w io.Writer) {
 		"mix", "runs", "clones", "exits", "kills", "denials", "degraded",
 		"complete", "partial", "rewinds", "folds", "reads",
 		"torn", "conserve", "leaks", "violations", "errors")
+	mixes := make([]*MixResult, len(r.Mixes))
 	for i := range r.Mixes {
 		m := &r.Mixes[i]
+		mixes[i] = &m.MixResult
 		t.Row(m.Name, m.Runs, m.Clones, m.Exits, m.Kills, m.Denials,
 			m.DegradedRuns, m.CompletedRuns, m.PartialRuns,
 			m.Rewinds, m.Folds, m.ReadsCompleted,
 			m.TornDeltas, m.BadConservation, m.Leaks, m.CheckerViolations, m.RunErrors)
 	}
 	t.Render(w)
-
-	if r.Cfg.Tenants > 1 {
-		tt := tabwrite.New(
-			fmt.Sprintf("Tenant layer (%d tenants): double switches and uncore attribution", r.Cfg.Tenants),
-			"mix", "vcpu-switches", "vcpu-preempts", "vcpu-migrations",
-			"uncore-total", "uncore-abs-err", "err-pct")
-		for i := range r.Mixes {
-			m := &r.Mixes[i]
-			pct := "0.00"
-			if m.UncoreTotal > 0 {
-				pct = fmt.Sprintf("%.2f", 100*float64(m.UncoreAbsErr)/float64(m.UncoreTotal))
-			}
-			tt.Row(m.Name, m.VCpuSwitches, m.TenantPreempts, m.VCpuMigrations,
-				m.UncoreTotal, m.UncoreAbsErr, pct)
-		}
-		tt.Render(w)
-	}
+	renderTenants(w, r.Cfg.Tenants, mixes)
 
 	wa := tabwrite.New("Per-wave accounting (worker runs across all seeds)",
 		"mix", "wave", "exact", "estimated", "partial")
@@ -688,38 +512,17 @@ func (r *SoakResult) Render(w io.Writer) {
 	}
 	wa.Render(w)
 
-	if r.TotalViolations() > 0 {
-		d := tabwrite.New("Invariant violations (samples)", "mix", "thread", "kind", "detail")
-		for i := range r.Mixes {
-			m := &r.Mixes[i]
-			for _, v := range m.Samples {
-				d.Row(m.Name, v.TID, v.Kind, v.Detail)
-			}
-			if m.TornDeltas > 0 {
-				d.Row(m.Name, "-", "torn-delta",
-					fmt.Sprintf("%d exact measurement(s) outside [%d,%d]",
-						m.TornDeltas, r.Want, r.Want+deltaSlack))
-			}
-			if m.BadConservation > 0 {
-				d.Row(m.Name, "-", "bad-conservation",
-					fmt.Sprintf("%d inherited counter(s) diverged from true instruction totals",
-						m.BadConservation))
-			}
+	renderFooter(w, mixes, r.TotalViolations(), func(d *tabwrite.Table, i int) {
+		m := &r.Mixes[i]
+		if m.TornDeltas > 0 {
+			d.Row(m.Name, "-", "torn-delta",
+				fmt.Sprintf("%d exact measurement(s) outside [%d,%d]",
+					m.TornDeltas, r.Want, r.Want+deltaSlack))
 		}
-		d.Render(w)
-	}
-	for i := range r.Mixes {
-		for _, e := range r.Mixes[i].Errs {
-			fmt.Fprintf(w, "run error [%s] %s\n", r.Mixes[i].Name, e)
+		if m.BadConservation > 0 {
+			d.Row(m.Name, "-", "bad-conservation",
+				fmt.Sprintf("%d inherited counter(s) diverged from true instruction totals",
+					m.BadConservation))
 		}
-	}
-
-	if r.Telemetry != nil {
-		runs := 0
-		for i := range r.Mixes {
-			runs += r.Mixes[i].Runs
-		}
-		fmt.Fprintf(w, "\nKernel telemetry (merged across %d runs)\n", runs)
-		r.Telemetry.Render(w)
-	}
+	}, r.Telemetry)
 }

@@ -1,139 +1,24 @@
 package chaos
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 
-	"limitsim/internal/faultinject"
-	"limitsim/internal/invariant"
-	"limitsim/internal/kernel"
 	"limitsim/internal/telemetry"
 	"limitsim/internal/workloads"
 )
 
-// Fleet adapters: the campaign and soak matrices exposed as shardable
-// job spaces. A job is one seeded run — a pure function of (defaulted
-// config, key) — whose outcome is serialized to a deterministic JSON
-// payload, so runs can execute on any worker process, be retried or
-// speculatively duplicated, and still assemble into a Result that is
-// byte-identical to what Run/RunSoak produce in one process. The
-// telemetry block rides along as a JSONL string per run; telemetry
-// merges are commutative sums, so merging per-run registries in key
-// order here equals merging per-worker aggregates in worker order
-// there.
-
-// outcomeWire is runOutcome in wire form.
-type outcomeWire struct {
-	Err               string                `json:"err,omitempty"`
-	Injected          faultinject.Stats     `json:"injected"`
-	Rewinds           uint64                `json:"rewinds"`
-	Folds             uint64                `json:"folds"`
-	CtxSwitches       uint64                `json:"ctx_switches"`
-	Migrations        uint64                `json:"migrations"`
-	ReadsCompleted    uint64                `json:"reads_completed"`
-	TornDeltas        uint64                `json:"torn_deltas"`
-	CheckerViolations int                   `json:"checker_violations"`
-	Samples           []invariant.Violation `json:"samples,omitempty"`
-	Telemetry         string                `json:"telemetry,omitempty"`
-}
-
-func (w *outcomeWire) from(o *runOutcome) {
-	w.Err = o.errMsg
-	w.Injected = o.injected
-	w.Rewinds = o.rewinds
-	w.Folds = o.folds
-	w.CtxSwitches = o.ctxSwitches
-	w.Migrations = o.migrations
-	w.ReadsCompleted = o.readsCompleted
-	w.TornDeltas = o.tornDeltas
-	w.CheckerViolations = o.checkerViolations
-	w.Samples = o.samples
-}
-
-func (w *outcomeWire) outcome() runOutcome {
-	return runOutcome{
-		errMsg:            w.Err,
-		injected:          w.Injected,
-		rewinds:           w.Rewinds,
-		folds:             w.Folds,
-		ctxSwitches:       w.CtxSwitches,
-		migrations:        w.Migrations,
-		readsCompleted:    w.ReadsCompleted,
-		tornDeltas:        w.TornDeltas,
-		checkerViolations: w.CheckerViolations,
-		samples:           w.Samples,
-	}
-}
-
-// soakOutcomeWire is soakOutcome in wire form.
-type soakOutcomeWire struct {
-	Err               string                `json:"err,omitempty"`
-	Injected          faultinject.Stats     `json:"injected"`
-	Clones            uint64                `json:"clones"`
-	Exits             uint64                `json:"exits"`
-	Kills             uint64                `json:"kills"`
-	Denials           uint64                `json:"denials"`
-	DegradedRuns      uint64                `json:"degraded_runs"`
-	CompletedRuns     uint64                `json:"completed_runs"`
-	PartialRuns       uint64                `json:"partial_runs"`
-	Waves             []WaveAcct            `json:"waves"`
-	Folds             uint64                `json:"folds"`
-	Rewinds           uint64                `json:"rewinds"`
-	ReadsCompleted    uint64                `json:"reads_completed"`
-	TornDeltas        uint64                `json:"torn_deltas"`
-	BadConservation   uint64                `json:"bad_conservation"`
-	Leaks             int                   `json:"leaks"`
-	CheckerViolations int                   `json:"checker_violations"`
-	Samples           []invariant.Violation `json:"samples,omitempty"`
-	Telemetry         string                `json:"telemetry,omitempty"`
-}
-
-func (w *soakOutcomeWire) from(o *soakOutcome) {
-	w.Err = o.errMsg
-	w.Injected = o.injected
-	w.Clones = o.clones
-	w.Exits = o.exits
-	w.Kills = o.kills
-	w.Denials = o.denials
-	w.DegradedRuns = o.degradedRuns
-	w.CompletedRuns = o.completedRuns
-	w.PartialRuns = o.partialRuns
-	w.Waves = o.waves
-	w.Folds = o.folds
-	w.Rewinds = o.rewinds
-	w.ReadsCompleted = o.readsCompleted
-	w.TornDeltas = o.tornDeltas
-	w.BadConservation = o.badConservation
-	w.Leaks = o.leaks
-	w.CheckerViolations = o.checkerViolations
-	w.Samples = o.samples
-}
-
-func (w *soakOutcomeWire) outcome() soakOutcome {
-	return soakOutcome{
-		errMsg:            w.Err,
-		injected:          w.Injected,
-		clones:            w.Clones,
-		exits:             w.Exits,
-		kills:             w.Kills,
-		denials:           w.Denials,
-		degradedRuns:      w.DegradedRuns,
-		completedRuns:     w.CompletedRuns,
-		partialRuns:       w.PartialRuns,
-		waves:             w.Waves,
-		folds:             w.Folds,
-		rewinds:           w.Rewinds,
-		readsCompleted:    w.ReadsCompleted,
-		tornDeltas:        w.TornDeltas,
-		badConservation:   w.BadConservation,
-		leaks:             w.Leaks,
-		checkerViolations: w.CheckerViolations,
-		samples:           w.Samples,
-	}
-}
+// Job spaces: the campaign and soak matrices as shardable job spaces,
+// and the only way either runs. A job is one seeded run — a pure
+// function of (defaulted config, key) — whose outcome struct is folded
+// directly by Run/RunSoak, or JSON-encoded as a payload so the run can
+// execute on any fleet worker process, be retried or speculatively
+// duplicated, and still assemble through the same fold into a result
+// byte-identical to the in-process one. Each run's telemetry rides
+// along as a JSONL block and merges into the campaign registry in key
+// order.
 
 // workerPool lazily builds one pooled artifact set per worker index.
 // The fleet contract says a given worker index never runs two jobs
@@ -159,8 +44,7 @@ func (p *workerPool[W]) get(wi int) W {
 }
 
 // CampaignSpace is the read-path campaign as a shardable job space:
-// one job per (mix, seed) cell, keyed mix-major exactly like Run's
-// runner jobs.
+// one job per (mix, seed) cell, keyed mix-major.
 type CampaignSpace struct {
 	cfg  Config
 	pool workerPool[*campaignWorker]
@@ -180,68 +64,60 @@ func (s *CampaignSpace) Config() Config { return s.cfg }
 // NumJobs is mixes × seeds.
 func (s *CampaignSpace) NumJobs() int { return len(s.cfg.Mixes) * s.cfg.Seeds }
 
+// run executes the (mix, seed) cell job names on worker's pooled
+// artifacts.
+func (s *CampaignSpace) run(job, worker int) (runOutcome, error) {
+	if job < 0 || job >= s.NumJobs() {
+		return runOutcome{}, fmt.Errorf("chaos: campaign job %d outside space [0,%d)", job, s.NumJobs())
+	}
+	mi, sd := job/s.cfg.Seeds, job%s.cfg.Seeds
+	return s.pool.get(worker).run(s.cfg, s.cfg.Mixes[mi], RunSeed(mi, sd)), nil
+}
+
 // Run executes the (mix, seed) cell job names and returns its outcome
 // payload. Deterministic: two executions of the same key produce the
 // same bytes regardless of worker or attempt.
 func (s *CampaignSpace) Run(job, worker int) ([]byte, error) {
-	if job < 0 || job >= s.NumJobs() {
-		return nil, fmt.Errorf("chaos: campaign job %d outside space [0,%d)", job, s.NumJobs())
+	out, err := s.run(job, worker)
+	if err != nil {
+		return nil, err
 	}
-	ws := s.pool.get(worker)
-	mi, sd := job/s.cfg.Seeds, job%s.cfg.Seeds
-	var out runOutcome
-	runOne(s.cfg, s.cfg.Mixes[mi], RunSeed(mi, sd), ws, &out)
-	var w outcomeWire
-	w.from(&out)
-	if ws.reg != nil {
-		// ws.reg still holds this run's values; it is Reset at the start
-		// of the worker's next run, not after this one.
-		var buf bytes.Buffer
-		if err := ws.reg.WriteJSONL(&buf); err != nil {
-			return nil, err
-		}
-		w.Telemetry = buf.String()
-	}
-	return json.Marshal(&w)
+	return json.Marshal(&out)
 }
 
 // AssembleCampaign rebuilds a campaign Result from the space's keyed
-// payloads. The folds happen in (mix, seed) key order — the same order
-// Run folds its outcome slots — so the rendered report is
+// payloads with the fold Run uses, so the rendered report is
 // byte-identical to a single-process campaign's.
 func AssembleCampaign(cfg Config, payloads [][]byte) (*Result, error) {
 	cfg = cfg.withDefaults()
-	want := len(cfg.Mixes) * cfg.Seeds
-	if len(payloads) != want {
-		return nil, fmt.Errorf("chaos: assemble: %d payload(s) for a %d-job campaign", len(payloads), want)
+	outs, err := decodePayloads[runOutcome](payloads, len(cfg.Mixes)*cfg.Seeds, "campaign")
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Cfg: cfg, Want: buildWorkload(cfg).want}
+	return assembleCampaign(cfg, outs)
+}
+
+// assembleCampaign folds keyed run outcomes into mix results and merges
+// each run's telemetry, both in (mix, seed) key order.
+func assembleCampaign(cfg Config, outs []runOutcome) (*Result, error) {
+	res := &Result{Cfg: cfg, Want: buildWorkload(cfg).want, Mixes: make([]MixResult, len(cfg.Mixes))}
 	if cfg.Metrics {
-		res.Telemetry = telemetry.NewRegistry()
-		kernel.NewMetrics(res.Telemetry)
+		res.Telemetry, _, _ = newRegistry(cfg.Tenants)
 	}
-	for mi := range cfg.Mixes {
-		mr := MixResult{Name: cfg.Mixes[mi].Name}
-		for sd := 0; sd < cfg.Seeds; sd++ {
-			j := mi*cfg.Seeds + sd
-			var w outcomeWire
-			if err := decodeOutcome(payloads[j], j, &w); err != nil {
-				return nil, err
-			}
-			out := w.outcome()
-			out.foldInto(&mr)
-			if err := mergeWireTelemetry(res.Telemetry, w.Telemetry, j); err != nil {
-				return nil, err
-			}
+	for mi := range res.Mixes {
+		res.Mixes[mi].Name = cfg.Mixes[mi].Name
+	}
+	for j := range outs {
+		res.Mixes[j/cfg.Seeds].add(&outs[j])
+		if err := mergeRunTelemetry(res.Telemetry, outs[j].Telemetry, j); err != nil {
+			return nil, err
 		}
-		res.Mixes = append(res.Mixes, mr)
 	}
 	return res, nil
 }
 
 // SoakSpace is the lifecycle soak campaign as a shardable job space:
-// one job per (mix, seed) cell, keyed mix-major with the same RunSeed
-// derivation RunSoak uses.
+// one job per (mix, seed) cell, keyed mix-major.
 type SoakSpace struct {
 	cfg  SoakConfig
 	pool workerPool[*soakWorker]
@@ -261,80 +137,81 @@ func (s *SoakSpace) Config() SoakConfig { return s.cfg }
 // NumJobs is mixes × seeds.
 func (s *SoakSpace) NumJobs() int { return len(s.cfg.Mixes) * s.cfg.Seeds }
 
+// run executes the (mix, seed) soak cell job names on worker's pooled
+// artifacts.
+func (s *SoakSpace) run(job, worker int) (soakOutcome, error) {
+	if job < 0 || job >= s.NumJobs() {
+		return soakOutcome{}, fmt.Errorf("chaos: soak job %d outside space [0,%d)", job, s.NumJobs())
+	}
+	mi, sd := job/s.cfg.Seeds, job%s.cfg.Seeds
+	return s.pool.get(worker).run(s.cfg, s.cfg.Mixes[mi], RunSeed(mi, sd)), nil
+}
+
 // Run executes the (mix, seed) soak cell and returns its outcome
 // payload.
 func (s *SoakSpace) Run(job, worker int) ([]byte, error) {
-	if job < 0 || job >= s.NumJobs() {
-		return nil, fmt.Errorf("chaos: soak job %d outside space [0,%d)", job, s.NumJobs())
+	out, err := s.run(job, worker)
+	if err != nil {
+		return nil, err
 	}
-	ws := s.pool.get(worker)
-	mi, sd := job/s.cfg.Seeds, job%s.cfg.Seeds
-	var out soakOutcome
-	runOneSoak(s.cfg, s.cfg.Mixes[mi], RunSeed(mi, sd), ws, &out)
-	var w soakOutcomeWire
-	w.from(&out)
-	if ws.reg != nil {
-		var buf bytes.Buffer
-		if err := ws.reg.WriteJSONL(&buf); err != nil {
-			return nil, err
-		}
-		w.Telemetry = buf.String()
-	}
-	return json.Marshal(&w)
+	return json.Marshal(&out)
 }
 
 // AssembleSoak rebuilds a SoakResult from the space's keyed payloads,
-// byte-identical to RunSoak's for the same config.
+// byte-identical to RunSoak's for the same config. A payload whose wave
+// accounting does not match cfg.Waves is an error naming its job.
 func AssembleSoak(cfg SoakConfig, payloads [][]byte) (*SoakResult, error) {
 	cfg = cfg.withDefaults()
-	want := len(cfg.Mixes) * cfg.Seeds
-	if len(payloads) != want {
-		return nil, fmt.Errorf("chaos: assemble: %d payload(s) for a %d-job soak", len(payloads), want)
+	outs, err := decodePayloads[soakOutcome](payloads, len(cfg.Mixes)*cfg.Seeds, "soak")
+	if err != nil {
+		return nil, err
 	}
-	res := &SoakResult{Cfg: cfg, Want: workloadsChurnWant(cfg)}
+	return assembleSoak(cfg, outs)
+}
+
+// assembleSoak is assembleCampaign for the soak.
+func assembleSoak(cfg SoakConfig, outs []soakOutcome) (*SoakResult, error) {
+	res := &SoakResult{Cfg: cfg, Want: workloads.BuildChurn(cfg.churn()).Want, Mixes: make([]SoakMixResult, len(cfg.Mixes))}
 	if cfg.Metrics {
-		res.Telemetry = telemetry.NewRegistry()
-		kernel.NewMetrics(res.Telemetry)
+		res.Telemetry, _, _ = newRegistry(cfg.Tenants)
 	}
-	for mi := range cfg.Mixes {
-		mr := SoakMixResult{Name: cfg.Mixes[mi].Name, Waves: make([]WaveAcct, cfg.Waves)}
-		for sd := 0; sd < cfg.Seeds; sd++ {
-			j := mi*cfg.Seeds + sd
-			var w soakOutcomeWire
-			if err := decodeOutcome(payloads[j], j, &w); err != nil {
-				return nil, err
-			}
-			out := w.outcome()
-			out.foldInto(&mr)
-			if err := mergeWireTelemetry(res.Telemetry, w.Telemetry, j); err != nil {
-				return nil, err
-			}
+	for mi := range res.Mixes {
+		res.Mixes[mi].Name = cfg.Mixes[mi].Name
+		res.Mixes[mi].Waves = make([]WaveAcct, cfg.Waves)
+	}
+	for j := range outs {
+		if n := len(outs[j].Waves); n != cfg.Waves {
+			return nil, fmt.Errorf("chaos: assemble: job %d accounts %d wave(s), want %d", j, n, cfg.Waves)
 		}
-		res.Mixes = append(res.Mixes, mr)
+		res.Mixes[j/cfg.Seeds].add(&outs[j])
+		if err := mergeRunTelemetry(res.Telemetry, outs[j].Telemetry, j); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
 
-// workloadsChurnWant derives the soak value-oracle target the same way
-// RunSoak does: from a built churn workload.
-func workloadsChurnWant(cfg SoakConfig) uint64 {
-	return workloads.BuildChurn(cfg.churn()).Want
+// decodePayloads JSON-decodes a space's keyed payloads into outcomes.
+func decodePayloads[O any](payloads [][]byte, jobs int, kind string) ([]O, error) {
+	if len(payloads) != jobs {
+		return nil, fmt.Errorf("chaos: assemble: %d payload(s) for a %d-job %s", len(payloads), jobs, kind)
+	}
+	outs := make([]O, jobs)
+	for j, p := range payloads {
+		if p == nil {
+			return nil, fmt.Errorf("chaos: assemble: job %d has no payload", j)
+		}
+		if err := json.Unmarshal(p, &outs[j]); err != nil {
+			return nil, fmt.Errorf("chaos: assemble: job %d payload: %w", j, err)
+		}
+	}
+	return outs, nil
 }
 
-func decodeOutcome(payload []byte, job int, into any) error {
-	if payload == nil {
-		return fmt.Errorf("chaos: assemble: job %d has no payload", job)
-	}
-	if err := json.Unmarshal(payload, into); err != nil {
-		return fmt.Errorf("chaos: assemble: job %d payload: %w", job, err)
-	}
-	return nil
-}
-
-// mergeWireTelemetry folds one run's JSONL telemetry block into the
-// campaign registry. Schema drift between runs is a hard error: two
-// runs of the same config must expose the same metrics.
-func mergeWireTelemetry(agg *telemetry.Registry, block string, job int) error {
+// mergeRunTelemetry folds run job's JSONL telemetry block into the
+// campaign registry (a no-op without Metrics). Schema drift is a hard
+// error: two runs of the same config must expose the same metrics.
+func mergeRunTelemetry(agg *telemetry.Registry, block string, job int) error {
 	if agg == nil {
 		return nil
 	}

@@ -37,36 +37,44 @@ func renderCampaign(t *testing.T, r *chaos.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestCampaignFleetMatchesSingleProcess is the PR's keystone oracle:
+// TestCampaignFleetMatchesSingleProcess is the fleet's keystone oracle:
 // the fleet-assembled campaign report must be byte-identical to the
 // single-process engine's at every shard width — and stay so when the
 // workers themselves are being crashed, stalled, and truncated, because
-// retried and speculated jobs are pure functions of their keys.
+// retried and speculated jobs are pure functions of their keys. The
+// tenant configs pin that the tenant table and per-tenant telemetry
+// survive the payload, with and without Metrics.
 func TestCampaignFleetMatchesSingleProcess(t *testing.T) {
-	ccfg := tinyCampaign()
-	want := renderCampaign(t, chaos.Run(ccfg))
-
-	spec, err := CampaignSpec(ccfg)
-	if err != nil {
-		t.Fatal(err)
+	tenant := chaos.Config{
+		Seeds: 2, Threads: 4, Cores: 2, Iters: 60, Tenants: 2,
+		Mixes: chaos.TenantMixes()[:2],
 	}
-	for _, workers := range []int{1, 2, 4} {
-		fcfg := fleetCfg(workers)
-		rep, err := fleet.Run(fcfg, spec, fleet.InProcSpawner())
+	tenantMetrics := tenant
+	tenantMetrics.Metrics = true
+	for _, ccfg := range []chaos.Config{tinyCampaign(), tenant, tenantMetrics} {
+		want := renderCampaign(t, chaos.Run(ccfg))
+		spec, err := CampaignSpec(ccfg)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if !rep.Complete() {
-			t.Fatalf("workers=%d: incomplete: quarantined %v, violations %v",
-				workers, rep.Quarantined, rep.Violations)
-		}
-		res, err := chaos.AssembleCampaign(ccfg, rep.Payloads)
-		if err != nil {
-			t.Fatalf("workers=%d: assemble: %v", workers, err)
-		}
-		if got := renderCampaign(t, res); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
-				workers, got, want)
+		for _, workers := range []int{1, 2, 4} {
+			fcfg := fleetCfg(workers)
+			rep, err := fleet.Run(fcfg, spec, fleet.InProcSpawner())
+			if err != nil {
+				t.Fatalf("tenants=%d metrics=%v workers=%d: %v", ccfg.Tenants, ccfg.Metrics, workers, err)
+			}
+			if !rep.Complete() {
+				t.Fatalf("tenants=%d metrics=%v workers=%d: incomplete: quarantined %v, violations %v",
+					ccfg.Tenants, ccfg.Metrics, workers, rep.Quarantined, rep.Violations)
+			}
+			res, err := chaos.AssembleCampaign(ccfg, rep.Payloads)
+			if err != nil {
+				t.Fatalf("tenants=%d metrics=%v workers=%d: assemble: %v", ccfg.Tenants, ccfg.Metrics, workers, err)
+			}
+			if got := renderCampaign(t, res); !bytes.Equal(got, want) {
+				t.Errorf("tenants=%d metrics=%v workers=%d: fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
+					ccfg.Tenants, ccfg.Metrics, workers, got, want)
+			}
 		}
 	}
 }
@@ -108,33 +116,40 @@ func TestCampaignFleetByteIdenticalUnderKillStorm(t *testing.T) {
 }
 
 func TestSoakFleetMatchesSingleProcess(t *testing.T) {
-	scfg := chaos.SoakConfig{
+	plain := chaos.SoakConfig{
 		Seeds: 2, Pool: 2, Waves: 2, Iters: 10,
 		Mixes: chaos.DefaultSoakMixes(2)[:2],
 	}
-	var want bytes.Buffer
-	chaos.RunSoak(scfg).Render(&want)
+	tenant := plain
+	tenant.Tenants = 2
+	tenantMetrics := tenant
+	tenantMetrics.Metrics = true
+	for _, scfg := range []chaos.SoakConfig{plain, tenant, tenantMetrics} {
+		var want bytes.Buffer
+		chaos.RunSoak(scfg).Render(&want)
 
-	spec, err := SoakSpec(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fleet.Run(fleetCfg(2), spec, fleet.InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("soak fleet incomplete: quarantined %v, violations %v", rep.Quarantined, rep.Violations)
-	}
-	res, err := chaos.AssembleSoak(scfg, rep.Payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("soak fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
-			got.String(), want.String())
+		spec, err := SoakSpec(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fleet.Run(fleetCfg(2), spec, fleet.InProcSpawner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Complete() {
+			t.Fatalf("tenants=%d metrics=%v: soak fleet incomplete: quarantined %v, violations %v",
+				scfg.Tenants, scfg.Metrics, rep.Quarantined, rep.Violations)
+		}
+		res, err := chaos.AssembleSoak(scfg, rep.Payloads)
+		if err != nil {
+			t.Fatalf("tenants=%d metrics=%v: assemble: %v", scfg.Tenants, scfg.Metrics, err)
+		}
+		var got bytes.Buffer
+		res.Render(&got)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("tenants=%d metrics=%v: soak fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
+				scfg.Tenants, scfg.Metrics, got.String(), want.String())
+		}
 	}
 }
 
