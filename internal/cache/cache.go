@@ -53,10 +53,14 @@ type Result struct {
 	MissLLC bool
 }
 
-// Sets are grouped into chunks of chunkSets, each chunk's tag state
-// allocated on first touch. Machines are built per run by the campaign
+// Sets are grouped into chunks of chunkSets. A chunk's tag state is
+// allocated on first touch: machines are built per run by the campaign
 // worker pools, and eagerly allocating the LLC's thousands of sets
-// dominated construction time for short runs.
+// dominated construction time for short runs. FlushAll does not free
+// the chunks it invalidates; it moves them to the level's free list,
+// and the next touch of an absent chunk pops and zeroes one before
+// falling back to make. Chaos flush storms therefore cost no
+// allocation once a level has reached its footprint.
 const (
 	chunkSetBits = 6
 	chunkSets    = 1 << chunkSetBits
@@ -66,7 +70,7 @@ const (
 // flat per-chunk arrays: set s occupies the ways
 // [(s%chunkSets)*Ways, ...) of chunk s/chunkSets, in LRU order (index
 // 0 most recent). Entries store tag+1 so that zero — the state of a
-// freshly allocated chunk — means invalid.
+// freshly materialized chunk — means invalid.
 type cacheLevel struct {
 	cfg       Config
 	setMask   uint64
@@ -76,6 +80,7 @@ type cacheLevel struct {
 	ways      int
 	chunkLen  int // ways per chunk: min(chunkSets, nsets) * ways
 	chunks    [][]uint64
+	free      [][]uint64 // chunks released by FlushAll, reused before make
 }
 
 func newLevel(cfg Config) *cacheLevel {
@@ -113,23 +118,41 @@ func log2(v uint64) uint {
 	return n
 }
 
-// setWays returns set si's ways, materializing the chunk if needed.
-func (c *cacheLevel) setWays(si uint64) []uint64 {
-	ch := c.chunks[si>>chunkSetBits]
-	if ch == nil {
+// materialize installs an all-invalid chunk ci, recycled from the free
+// list when FlushAll left one there. Kept out of line: it runs once per
+// chunk per flush epoch, and accessLine runs on every cache access.
+//
+//go:noinline
+func (c *cacheLevel) materialize(ci uint64) []uint64 {
+	var ch []uint64
+	if n := len(c.free); n > 0 {
+		ch = c.free[n-1]
+		c.free = c.free[:n-1]
+		clear(ch)
+	} else {
 		ch = make([]uint64, c.chunkLen)
-		c.chunks[si>>chunkSetBits] = ch
 	}
-	lo := (int(si) & (chunkSets - 1)) * c.ways
-	return ch[lo : lo+c.ways : lo+c.ways]
+	c.chunks[ci] = ch
+	return ch
 }
 
-// access probes the level and installs the line on miss. Returns true on
-// hit.
-func (c *cacheLevel) access(addr uint64) bool {
-	line := addr >> c.lineShift
+// access probes the level for addr and installs its line on miss.
+// Returns true on hit.
+func (c *cacheLevel) access(addr uint64) bool { return c.accessLine(addr >> c.lineShift) }
+
+// accessLine probes the level for line (an address shifted right by
+// lineShift) and installs it on miss. Returns true on hit. It is the
+// level's only LRU routine: loads, stores and bulk kernel walks all
+// come through here.
+func (c *cacheLevel) accessLine(line uint64) bool {
+	si := line & c.setMask
+	ch := c.chunks[si>>chunkSetBits]
+	if ch == nil {
+		ch = c.materialize(si >> chunkSetBits)
+	}
+	lo := (int(si) & (chunkSets - 1)) * c.ways
+	ws := ch[lo : lo+c.ways : lo+c.ways]
 	tag := (line >> c.tagShift) + 1
-	ws := c.setWays(line & c.setMask)
 	// MRU fast path: a hit in way 0 needs no LRU reordering.
 	if ws[0] == tag {
 		return true
@@ -151,15 +174,28 @@ func (c *cacheLevel) access(addr uint64) bool {
 // flushLine invalidates the line containing addr if present.
 func (c *cacheLevel) flushLine(addr uint64) {
 	line := addr >> c.lineShift
-	if c.chunks[(line&c.setMask)>>chunkSetBits] == nil {
+	si := line & c.setMask
+	ch := c.chunks[si>>chunkSetBits]
+	if ch == nil {
 		return
 	}
+	lo := (int(si) & (chunkSets - 1)) * c.ways
 	tag := (line >> c.tagShift) + 1
-	ws := c.setWays(line & c.setMask)
-	for i, t := range ws {
+	for i, t := range ch[lo : lo+c.ways] {
 		if t == tag {
-			ws[i] = 0
+			ch[lo+i] = 0
 			return
+		}
+	}
+}
+
+// flushAll invalidates the level, moving every materialized chunk to
+// the free list.
+func (c *cacheLevel) flushAll() {
+	for i, ch := range c.chunks {
+		if ch != nil {
+			c.free = append(c.free, ch)
+			c.chunks[i] = nil
 		}
 	}
 }
@@ -244,6 +280,40 @@ func (h *Hierarchy) accessSlow(addr uint64) Result {
 	return r
 }
 
+// AccessLines simulates n loads at base, base+stride, ...,
+// base+(n-1)*stride and returns the summed latency and per-level miss
+// counts. It is exactly n Access calls — same LRU updates, same
+// lastLine state, same sums — without materializing a Result per line;
+// the kernel's per-switch cache pollution is one call.
+func (h *Hierarchy) AccessLines(base, stride uint64, n int) (cycles, missL1, missL2, missLLC uint64) {
+	addr := base
+	for i := 0; i < n; i, addr = i+1, addr+stride {
+		line := addr>>h.l1Shift + 1
+		if line == h.lastLine {
+			cycles += h.l1Lat
+			continue
+		}
+		h.lastLine = line
+		if h.l1.access(addr) {
+			cycles += h.l1.hitLat
+			continue
+		}
+		missL1++
+		if h.l2.access(addr) {
+			cycles += h.l2.hitLat
+			continue
+		}
+		missL2++
+		if h.llc.access(addr) {
+			cycles += h.llc.hitLat
+			continue
+		}
+		missLLC++
+		cycles += uint64(h.memCycles)
+	}
+	return cycles, missL1, missL2, missLLC
+}
+
 // FlushLine removes the line containing addr from every level. The
 // kernel uses it to approximate cache pollution from context switches.
 func (h *Hierarchy) FlushLine(addr uint64) {
@@ -255,12 +325,11 @@ func (h *Hierarchy) FlushLine(addr uint64) {
 	h.llc.flushLine(addr)
 }
 
-// FlushAll invalidates the entire hierarchy.
+// FlushAll invalidates the entire hierarchy. The levels keep the
+// invalidated chunks for reuse (see chunkSets).
 func (h *Hierarchy) FlushAll() {
 	h.lastLine = 0
-	for _, lv := range []*cacheLevel{h.l1, h.l2, h.llc} {
-		for i := range lv.chunks {
-			lv.chunks[i] = nil
-		}
-	}
+	h.l1.flushAll()
+	h.l2.flushAll()
+	h.llc.flushAll()
 }

@@ -1,0 +1,208 @@
+package cache
+
+import "testing"
+
+// fuzzConfigs are the hierarchies FuzzAccessLines draws from: the
+// default, a tiny one whose levels have 1–2 sets of 2 ways (every walk
+// thrashes), and one whose levels use different line sizes, so each
+// level derives its own line number from the same address.
+var fuzzConfigs = []HierarchyConfig{
+	DefaultConfig(),
+	{
+		L1:           Config{SizeBytes: 128, LineBytes: 64, Ways: 2, HitCycles: 4},
+		L2:           Config{SizeBytes: 256, LineBytes: 64, Ways: 2, HitCycles: 12},
+		LLC:          Config{SizeBytes: 256, LineBytes: 64, Ways: 2, HitCycles: 40},
+		MemoryCycles: 200,
+	},
+	{
+		L1:           Config{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2, HitCycles: 3},
+		L2:           Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 4, HitCycles: 9},
+		LLC:          Config{SizeBytes: 64 << 10, LineBytes: 128, Ways: 4, HitCycles: 30},
+		MemoryCycles: 150,
+	},
+}
+
+// replay applies a byte-coded access history: every three bytes are
+// one operation — a FlushAll, a FlushLine, or an access near base or
+// anywhere in a 4 MiB window.
+func replay(h *Hierarchy, hist []byte, base uint64) {
+	for ; len(hist) >= 3; hist = hist[3:] {
+		v := uint64(hist[1]) | uint64(hist[2])<<8
+		switch hist[0] % 16 {
+		case 0:
+			h.FlushAll()
+		case 1:
+			h.FlushLine(v << 6)
+		case 2, 3, 4, 5:
+			h.Access(base + v<<3)
+		default:
+			h.Access(v << 6)
+		}
+	}
+}
+
+// walk is AccessLines spelled as n Access calls.
+func walk(h *Hierarchy, base, stride uint64, n int) (sums [4]uint64) {
+	for i := 0; i < n; i++ {
+		r := h.Access(base + uint64(i)*stride)
+		sums[0] += r.Cycles
+		if r.MissL1 {
+			sums[1]++
+		}
+		if r.MissL2 {
+			sums[2]++
+		}
+		if r.MissLLC {
+			sums[3]++
+		}
+	}
+	return sums
+}
+
+func bulk(h *Hierarchy, base, stride uint64, n int) [4]uint64 {
+	c, m1, m2, mL := h.AccessLines(base, stride, n)
+	return [4]uint64{c, m1, m2, mL}
+}
+
+// sameState fails unless a and b hold identical tag state at every
+// level (an absent chunk equals an all-invalid one) and the same
+// lastLine.
+func sameState(t *testing.T, what string, a, b *Hierarchy) {
+	t.Helper()
+	if a.lastLine != b.lastLine {
+		t.Fatalf("%s: lastLine %d vs %d", what, a.lastLine, b.lastLine)
+	}
+	levels := []struct {
+		name string
+		a, b *cacheLevel
+	}{{"L1", a.l1, b.l1}, {"L2", a.l2, b.l2}, {"LLC", a.llc, b.llc}}
+	for _, lv := range levels {
+		for ci := range lv.a.chunks {
+			x, y := lv.a.chunks[ci], lv.b.chunks[ci]
+			for i := 0; i < lv.a.chunkLen; i++ {
+				var u, v uint64
+				if x != nil {
+					u = x[i]
+				}
+				if y != nil {
+					v = y[i]
+				}
+				if u != v {
+					t.Fatalf("%s: %s chunk %d slot %d: tag %d vs %d", what, lv.name, ci, i, u, v)
+				}
+			}
+		}
+	}
+}
+
+// sameProbes runs the walk backwards and then the history's addresses
+// on a and b, requiring identical Results access by access.
+func sameProbes(t *testing.T, what string, a, b *Hierarchy, hist []byte, base, stride uint64, n int) {
+	t.Helper()
+	probe := func(addr uint64) {
+		if ra, rb := a.Access(addr), b.Access(addr); ra != rb {
+			t.Fatalf("%s: probe %#x: %+v vs %+v", what, addr, ra, rb)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		probe(base + uint64(i)*stride)
+	}
+	for ; len(hist) >= 3; hist = hist[3:] {
+		v := uint64(hist[1]) | uint64(hist[2])<<8
+		probe(v << 6)
+		probe(base + v<<3)
+	}
+}
+
+// FuzzAccessLines proves the bulk walk equal to the per-access path it
+// replaced, and a flushed hierarchy refilled from recycled chunks equal
+// to a fresh one: same sums, same tag state, same answers to every
+// later probe.
+func FuzzAccessLines(f *testing.F) {
+	hist := []byte{
+		2, 0, 0, 6, 1, 0, 7, 2, 0, 3, 4, 0, 9, 0, 1, 0, 0, 0,
+		8, 0x40, 0, 4, 8, 0, 1, 1, 0, 10, 0xff, 0xff, 5, 3, 0,
+	}
+	for sel := uint8(0); sel < uint8(len(fuzzConfigs)); sel++ {
+		f.Add(sel, hist, uint64(0xffff_8000_0000_0000), uint64(64), uint16(32)) // the kernel's walk
+		f.Add(sel, hist, uint64(0), uint64(64), uint16(0))                      // n = 0
+		f.Add(sel, hist, uint64(0x40), uint64(0), uint16(9))                    // one line, lastLine repeats
+		f.Add(sel, hist, uint64(0x38), uint64(8), uint16(40))                   // sub-line stride
+		f.Add(sel, hist, uint64(0x1000), uint64(96), uint16(300))               // straddling stride
+		f.Add(sel, hist, uint64(0), uint64(4096), uint16(200))                  // one set, many tags
+		f.Add(sel, []byte{}, uint64(1<<40), uint64(1<<63), uint16(5))           // wrapping addresses
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, hist []byte, base, stride uint64, n uint16) {
+		cfg := fuzzConfigs[int(sel)%len(fuzzConfigs)]
+		lines := int(n % 1024)
+
+		fast, slow := NewHierarchy(cfg), NewHierarchy(cfg)
+		replay(fast, hist, base)
+		replay(slow, hist, base)
+		if got, want := bulk(fast, base, stride, lines), walk(slow, base, stride, lines); got != want {
+			t.Fatalf("AccessLines(%#x, %d, %d) = %v, %d Access calls sum to %v", base, stride, lines, got, lines, want)
+		}
+		sameState(t, "bulk vs per-access", fast, slow)
+		sameProbes(t, "bulk vs per-access", fast, slow, hist, base, stride, lines)
+
+		// fast has materialized chunks; after FlushAll they sit on the
+		// free lists and the refill below reuses them.
+		fast.FlushAll()
+		fresh := NewHierarchy(cfg)
+		replay(fast, hist, base)
+		replay(fresh, hist, base)
+		if got, want := bulk(fast, base, stride, lines), bulk(fresh, base, stride, lines); got != want {
+			t.Fatalf("recycled walk %v, fresh walk %v", got, want)
+		}
+		sameState(t, "recycled vs fresh", fast, fresh)
+		sameProbes(t, "recycled vs fresh", fast, fresh, hist, base, stride, lines)
+	})
+}
+
+func TestAccessLinesKnownAnswers(t *testing.T) {
+	cfg := DefaultConfig()
+	h := NewHierarchy(cfg)
+	mem, l1 := uint64(cfg.MemoryCycles), uint64(cfg.L1.HitCycles)
+
+	if c, m1, m2, mL := h.AccessLines(0x1000, 64, 32); c != 32*mem || m1 != 32 || m2 != 32 || mL != 32 {
+		t.Errorf("cold 32-line walk: cycles %d misses %d/%d/%d, want %d and 32/32/32", c, m1, m2, mL, 32*mem)
+	}
+	if c, m1, _, _ := h.AccessLines(0x1000, 64, 32); c != 32*l1 || m1 != 0 {
+		t.Errorf("warm 32-line walk: cycles %d, L1 misses %d, want %d and 0", c, m1, 32*l1)
+	}
+	// The walk's last line is lastLine: a repeat answers inline.
+	if c, m1, _, _ := h.AccessLines(0x1000+31*64, 0, 5); c != 5*l1 || m1 != 0 {
+		t.Errorf("repeat of the last line: cycles %d, L1 misses %d", c, m1)
+	}
+	// Eight 8-byte steps per line: one miss per line, seven repeats.
+	if c, m1, _, _ := h.AccessLines(0x10_0000, 8, 16); c != 2*mem+14*l1 || m1 != 2 {
+		t.Errorf("sub-line stride: cycles %d, L1 misses %d, want %d and 2", c, m1, 2*mem+14*l1)
+	}
+	if c, m1, m2, mL := h.AccessLines(0x20_0000, 64, 0); c|m1|m2|mL != 0 {
+		t.Errorf("empty walk returned %d/%d/%d/%d", c, m1, m2, mL)
+	}
+}
+
+// TestFlushRecyclesChunks pins the chunk life cycle: once a hierarchy
+// has reached its footprint, flushing and re-touching the same lines
+// allocates nothing.
+func TestFlushRecyclesChunks(t *testing.T) {
+	h := NewDefault()
+	touch := func() {
+		for a := uint64(0); a < 1<<20; a += 64 {
+			h.Access(a)
+		}
+		h.AccessLines(0xffff_8000_0000_0000, 64, 32)
+	}
+	touch()
+	if allocs := testing.AllocsPerRun(10, func() { h.FlushAll(); touch() }); allocs != 0 {
+		t.Errorf("FlushAll + re-touch allocated %.1f times per run, want 0", allocs)
+	}
+	if r := h.Access(1 << 21); !r.MissLLC {
+		t.Error("an untouched line hit after the refill")
+	}
+	h.FlushAll()
+	if r := h.Access(0); !r.MissLLC {
+		t.Error("a recycled chunk kept its old tags")
+	}
+}

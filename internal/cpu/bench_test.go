@@ -54,3 +54,25 @@ func BenchmarkStepBranch(b *testing.B) {
 func BenchmarkStepAtomic(b *testing.B) {
 	benchStep(b, func(bb *isa.Builder) { bb.XAdd(isa.R2, isa.R1, isa.R3) })
 }
+
+// BenchmarkKernelCachePollution measures the cache side of one
+// simulated context switch: a 32-line kernel walk over a region that
+// slides one line per call, as switchTo's is, on a warmed core whose
+// user footprint the walk competes with.
+func BenchmarkKernelCachePollution(b *testing.B) {
+	core := NewCore(0, pmu.DefaultFeatures())
+	for a := uint64(0); a < 64<<10; a += 64 {
+		core.Caches.Access(a)
+	}
+	base := uint64(0xffff_8000_0000_0000)
+	for i := 0; i < 1024; i++ {
+		base += 64
+		core.KernelCachePollution(base, 32)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base += 64
+		core.KernelCachePollution(base, 32)
+	}
+}

@@ -145,25 +145,12 @@ func (c *Core) KernelWork(cycles uint64) {
 // application lines as a side effect and charging the access latency in
 // kernel ring.
 func (c *Core) KernelCachePollution(base uint64, n int) {
-	// Miss counts are accumulated and fed to the PMU once per event
-	// after the loop. This is observationally identical to per-line
-	// AddEvent calls: pending overflows are a bitmask the machine loop
-	// consumes only at instruction boundaries, i.e. after this whole
-	// call, and counter sums are order-independent within it.
-	var cycles, miss1, miss2, missL uint64
-	for i := 0; i < n; i++ {
-		r := c.Caches.Access(base + uint64(i)*64)
-		cycles += r.Cycles
-		if r.MissL1 {
-			miss1++
-		}
-		if r.MissL2 {
-			miss2++
-		}
-		if r.MissLLC {
-			missL++
-		}
-	}
+	// One bulk walk, its miss counts fed to the PMU once per event.
+	// This is observationally identical to per-line AddEvent calls:
+	// pending overflows are a bitmask the machine loop consumes only at
+	// instruction boundaries, i.e. after this whole call, and counter
+	// sums are order-independent within it.
+	cycles, miss1, miss2, missL := c.Caches.AccessLines(base, 64, n)
 	c.PMU.AddKernel(pmu.EvLoads, uint64(n))
 	c.PMU.AddKernel(pmu.EvL1DMiss, miss1)
 	c.PMU.AddKernel(pmu.EvL2Miss, miss2)

@@ -167,11 +167,17 @@ type Injector struct {
 	nCores  int
 	regions []kernel.FixupRegion
 
-	budget  map[int]int // thread ID -> remaining in-region preemptions
-	vbudget map[int]int // thread ID -> remaining in-region vCPU preemptions
-	stash   map[int]*pmiStash
-	sigHold map[int]int // thread ID -> remaining hold boundaries
-	armPC   int         // one-shot preemption trigger, -1 when unarmed
+	// Per-thread and per-core state is touched at every instruction
+	// boundary, so it lives in slices indexed by thread ID (core ID for
+	// stash) that grow on demand; a zero entry means "never seen" or
+	// "cleared", and Reset zeroes them in place. The budgets count the
+	// forced preemptions spent in the current region pass, so a zero
+	// entry is a full budget.
+	spent   []int // thread ID -> in-region preemptions spent this pass
+	vspent  []int // thread ID -> in-region vCPU preemptions spent this pass
+	stash   []pmiStash
+	sigHold []int // thread ID -> remaining hold boundaries, 0 = no window
+	armPC   int   // one-shot preemption trigger, -1 when unarmed
 
 	armKillPC   int // one-shot kill trigger, -1 when unarmed
 	armClonePC  int // one-shot clone trigger, -1 when unarmed
@@ -184,19 +190,13 @@ type Injector struct {
 // New builds an injector. Zero-valued knobs take the documented
 // defaults; a zero Config injects nothing.
 func New(cfg Config) *Injector {
-	inj := &Injector{
-		nCores:  1,
-		budget:  make(map[int]int),
-		vbudget: make(map[int]int),
-		stash:   make(map[int]*pmiStash),
-		sigHold: make(map[int]int),
-	}
+	inj := &Injector{nCores: 1}
 	inj.Reset(cfg)
 	return inj
 }
 
 // Reset reinitializes the injector for a fresh run under cfg, reusing
-// its allocated maps — the runner's worker pools reset one injector
+// its allocated state — the runner's worker pools reset one injector
 // per worker (with a new per-run seed) instead of allocating one per
 // run. Regions and the core count survive a Reset; stats do not.
 func (inj *Injector) Reset(cfg Config) {
@@ -214,8 +214,8 @@ func (inj *Injector) Reset(cfg Config) {
 	}
 	inj.cfg = cfg
 	inj.rng = cfg.Seed ^ 0xbadc0ffee0ddf00d
-	clear(inj.budget)
-	clear(inj.vbudget)
+	clear(inj.spent)
+	clear(inj.vspent)
 	clear(inj.stash)
 	clear(inj.sigHold)
 	inj.armPC = -1
@@ -335,6 +335,14 @@ func (in *Injector) inRegion(pc int) bool {
 	return false
 }
 
+// entry returns &(*s)[i], growing *s with zero entries as needed.
+func entry[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	return &(*s)[i]
+}
+
 func (in *Injector) preemptAfter(coreID int, t *kernel.Thread) bool {
 	pc := t.Ctx.PC
 	if in.armPC >= 0 && pc == in.armPC {
@@ -342,65 +350,52 @@ func (in *Injector) preemptAfter(coreID int, t *kernel.Thread) bool {
 		in.Stats.ForcedPreemptions++
 		return true
 	}
+	spent := entry(&in.spent, t.ID)
 	if !in.inRegion(pc) {
 		// Out of harm's way: refill the in-region budget and maybe
 		// land a random preemption.
-		in.budget[t.ID] = in.cfg.RegionBudget
+		*spent = 0
 		if in.chance(in.cfg.PreemptEvery) {
 			in.Stats.RandomPreemptions++
 			return true
 		}
 		return false
 	}
-	if !in.cfg.PreemptInRegions {
-		return false
-	}
-	if b, ok := in.budget[t.ID]; !ok {
-		in.budget[t.ID] = in.cfg.RegionBudget
-	} else if b <= 0 {
+	if !in.cfg.PreemptInRegions || *spent >= in.cfg.RegionBudget {
 		// Budget spent: let the read complete so the fixup's rewind
 		// cannot livelock the thread.
 		return false
 	}
-	in.budget[t.ID]--
+	*spent++
 	in.Stats.ForcedPreemptions++
 	return true
 }
 
 // vcpuPreemptAfter mirrors preemptAfter at the tenant level: budgeted
 // double-switch storms inside read-critical regions, random vCPU
-// preemptions outside them. A separate budget map keeps the two storm
+// preemptions outside them. A separate budget keeps the two storm
 // classes independently capped, so combining them cannot livelock a
 // rewinding thread.
 func (in *Injector) vcpuPreemptAfter(coreID int, t *kernel.Thread) bool {
-	pc := t.Ctx.PC
-	if !in.inRegion(pc) {
-		in.vbudget[t.ID] = in.cfg.RegionBudget
+	spent := entry(&in.vspent, t.ID)
+	if !in.inRegion(t.Ctx.PC) {
+		*spent = 0
 		if in.chance(in.cfg.VCpuPreemptEvery) {
 			in.Stats.VCpuPreemptions++
 			return true
 		}
 		return false
 	}
-	if !in.cfg.VCpuPreemptInRegions {
+	if !in.cfg.VCpuPreemptInRegions || *spent >= in.cfg.RegionBudget {
 		return false
 	}
-	if b, ok := in.vbudget[t.ID]; !ok {
-		in.vbudget[t.ID] = in.cfg.RegionBudget
-	} else if b <= 0 {
-		return false
-	}
-	in.vbudget[t.ID]--
+	*spent++
 	in.Stats.VCpuPreemptions++
 	return true
 }
 
 func (in *Injector) filterPMI(coreID int, t *kernel.Thread, mask uint64) uint64 {
-	st := in.stash[coreID]
-	if st == nil {
-		st = &pmiStash{}
-		in.stash[coreID] = st
-	}
+	st := entry(&in.stash, coreID)
 	if in.cfg.DelayPMI && mask != 0 {
 		in.Stats.DelayedPMIs += uint64(bits.OnesCount64(mask))
 		st.mask |= mask
@@ -424,10 +419,10 @@ func (in *Injector) filterPMI(coreID int, t *kernel.Thread, mask uint64) uint64 
 }
 
 func (in *Injector) drainPMI(coreID int, t *kernel.Thread) uint64 {
-	st := in.stash[coreID]
-	if st == nil || st.mask == 0 {
+	if coreID >= len(in.stash) || in.stash[coreID].mask == 0 {
 		return 0
 	}
+	st := &in.stash[coreID]
 	mask := st.mask
 	st.mask, st.age = 0, 0
 	in.Stats.DrainedPMIs += uint64(bits.OnesCount64(mask))
@@ -446,19 +441,19 @@ func (in *Injector) place(t *kernel.Thread, def int) int {
 }
 
 func (in *Injector) holdSignal(coreID int, t *kernel.Thread) bool {
-	left, ok := in.sigHold[t.ID]
-	if !ok {
-		// A signal just became deliverable; start a hold window.
-		in.sigHold[t.ID] = in.cfg.SignalDelayBoundaries
-		in.Stats.HeldSignals++
-		return true
-	}
-	if left <= 1 {
+	left := entry(&in.sigHold, t.ID)
+	switch {
+	case *left == 0:
+		// A signal just became deliverable; start a hold window. Every
+		// window holds at least one boundary.
+		*left = max(in.cfg.SignalDelayBoundaries, 1)
+	case *left == 1:
 		// Window over: deliver, and re-arm for the next signal.
-		delete(in.sigHold, t.ID)
+		*left = 0
 		return false
+	default:
+		*left--
 	}
-	in.sigHold[t.ID] = left - 1
 	in.Stats.HeldSignals++
 	return true
 }

@@ -71,8 +71,10 @@ func (v Violation) String() string {
 	return fmt.Sprintf("tid%d %s: %s", v.TID, v.Kind, v.Detail)
 }
 
-// readState tracks one thread's in-flight read sequence.
+// readState tracks one thread's in-flight read sequence; the zero
+// value is "no read in flight".
 type readState struct {
+	armed     bool
 	region    kernel.FixupRegion
 	tableAddr uint64
 	genAt     uint64
@@ -90,8 +92,15 @@ type Checker struct {
 
 	gen    map[uint64]uint64 // table word -> fold generation
 	folded map[uint64]uint64 // table word -> sum of folded chunks
-	armed  map[int]*readState
-	low    map[int]map[int]uint64 // thread ID -> counter idx -> floor value
+
+	// Per-thread state the step and switch-out probes touch on every
+	// boundary and switch lives in slices indexed by thread ID, grown
+	// on demand and zeroed in place by Reset.
+	reads []readState // thread ID -> in-flight read
+	// low holds each thread's per-counter floor values (thread ID ->
+	// counter idx -> floor). A zero floor is the same as none: no
+	// uint64 value is below it.
+	low [][]uint64
 
 	// reapVals captures each LiMiT counter's final value (table word +
 	// saved remainder) at the moment its thread is reaped — before any
@@ -114,8 +123,6 @@ func New(regions [][2]int) *Checker {
 	c := &Checker{
 		gen:      make(map[uint64]uint64),
 		folded:   make(map[uint64]uint64),
-		armed:    make(map[int]*readState),
-		low:      make(map[int]map[int]uint64),
 		reapVals: make(map[int]map[int]uint64),
 	}
 	for _, r := range regions {
@@ -125,15 +132,17 @@ func New(regions [][2]int) *Checker {
 }
 
 // Reset clears every observation so the checker can watch a fresh run
-// over the same regions, reusing its allocated maps — the runner's
+// over the same regions, reusing its allocated state — the runner's
 // worker pools reset one checker per worker instead of allocating one
 // per run. Stored violations are dropped (slice capacity kept); the
 // caller must have copied out whatever it wants to keep.
 func (c *Checker) Reset() {
 	clear(c.gen)
 	clear(c.folded)
-	clear(c.armed)
-	clear(c.low)
+	clear(c.reads)
+	for _, lows := range c.low {
+		clear(lows)
+	}
 	clear(c.reapVals)
 	c.violations = c.violations[:0]
 	c.count = 0
@@ -173,7 +182,8 @@ func (c *Checker) report(tid int, kind, format string, args ...any) {
 
 // step watches instruction retirement for region entry and completion.
 func (c *Checker) step(coreID int, t *kernel.Thread, prevPC, pc int) {
-	if rs := c.armed[t.ID]; rs != nil {
+	rs := entry(&c.reads, t.ID)
+	if rs.armed {
 		switch {
 		case prevPC == rs.region.End-1 && pc == rs.region.End:
 			// The final add retired: the read is complete. Any fold on
@@ -185,22 +195,22 @@ func (c *Checker) step(coreID int, t *kernel.Thread, prevPC, pc int) {
 					"read over [%d,%d) completed across %d fold(s) without rewind",
 					rs.region.Start, rs.region.End, g-rs.genAt)
 			}
-			delete(c.armed, t.ID)
+			rs.armed = false
 		case pc < rs.region.Start || pc >= rs.region.End:
 			// Left the region without completing (branch out or a
 			// rewind observed only via PC). The read was abandoned;
 			// nothing to check.
-			delete(c.armed, t.ID)
+			rs.armed = false
 		case pc == rs.region.Start:
 			// Back at the start (rewound between probes): re-arm below.
-			delete(c.armed, t.ID)
+			rs.armed = false
 		}
 	}
-	if c.armed[t.ID] == nil {
+	if !rs.armed {
 		for _, r := range c.regions {
 			if prevPC == r.Start && pc == r.Start+1 {
 				if addr, ok := c.counterAddr(t, r.Start); ok {
-					c.armed[t.ID] = &readState{region: r, tableAddr: addr, genAt: c.gen[addr]}
+					*rs = readState{armed: true, region: r, tableAddr: addr, genAt: c.gen[addr]}
 				}
 				break
 			}
@@ -243,7 +253,9 @@ func (c *Checker) rewind(t *kernel.Thread, from, to int) {
 	if !ok {
 		c.report(t.ID, KindBadRewind, "rewind %d -> %d does not match any region start", from, to)
 	}
-	delete(c.armed, t.ID)
+	if t.ID < len(c.reads) {
+		c.reads[t.ID].armed = false
+	}
 }
 
 // switchOut checks monotonicity of every LiMiT counter at the moment
@@ -253,22 +265,27 @@ func (c *Checker) switchOut(coreID int, t *kernel.Thread) {
 }
 
 func (c *Checker) checkMonotone(t *kernel.Thread, when string) {
+	lows := entry(&c.low, t.ID)
 	for ci, tc := range t.Counters() {
 		if tc.Kind != kernel.KindLimit || tc.Closed {
 			continue
 		}
 		cur := t.Proc.Mem.Read64(tc.TableAddr) + tc.Saved
-		lows := c.low[t.ID]
-		if lows == nil {
-			lows = make(map[int]uint64)
-			c.low[t.ID] = lows
-		}
-		if prev, ok := lows[ci]; ok && cur < prev {
+		floor := entry(lows, ci)
+		if cur < *floor {
 			c.report(t.ID, KindNonMonotone,
-				"counter %d went backwards at %s: %d -> %d", ci, when, prev, cur)
+				"counter %d went backwards at %s: %d -> %d", ci, when, *floor, cur)
 		}
-		lows[ci] = cur
+		*floor = cur
 	}
+}
+
+// entry returns &(*s)[i], growing *s with zero entries as needed.
+func entry[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	return &(*s)[i]
 }
 
 // clone validates counter inheritance at the child's birth: the

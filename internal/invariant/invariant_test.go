@@ -166,3 +166,38 @@ func TestFinalizeFlagsFoldLoss(t *testing.T) {
 		t.Errorf("phantom fold not flagged: %v", chk.Violations())
 	}
 }
+
+// TestProbesDoNotAllocate pins the checker's per-boundary cost: once a
+// thread has been seen, arming a read, stepping through it,
+// completing it, rewinding, folding and switching out allocate
+// nothing.
+func TestProbesDoNotAllocate(t *testing.T) {
+	prog, space, regions, _, _ := buildLoop(8, 10)
+	m := machine.New(machine.Config{NumCores: 1})
+	proc := m.Kern.NewProcess(prog, space)
+	th := m.Kern.Spawn(proc, "allocs", 0, 1)
+	if res := m.Run(machine.RunLimits{MaxSteps: 1_000_000}); res.Err != nil {
+		t.Fatalf("run failed: %v", res.Err)
+	}
+
+	chk := New(regions)
+	p := chk.Probes()
+	r := regions[0]
+	tc := th.Counters()[0]
+	read := func() {
+		p.Fold(0, th, tc, 0)
+		for pc := r[0]; pc < r[1]; pc++ {
+			p.Step(0, th, pc, pc+1) // arms at the region's first instruction, completes at its end
+		}
+		p.Step(0, th, r[0], r[0]+1)
+		p.Rewind(th, r[0]+1, r[0])
+		p.SwitchOut(0, th)
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("probes allocated %.1f times per read, want 0", allocs)
+	}
+	if chk.ReadsCompleted != 102 || chk.Count() != 0 {
+		t.Errorf("completed %d reads with %d violations, want 102 and 0: %v", chk.ReadsCompleted, chk.Count(), chk.Violations())
+	}
+}

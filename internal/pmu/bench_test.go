@@ -37,3 +37,23 @@ func BenchmarkAddEventWrongRing(b *testing.B) {
 		p.AddEvent(RingKernel, EvCycles, 7)
 	}
 }
+
+// BenchmarkConfigure measures reprogramming one counter the way a
+// context switch does: each op programs a slot for the incoming
+// thread's event or disables it for the outgoing one, cycling through
+// all four slots and several events.
+func BenchmarkConfigure(b *testing.B) {
+	p := New(DefaultFeatures())
+	evs := [...]Event{EvInstructions, EvCycles, EvL1DMiss, EvBranchMiss, EvLLCMiss}
+	off := CounterConfig{Enabled: false, OverflowBit: -1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := i & 3
+		if i&4 != 0 {
+			p.Configure(slot, off)
+			continue
+		}
+		p.Configure(slot, CounterConfig{Event: evs[i%len(evs)], CountUser: true, Enabled: true, OverflowBit: 31})
+	}
+}

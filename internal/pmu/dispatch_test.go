@@ -65,7 +65,7 @@ func (np *naivePMU) addEvent(ring Ring, ev Event, n uint64) {
 
 // TestDispatchRebuildOnReconfigure pins that Configure — the single
 // mutation point the kernel's context-switch, PMI and group-rotation
-// paths all go through — rebuilds the dispatch table.
+// paths all go through — updates the dispatch table.
 func TestDispatchRebuildOnReconfigure(t *testing.T) {
 	p := New(DefaultFeatures())
 	p.Configure(0, CounterConfig{Event: EvLoads, CountUser: true, Enabled: true, OverflowBit: -1})
@@ -162,4 +162,82 @@ func TestDispatchEquivalenceRandomized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fullScanWatchers rebuilds the dispatch table's watcher masks from
+// scratch with the full-table scan Configure used before it became
+// O(1): clear every entry of each counter's bit, then set it in the
+// entries its programming selects.
+func fullScanWatchers(p *PMU) [2 * int(NumEvents)]uint64 {
+	var w [2 * int(NumEvents)]uint64
+	for idx := range p.counters {
+		bit := uint64(1) << uint(idx)
+		for i := range w {
+			w[i] &^= bit
+		}
+		cfg := p.counters[idx].cfg
+		if !cfg.Enabled || int(cfg.Event) >= int(NumEvents) {
+			continue
+		}
+		if cfg.CountUser {
+			w[cfg.Event] |= bit
+		}
+		if cfg.CountKernel {
+			w[int(NumEvents)+int(cfg.Event)] |= bit
+		}
+	}
+	if p.uncore != nil {
+		for i := range w {
+			w[i] |= uncoreBit
+		}
+	}
+	return w
+}
+
+// TestDispatchTableMatchesFullScan drives random reprogramming —
+// enable/disable, event changes including out-of-range selectors,
+// ring filters, overflow bits — interleaved with uncore attach and
+// detach, and after every call requires each entry's watcher mask to
+// equal a from-scratch rebuild.
+func TestDispatchTableMatchesFullScan(t *testing.T) {
+	for _, n := range []int{1, 4, 8, 63} {
+		f := DefaultFeatures()
+		f.NumCounters = n
+		p := New(f)
+		u := NewUncore()
+		rng := rand.New(rand.NewSource(int64(n)))
+		for step := 0; step < 5000; step++ {
+			what := "Configure"
+			switch r := rng.Intn(20); {
+			case r == 0:
+				what = "AttachUncore(u)"
+				p.AttachUncore(u)
+			case r == 1:
+				what = "AttachUncore(nil)"
+				p.AttachUncore(nil)
+			default:
+				ev := Event(rng.Intn(int(NumEvents)))
+				if rng.Intn(8) == 0 {
+					ev = Event(int(NumEvents) + rng.Intn(256-int(NumEvents)))
+				}
+				p.Configure(rng.Intn(n), CounterConfig{
+					Event:       ev,
+					CountUser:   rng.Intn(2) == 0,
+					CountKernel: rng.Intn(2) == 0,
+					Enabled:     rng.Intn(3) != 0,
+					OverflowBit: []int{-1, 0, 9, 31, 47, 63, 64}[rng.Intn(7)],
+				})
+			}
+			if want := fullScanWatchers(p); p.watcherMasks() != want {
+				t.Fatalf("%d counters, step %d (%s): watchers %x, full scan %x", n, step, what, p.watcherMasks(), want)
+			}
+		}
+	}
+}
+
+func (p *PMU) watcherMasks() (w [2 * int(NumEvents)]uint64) {
+	for i, e := range p.events {
+		w[i] = e.watchers
+	}
+	return w
 }

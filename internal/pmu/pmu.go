@@ -202,7 +202,7 @@ type PMU struct {
 	//
 	// watchers is the bitmask of enabled counters whose event selector
 	// and ring filter accept (ev, ring), plus uncoreBit when a socket
-	// counter block is attached. It is rebuilt by Configure — the only
+	// counter block is attached. It is updated by Configure — the only
 	// place a counter's programming changes — so AddEvent's common
 	// case ("no counter watches this event") is a single indexed
 	// entry: one add, one load, one branch, instead of a scan over
@@ -285,36 +285,35 @@ func (p *PMU) check(idx int) {
 // Configure programs counter idx. Programming clears any pending
 // overflow on that counter but preserves its value (software writes the
 // value separately, as on real hardware).
+//
+// Configure is the only writer of counter bits in the dispatch table
+// (AttachUncore owns uncoreBit), so counter idx's bit can only sit in
+// the user and kernel entries of its outgoing event: reprogramming
+// clears those two and sets the new ones, independent of NumEvents.
 func (p *PMU) Configure(idx int, cfg CounterConfig) {
 	p.check(idx)
 	p.syncRetire() // deferred retirements precede the reprogramming
 	c := &p.counters[idx]
+	bit := uint64(1) << uint(idx)
+	if old := c.cfg.Event; old < NumEvents {
+		p.events[old].watchers &^= bit
+		p.events[NumEvents+old].watchers &^= bit
+	}
 	c.cfg = cfg
 	if ob := cfg.OverflowBit; ob >= 0 && ob < 64 {
 		c.threshold = 1 << uint(ob)
 	} else {
 		c.threshold = 0
 	}
-	p.pending &^= 1 << uint(idx)
-	p.rebuildDispatch(idx)
-}
-
-// rebuildDispatch re-derives counter idx's dispatch-table bits from
-// its current programming.
-func (p *PMU) rebuildDispatch(idx int) {
-	bit := uint64(1) << uint(idx)
-	for i := range p.events {
-		p.events[i].watchers &^= bit
-	}
-	cfg := p.counters[idx].cfg
-	if !cfg.Enabled || int(cfg.Event) >= int(NumEvents) {
+	p.pending &^= bit
+	if !cfg.Enabled || cfg.Event >= NumEvents {
 		return
 	}
 	if cfg.CountUser {
 		p.events[cfg.Event].watchers |= bit
 	}
 	if cfg.CountKernel {
-		p.events[int(NumEvents)+int(cfg.Event)].watchers |= bit
+		p.events[NumEvents+cfg.Event].watchers |= bit
 	}
 }
 
