@@ -393,6 +393,11 @@ func (ws *soakWorker) run(cfg SoakConfig, mix SoakMix, seed uint64) soakOutcome 
 		ws.chk.CheckLeaks(m.Kern.Resources())
 	}
 
+	// Group oracles: the mgr-fallback mix's perf counters and every
+	// degraded clone's are one-event groups, so their enabled time must
+	// conserve and a never-unloaded one must read exactly its truth.
+	ws.chk.CheckGroups(m.Kern)
+
 	// Conservation oracle: every cloned thread's inherited instruction
 	// counter (index 0, live from birth to reap) must end exactly equal
 	// to the thread's true retired-user-instruction count. Degraded

@@ -90,9 +90,9 @@ func RunTable5(s Scale) (*T5Result, error) {
 			if err > row.MaxAbsErr {
 				row.MaxAbsErr = err
 			}
-			tc := th.Counters()[fd]
-			if tc.WindowCycles > 0 {
-				loadedSum += float64(tc.ActiveCycles) / float64(tc.WindowCycles)
+			g := th.Counters()[fd].Group()
+			if g.EnabledCycles > 0 {
+				loadedSum += float64(g.RunningCycles) / float64(g.EnabledCycles)
 			} else {
 				loadedSum += 1
 			}

@@ -20,8 +20,9 @@ const (
 	KindFrameOrder = "frame-order"
 )
 
-// CheckGroups audits every thread's event groups and the kernel's
-// frame stream after a run:
+// CheckGroups audits every thread's event groups — its SysGroupOpen
+// groups and its perf counters' one-event groups alike — and the
+// kernel's frame stream after a run:
 //
 //   - Conservation: an open group's enabled time equals the thread's
 //     scheduled cycles since open (closed groups: since open until
@@ -31,7 +32,8 @@ const (
 //     running == enabled (never unloaded while scheduled) has raw
 //     counts exactly equal to the kernel's per-event ground truth and
 //     estimates equal to raw.
-//   - Frame sanity: kernel-wide sequence numbers strictly increase,
+//   - Frame sanity (SysGroupOpen groups only; perf groups emit no
+//     frames): kernel-wide sequence numbers strictly increase,
 //     per-thread cycles and per-sample enabled/running times are
 //     non-decreasing (they are cumulative), and every group-holding
 //     thread that exited left a final frame. Estimates are exempt: a
@@ -46,33 +48,11 @@ func (c *Checker) CheckGroups(k *kernel.Kernel) {
 			hasGroups[t.ID] = true
 		}
 		for gi, g := range gs {
-			want := t.Stats.SchedCycles - g.OpenSchedMark
-			if g.Closed {
-				want = g.CloseSchedMark - g.OpenSchedMark
-			}
-			if g.EnabledCycles != want {
-				c.report(t.ID, KindGroupConserve,
-					"group %d enabled %d cycles but was open for %d scheduled cycles",
-					gi, g.EnabledCycles, want)
-			}
-			if g.RunningCycles > g.EnabledCycles {
-				c.report(t.ID, KindGroupTear,
-					"group %d running %d exceeds enabled %d",
-					gi, g.RunningCycles, g.EnabledCycles)
-			}
-			if g.RunningCycles == g.EnabledCycles && g.EnabledCycles > 0 {
-				for i := range g.Events {
-					if g.Raw[i] != g.True[i] {
-						c.report(t.ID, KindGroupTear,
-							"group %d event %d raw %d != ground truth %d despite running == enabled",
-							gi, i, g.Raw[i], g.True[i])
-					}
-					if g.Estimate(i) != g.Raw[i] {
-						c.report(t.ID, KindGroupTear,
-							"group %d event %d estimate %d != raw %d despite running == enabled",
-							gi, i, g.Estimate(i), g.Raw[i])
-					}
-				}
+			c.checkGroup(t, "group", gi, g)
+		}
+		for fd, tc := range t.Counters() {
+			if g := tc.Group(); g != nil {
+				c.checkGroup(t, "perf fd", fd, g)
 			}
 		}
 	}
@@ -119,6 +99,40 @@ func (c *Checker) CheckGroups(k *kernel.Kernel) {
 	for _, t := range k.Threads() {
 		if hasGroups[t.ID] && t.State == kernel.StateDone && !finals[t.ID] {
 			c.report(t.ID, KindFrameOrder, "group-holding thread exited without a final frame")
+		}
+	}
+}
+
+// checkGroup audits one group's conservation and tear-freedom; table
+// and id label it in reports ("group 2", "perf fd 0").
+func (c *Checker) checkGroup(t *kernel.Thread, table string, id int, g *kernel.EventGroup) {
+	want := t.Stats.SchedCycles - g.OpenSchedMark
+	if g.Closed {
+		want = g.CloseSchedMark - g.OpenSchedMark
+	}
+	if g.EnabledCycles != want {
+		c.report(t.ID, KindGroupConserve,
+			"%s %d enabled %d cycles but was open for %d scheduled cycles",
+			table, id, g.EnabledCycles, want)
+	}
+	if g.RunningCycles > g.EnabledCycles {
+		c.report(t.ID, KindGroupTear,
+			"%s %d running %d exceeds enabled %d",
+			table, id, g.RunningCycles, g.EnabledCycles)
+	}
+	if g.RunningCycles != g.EnabledCycles || g.EnabledCycles == 0 {
+		return
+	}
+	for i := range g.Events {
+		if g.Raw[i] != g.True[i] {
+			c.report(t.ID, KindGroupTear,
+				"%s %d event %d raw %d != ground truth %d despite running == enabled",
+				table, id, i, g.Raw[i], g.True[i])
+		}
+		if g.Estimate(i) != g.Raw[i] {
+			c.report(t.ID, KindGroupTear,
+				"%s %d event %d estimate %d != raw %d despite running == enabled",
+				table, id, i, g.Estimate(i), g.Raw[i])
 		}
 	}
 }

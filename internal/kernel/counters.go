@@ -19,6 +19,15 @@ const (
 // guard; Linux is effectively unbounded).
 const maxCountersPerThread = 32
 
+// pinnedIn returns the loaded pinned counter in hardware slot, or nil.
+// Pinned counters sit at slot == index, so no ledger is needed.
+func (t *Thread) pinnedIn(slot int) *ThreadCounter {
+	if slot < len(t.counters) && t.counters[slot].HWSlot == slot {
+		return t.counters[slot]
+	}
+	return nil
+}
+
 // allocCounter registers a counter with the thread and returns its
 // index (the userspace fd / rdpmc slot) or errRet. Pinned kinds
 // (LiMiT, sampling) must fit within the PMU's slots because userspace
@@ -27,13 +36,12 @@ const maxCountersPerThread = 32
 // index stability of the survivors.
 func (k *Kernel) allocCounter(coreID int, t *Thread, tc *ThreadCounter) uint64 {
 	core := k.cores[coreID]
-	ensureSlots(core, t)
 	n := core.PMU.NumCounters()
 	pinned := tc.Kind != KindPerf
 
-	// Close the current multiplexing span before the new counter
-	// enters the table, so its window starts at zero. This also drains
-	// any loaded event groups, so a group evicted below loses nothing.
+	// Close the current span before the new counter enters the table,
+	// so a perf counter's group starts at zero. This also drains any
+	// loaded groups, so a group evicted below loses nothing.
 	k.spanClose(core, t)
 
 	idx := -1
@@ -71,27 +79,23 @@ func (k *Kernel) allocCounter(coreID int, t *Thread, tc *ThreadCounter) uint64 {
 	// Load onto hardware immediately when a slot is available; the
 	// thread is running here.
 	if pinned {
-		if t.hwSlots[idx] != -1 {
-			// Slot occupied by a floating perf counter: evict it.
-			evicted := t.counters[t.hwSlots[idx]]
-			evicted.Acc += core.PMU.Read(idx)
-			evicted.HWSlot = -1
-			t.hwSlots[idx] = -1
+		if idx < len(t.groupSlots) && t.groupSlots[idx] != nil {
+			// Slot backs a group, perhaps a perf counter's: counters
+			// outrank groups, so the whole group yields (atomic scheduling
+			// — it loads all slots or none) and waits for the next
+			// switch-in or rotation window.
+			k.groupPark(core, t, t.groupSlots[idx])
 		}
-		if t.groupSlots != nil && t.groupSlots[idx] != -1 {
-			// Slot backs an event group: counters outrank groups, so the
-			// whole group yields (atomic scheduling — it loads all slots or
-			// none) and waits for the next rotation window.
-			k.groupPark(core, t, t.groups[t.groupSlots[idx]])
-		}
-		k.programSlot(core, t, idx, idx)
+		k.programSlot(core, t, idx)
 		return uint64(idx)
 	}
-	for slot := 0; slot < n; slot++ {
-		if t.hwSlots[slot] == -1 && (t.groupSlots == nil || t.groupSlots[slot] == -1) {
-			k.programSlot(core, t, slot, idx)
-			break
-		}
+	// A perf counter is a one-event group counting from this instant.
+	// SysPerfOpen enables it before charging the MSR writes.
+	ensureGroupSlots(core, t)
+	tc.group = perfGroup(tc)
+	k.startGroup(core, t, tc.group, t.freeSlots(n, false))
+	if tc.group.Loaded && !core.PMU.Features().HardwareVirtualization {
+		core.KernelWork(k.cfg.Costs.MSRWrite * 2) // evtsel + value
 	}
 	return uint64(idx)
 }
@@ -101,6 +105,16 @@ func (k *Kernel) counterAt(t *Thread, fd uint64) *ThreadCounter {
 		return nil
 	}
 	return t.counters[fd]
+}
+
+// perfGroupAt returns the group behind open perf counter fd, or nil.
+// A LiMiT or sampling fd has no group, so the perf syscalls treat it
+// exactly like a closed fd.
+func (k *Kernel) perfGroupAt(t *Thread, fd uint64) *EventGroup {
+	if tc := k.counterAt(t, fd); tc != nil {
+		return tc.group
+	}
+	return nil
 }
 
 // perfOpen implements SysPerfOpen.
@@ -121,49 +135,32 @@ func (k *Kernel) perfOpen(coreID int, t *Thread, event, flags uint64) uint64 {
 	})
 }
 
-// perfRead implements SysPerfRead: the 64-bit virtualized value is the
-// kernel accumulator plus the live hardware count. An over-subscribed
-// (multiplexed) counter's raw count is scaled by scheduled-time /
-// loaded-time, exactly as Linux perf's time_enabled/time_running
-// estimate — the estimation error this introduces is measured by the
-// multiplexing experiment.
+// perfRead implements SysPerfRead: the counter's group estimate, fresh
+// as of this instant. It is exact while the group has been loaded for
+// its whole life; otherwise it is Linux perf's time_enabled/
+// time_running scaled estimate, whose error the multiplexing
+// experiments measure.
 func (k *Kernel) perfRead(coreID int, t *Thread, fd uint64) uint64 {
-	tc := k.counterAt(t, fd)
-	if tc == nil {
+	g := k.perfGroupAt(t, fd)
+	if g == nil {
 		return errRet
 	}
-	core := k.cores[coreID]
-	raw := tc.Acc
-	active, window := tc.ActiveCycles, tc.WindowCycles
-	partial := core.Now - t.spanStartAt
-	window += partial
-	if tc.HWSlot >= 0 {
-		raw += core.PMU.Read(tc.HWSlot)
-		active += partial
-	}
-	if active == 0 {
-		return 0 // never loaded: nothing measured yet
-	}
-	if active >= window {
-		return raw // fully counted: exact
-	}
-	return pmu.Scale(raw, window, active)
+	k.spanClose(k.cores[coreID], t)
+	return g.Estimate(0)
 }
 
-// perfReset implements SysPerfReset.
+// perfReset implements SysPerfReset: the counter's group restarts from
+// zero at this instant, as if just opened. The spanClose drain has
+// already zeroed a loaded hardware slot.
 func (k *Kernel) perfReset(coreID int, t *Thread, fd uint64) {
-	tc := k.counterAt(t, fd)
-	if tc == nil {
+	g := k.perfGroupAt(t, fd)
+	if g == nil {
 		return
 	}
-	core := k.cores[coreID]
-	k.spanClose(core, t)
-	tc.Acc = 0
-	tc.ActiveCycles = 0
-	tc.WindowCycles = 0
-	if tc.HWSlot >= 0 {
-		core.PMU.Write(tc.HWSlot, 0)
-	}
+	k.spanClose(k.cores[coreID], t)
+	g.Raw[0], g.True[0] = 0, 0
+	g.EnabledCycles, g.RunningCycles = 0, 0
+	g.OpenSchedMark = t.Stats.SchedCycles
 }
 
 // counterClose disables a counter, freeing its hardware slot.
@@ -176,9 +173,11 @@ func (k *Kernel) counterClose(coreID int, t *Thread, fd uint64) {
 	k.spanClose(core, t)
 	tc.Closed = true
 	k.releaseCounter(tc)
+	if tc.group != nil {
+		k.closeGroup(core, t, tc.group)
+	}
 	if tc.HWSlot >= 0 {
 		core.PMU.Configure(tc.HWSlot, pmu.CounterConfig{Enabled: false, OverflowBit: -1})
-		t.hwSlots[tc.HWSlot] = -1
 		tc.HWSlot = -1
 	}
 	if t.sampler == int(fd) {

@@ -7,16 +7,27 @@ import (
 )
 
 // Event-group multiplexing: Linux-perf-shaped groups of events — often
-// more events than the PMU has counters — opened atomically and rotated
-// round-robin on a configurable rotation quantum. A group loads all of
+// more events than the PMU has counters — placed atomically on the
+// hardware slots the pinned counters leave free. A group loads all of
 // its events onto hardware or none of them (atomic scheduling), accrues
 // enabled time while open and running time while loaded, and reads back
 // Linux's time_enabled/time_running scaled estimate, computed with
 // 128-bit integer arithmetic (pmu.Scale), never float.
 //
+// Groups come from two syscalls, and the one that opened a group fixes
+// when it rotates:
+//
+//   - SysGroupOpen groups live in the thread's group table, rotate
+//     round-robin on the rotation quantum (muxRot), and emit frames.
+//   - Each SysPerfOpen counter is a one-event group hanging off its
+//     counter-table entry. Perf groups are placed first at switch-in,
+//     rotate one position per switch-in (muxPos), stay put on quantum
+//     rotations, and emit no frames.
+//
 // This is the estimated world the paper's exact LiMiT reads are argued
-// against; the M2 experiment family quantifies the gap. Two accounting
-// properties are invariant-checked (invariant.CheckGroups):
+// against; the T5 and M2 experiments quantify the gap. Two accounting
+// properties are invariant-checked for both kinds
+// (invariant.CheckGroups):
 //
 //   - Conservation: a group's enabled time equals the thread's
 //     scheduled cycles since the group opened, exactly.
@@ -66,6 +77,18 @@ type EventGroup struct {
 	Closed bool
 	// slots are the hardware counters backing the group while loaded.
 	slots []int
+	// perf marks a perf counter's one-event group.
+	perf bool
+}
+
+// perfGroup builds the one-event group behind perf counter tc.
+func perfGroup(tc *ThreadCounter) *EventGroup {
+	return &EventGroup{
+		Events: []GroupEvent{{Event: tc.Event, CountUser: tc.CountUser, CountKernel: tc.CountKernel}},
+		Raw:    make([]uint64, 1),
+		True:   make([]uint64, 1),
+		perf:   true,
+	}
 }
 
 // Estimate returns event i's cumulative scaled estimate:
@@ -117,36 +140,74 @@ type Frame struct {
 // Frames returns every event frame emitted during the run.
 func (k *Kernel) Frames() []Frame { return k.frames }
 
-// openGroupIdx returns the indices of the thread's open groups.
-func (t *Thread) openGroupIdx() []int {
-	var open []int
-	for gi, g := range t.groups {
+// openGroups returns the thread's open SysGroupOpen groups.
+func (t *Thread) openGroups() []*EventGroup {
+	var open []*EventGroup
+	for _, g := range t.groups {
 		if !g.Closed {
-			open = append(open, gi)
+			open = append(open, g)
 		}
 	}
 	return open
 }
 
-// ensureGroupSlots lazily sizes the slot→group ledger alongside the
-// slot→counter one.
-func ensureGroupSlots(core *cpu.Core, t *Thread) {
-	ensureSlots(core, t)
-	if t.groupSlots == nil {
-		t.groupSlots = make([]int, core.PMU.NumCounters())
-		for i := range t.groupSlots {
-			t.groupSlots[i] = -1
+// perfGroups returns the groups of the thread's open perf counters, in
+// fd order.
+func (t *Thread) perfGroups() []*EventGroup {
+	var open []*EventGroup
+	for _, tc := range t.counters {
+		if g := tc.group; g != nil && !g.Closed {
+			open = append(open, g)
 		}
 	}
+	return open
+}
+
+// holdsGroups reports whether the thread holds an open group in either
+// table. It is derived from the tables each time, never cached.
+func (t *Thread) holdsGroups() bool {
+	for _, g := range t.groups {
+		if !g.Closed {
+			return true
+		}
+	}
+	for _, tc := range t.counters {
+		if g := tc.group; g != nil && !g.Closed {
+			return true
+		}
+	}
+	return false
+}
+
+// ensureGroupSlots lazily sizes the slot→group ledger to the PMU.
+func ensureGroupSlots(core *cpu.Core, t *Thread) {
+	if t.groupSlots == nil {
+		t.groupSlots = make([]*EventGroup, core.PMU.NumCounters())
+	}
+}
+
+// freeSlots lists, in slot order, the hardware slots held by neither a
+// loaded pinned counter nor a loaded group. Quantum rotation passes
+// rotating to count the SysGroupOpen groups' slots as free: it plans
+// the state after it parks them, while perf groups stay put.
+func (t *Thread) freeSlots(n int, rotating bool) []int {
+	var free []int
+	for slot := 0; slot < n; slot++ {
+		if t.pinnedIn(slot) != nil {
+			continue
+		}
+		if g := t.groupSlots[slot]; g != nil && (g.perf || !rotating) {
+			continue
+		}
+		free = append(free, slot)
+	}
+	return free
 }
 
 // groupMark re-snapshots the per-event ground-truth baseline for the
 // thread's next truth interval. Must be called at the same core-clock
 // instant the group hardware is (re)enabled or drained.
 func (k *Kernel) groupMark(core *cpu.Core, t *Thread) {
-	if len(t.groups) == 0 {
-		return
-	}
 	if t.gtMark == nil {
 		t.gtMark = new([pmu.NumEvents][2]uint64)
 	}
@@ -156,111 +217,93 @@ func (k *Kernel) groupMark(core *cpu.Core, t *Thread) {
 	}
 }
 
-// spanClose closes the thread's current scheduled span: perf counters
-// accrue window/active time (spanEnd), and — when the thread holds
-// event groups — scheduled cycles and group enabled/running times
-// accrue, loaded group counters are drained into Raw, the span's
-// ground-truth deltas are attributed to True, and the truth baseline
-// is re-marked. Drain, attribution and re-mark happen with no kernel
-// work charged between them; that single-instant discipline is what
-// makes a never-unloaded group exact (Raw == True per event).
+// spanClose closes the thread's current scheduled span. When the
+// thread holds an open group, scheduled cycles and group enabled/
+// running times accrue, loaded group counters are drained into Raw,
+// the span's ground-truth deltas are attributed to True, and the truth
+// baseline is re-marked. Drain, attribution and re-mark happen with no
+// kernel work charged between them; that single-instant discipline is
+// what makes a never-unloaded group exact (Raw == True per event).
+// muxSpent is the SysGroupOpen table's rotation clock, so it runs
+// whenever that table is non-empty.
 func (k *Kernel) spanClose(core *cpu.Core, t *Thread) {
 	span := core.Now - t.spanStartAt
-	spanEnd(core, t)
-	if len(t.groups) == 0 {
+	t.spanStartAt = core.Now
+	if len(t.groups) != 0 {
+		t.muxSpent += span
+	}
+	if !t.holdsGroups() {
 		return
 	}
-	if span != 0 {
-		t.Stats.SchedCycles += span
-		t.muxSpent += span
-		for _, g := range t.groups {
-			if g.Closed {
-				continue
-			}
-			g.EnabledCycles += span
-			if g.Loaded {
-				g.RunningCycles += span
-			}
-		}
-	}
+	t.Stats.SchedCycles += span
 	for _, g := range t.groups {
-		if g.Closed {
-			continue
-		}
-		for i := range g.Events {
-			ge := &g.Events[i]
-			var d uint64
-			if ge.CountUser {
-				d += core.PMU.GroundTruth(ge.Event, pmu.RingUser) - t.gtMark[ge.Event][pmu.RingUser]
-			}
-			if ge.CountKernel {
-				d += core.PMU.GroundTruth(ge.Event, pmu.RingKernel) - t.gtMark[ge.Event][pmu.RingKernel]
-			}
-			g.True[i] += d
-			if g.Loaded {
-				slot := g.slots[i]
-				g.Raw[i] += core.PMU.Read(slot)
-				core.PMU.Write(slot, 0)
-			}
+		k.drainGroup(core, t, g, span)
+	}
+	for _, tc := range t.counters {
+		if tc.group != nil {
+			k.drainGroup(core, t, tc.group, span)
 		}
 	}
 	k.groupMark(core, t)
 }
 
+// drainGroup closes an open group's share of a span (see spanClose).
+func (k *Kernel) drainGroup(core *cpu.Core, t *Thread, g *EventGroup, span uint64) {
+	if g.Closed {
+		return
+	}
+	g.EnabledCycles += span
+	if g.Loaded {
+		g.RunningCycles += span
+	}
+	for i := range g.Events {
+		ge := &g.Events[i]
+		var d uint64
+		if ge.CountUser {
+			d += core.PMU.GroundTruth(ge.Event, pmu.RingUser) - t.gtMark[ge.Event][pmu.RingUser]
+		}
+		if ge.CountKernel {
+			d += core.PMU.GroundTruth(ge.Event, pmu.RingKernel) - t.gtMark[ge.Event][pmu.RingKernel]
+		}
+		g.True[i] += d
+		if g.Loaded {
+			slot := g.slots[i]
+			g.Raw[i] += core.PMU.Read(slot)
+			core.PMU.Write(slot, 0)
+		}
+	}
+}
+
 // groupPlan is a pure placement decision: which groups load into which
 // free slots.
 type groupPlan struct {
-	gis   []int
+	gs    []*EventGroup
 	slots [][]int
 	n     int
 }
 
-// planGroups decides which open groups fit the PMU slots left free by
-// the thread's pinned and floating counters, walking the open set
-// cyclically from rot so successive rotations advance the window. A
-// group takes all its slots or none. ignoreGroups treats slots held by
-// (about-to-be-parked) groups as free — the rotation path plans the
-// post-park state before touching any counter.
-func planGroups(core *cpu.Core, t *Thread, rot int, ignoreGroups bool) groupPlan {
-	var p groupPlan
-	open := t.openGroupIdx()
-	if len(open) == 0 {
-		return p
-	}
-	n := core.PMU.NumCounters()
-	var free []int
-	for slot := 0; slot < n; slot++ {
-		if t.hwSlots[slot] != -1 {
-			continue
-		}
-		if !ignoreGroups && t.groupSlots[slot] != -1 {
-			continue
-		}
-		free = append(free, slot)
-	}
-	start := rot % len(open)
-	for j := 0; j < len(open); j++ {
-		gi := open[(start+j)%len(open)]
-		g := t.groups[gi]
-		if !ignoreGroups && g.Loaded {
-			continue
-		}
+// place adds to the plan each group of open that fits whole into the
+// free slots the plan has not used yet, walking open cyclically from
+// rot so successive rotations advance the window. A group takes all
+// its slots or none.
+func (p *groupPlan) place(open []*EventGroup, rot int, free []int) {
+	for j := range open {
+		g := open[(rot+j)%len(open)]
 		if len(g.Events) > len(free)-p.n {
 			continue
 		}
-		p.gis = append(p.gis, gi)
+		p.gs = append(p.gs, g)
 		p.slots = append(p.slots, free[p.n:p.n+len(g.Events)])
 		p.n += len(g.Events)
 	}
-	return p
 }
 
 // applyGroupPlan programs the planned slots: event selection, ring
 // filter, enable, value zeroed. Costless at the simulation level — the
-// caller has already charged the MSR traffic, before this instant.
+// caller charges the MSR traffic, before this instant except where
+// SysPerfOpen's order says otherwise.
 func (k *Kernel) applyGroupPlan(core *cpu.Core, t *Thread, p groupPlan) {
-	for j, gi := range p.gis {
-		g := t.groups[gi]
+	for j, g := range p.gs {
 		g.slots = append(g.slots[:0], p.slots[j]...)
 		g.Loaded = true
 		for i, slot := range g.slots {
@@ -273,18 +316,26 @@ func (k *Kernel) applyGroupPlan(core *cpu.Core, t *Thread, p groupPlan) {
 				OverflowBit: -1, // groups never interrupt; spans stay far below the counter width
 			})
 			core.PMU.Write(slot, 0)
-			t.groupSlots[slot] = gi
+			t.groupSlots[slot] = g
 		}
 	}
 }
 
-// groupsLoad charges the MSR traffic for every open group that fits
-// the free slots, then programs them. Used on switch-in: the caller
-// sets spanStartAt and re-marks immediately after, so the enable
-// instant and the truth mark coincide.
+// groupsLoad places the open groups on the slots the pinned counters
+// left free — perf groups first, from muxPos, which advances one
+// position per switch-in; then SysGroupOpen groups from muxRot — and
+// charges their MSR traffic before programming them. Used on
+// switch-in: the caller re-marks truth and opens the span right after,
+// so the enable instant and the truth mark coincide.
 func (k *Kernel) groupsLoad(core *cpu.Core, t *Thread) {
 	ensureGroupSlots(core, t)
-	p := planGroups(core, t, t.muxRot, false)
+	free := t.freeSlots(core.PMU.NumCounters(), false)
+	var p groupPlan
+	if perf := t.perfGroups(); len(perf) != 0 {
+		p.place(perf, t.muxPos, free)
+		t.muxPos++
+	}
+	p.place(t.openGroups(), t.muxRot, free)
 	if p.n == 0 {
 		return
 	}
@@ -294,28 +345,16 @@ func (k *Kernel) groupsLoad(core *cpu.Core, t *Thread) {
 	k.applyGroupPlan(core, t, p)
 }
 
-// groupsPark disables the hardware slots of loaded groups and frees
-// them. The spanClose drain has already banked their counts; leftover
+// groupPark unloads one group, disabling and freeing its hardware
+// slots. The spanClose drain has already banked its counts; leftover
 // cycles counted between drain and disable are discarded by the
 // Write(0) at next load, never entering Raw. Returns slots parked; the
 // caller prices the MSR traffic.
-func (k *Kernel) groupsPark(core *cpu.Core, t *Thread) int {
-	n := 0
-	for _, g := range t.groups {
-		if !g.Loaded {
-			continue
-		}
-		n += k.groupPark(core, t, g)
-	}
-	return n
-}
-
-// groupPark unloads one group.
 func (k *Kernel) groupPark(core *cpu.Core, t *Thread, g *EventGroup) int {
 	n := 0
 	for _, slot := range g.slots {
 		core.PMU.Configure(slot, pmu.CounterConfig{Enabled: false, OverflowBit: -1})
-		t.groupSlots[slot] = -1
+		t.groupSlots[slot] = nil
 		n++
 	}
 	g.slots = g.slots[:0]
@@ -323,7 +362,27 @@ func (k *Kernel) groupPark(core *cpu.Core, t *Thread, g *EventGroup) int {
 	return n
 }
 
-// loadedGroupSlots counts hardware slots currently backing groups.
+// startGroup starts g's accounting at this instant, at which the
+// caller has just closed the span, and loads g onto the first free
+// slots when it fits whole.
+func (k *Kernel) startGroup(core *cpu.Core, t *Thread, g *EventGroup, free []int) {
+	g.OpenSchedMark = t.Stats.SchedCycles
+	k.groupMark(core, t)
+	if n := len(g.Events); n <= len(free) {
+		k.applyGroupPlan(core, t, groupPlan{gs: []*EventGroup{g}, slots: [][]int{free[:n]}, n: n})
+	}
+}
+
+// closeGroup stops g accruing at this instant, at which the caller has
+// just closed the span, and frees its slots.
+func (k *Kernel) closeGroup(core *cpu.Core, t *Thread, g *EventGroup) {
+	k.groupPark(core, t, g)
+	g.Closed = true
+	g.CloseSchedMark = t.Stats.SchedCycles
+}
+
+// loadedGroupSlots counts hardware slots currently backing SysGroupOpen
+// groups.
 func (t *Thread) loadedGroupSlots() int {
 	n := 0
 	for _, g := range t.groups {
@@ -346,14 +405,15 @@ func (k *Kernel) muxTick(coreID int, t *Thread) {
 	k.muxRotate(coreID, t)
 }
 
-// muxRotate advances the round-robin cursor and reprograms the PMU:
-// price the handler and all MSR traffic first (inside the old span,
-// where hardware and truth both count it), then atomically close the
-// span — draining loaded groups and re-marking truth — park everything,
-// load the next window, and emit one event frame.
+// muxRotate advances the SysGroupOpen round-robin cursor and
+// reprograms those groups' slots: price the handler and all MSR
+// traffic first (inside the old span, where hardware and truth both
+// count it), then atomically close the span — draining loaded groups
+// and re-marking truth — park the SysGroupOpen groups, load the next
+// window, and emit one event frame. Perf groups stay loaded throughout.
 func (k *Kernel) muxRotate(coreID int, t *Thread) {
 	core := k.cores[coreID]
-	open := t.openGroupIdx()
+	open := t.openGroups()
 	if len(open) == 0 {
 		// Every group closed: nothing rotates, but close the span so the
 		// quantum check restarts instead of firing each instruction.
@@ -363,7 +423,8 @@ func (k *Kernel) muxRotate(coreID int, t *Thread) {
 	}
 	nextRot := (t.muxRot + 1) % len(open)
 	ensureGroupSlots(core, t)
-	plan := planGroups(core, t, nextRot, true)
+	var plan groupPlan
+	plan.place(open, nextRot, t.freeSlots(core.PMU.NumCounters(), true))
 
 	// Price everything before the atomic instant: rotation handler,
 	// save-side MSR reads/writes for loaded slots, load-side writes for
@@ -379,7 +440,9 @@ func (k *Kernel) muxRotate(coreID int, t *Thread) {
 	}
 
 	k.spanClose(core, t)
-	k.groupsPark(core, t)
+	for _, g := range open {
+		k.groupPark(core, t, g)
+	}
 	t.muxRot = nextRot
 	k.applyGroupPlan(core, t, plan)
 	t.muxSpent = 0
@@ -455,14 +518,8 @@ func (k *Kernel) groupOpen(coreID int, t *Thread, tableAddr, count uint64) uint6
 
 	// Placement for the new group only: it may take any slot free of
 	// counters and of already-loaded groups.
-	var free []int
-	for slot := 0; slot < core.PMU.NumCounters(); slot++ {
-		if t.hwSlots[slot] == -1 && t.groupSlots[slot] == -1 {
-			free = append(free, slot)
-		}
-	}
-	loads := len(evs) <= len(free)
-	if loads && !core.PMU.Features().HardwareVirtualization {
+	free := t.freeSlots(core.PMU.NumCounters(), false)
+	if len(evs) <= len(free) && !core.PMU.Features().HardwareVirtualization {
 		core.KernelWork(k.cfg.Costs.MSRWrite * 2 * uint64(len(evs)))
 	}
 
@@ -473,16 +530,7 @@ func (k *Kernel) groupOpen(coreID int, t *Thread, tableAddr, count uint64) uint6
 		True:   make([]uint64, count),
 	}
 	t.groups = append(t.groups, g)
-	g.OpenSchedMark = t.Stats.SchedCycles
-	k.groupMark(core, t)
-	if loads {
-		gi := len(t.groups) - 1
-		k.applyGroupPlan(core, t, groupPlan{
-			gis:   []int{gi},
-			slots: [][]int{free[:len(evs)]},
-			n:     len(evs),
-		})
-	}
+	k.startGroup(core, t, g, free)
 	return uint64(len(t.groups) - 1)
 }
 
@@ -518,11 +566,7 @@ func (k *Kernel) groupClose(coreID int, t *Thread, gid uint64) uint64 {
 		core.KernelWork((k.cfg.Costs.MSRRead + k.cfg.Costs.MSRWrite) * uint64(len(g.slots)))
 	}
 	k.spanClose(core, t)
-	if g.Loaded {
-		k.groupPark(core, t, g)
-	}
-	g.Closed = true
-	g.CloseSchedMark = t.Stats.SchedCycles
+	k.closeGroup(core, t, g)
 	// Snapshot the frozen group (and its siblings) at the close
 	// instant: without this a group closed mid-run would only be seen
 	// by windowed consumers at the next rotation, silently shifting its

@@ -301,8 +301,10 @@ func (k CounterKind) String() string {
 }
 
 // ThreadCounter is one virtualized per-thread counter. Its index in the
-// owning thread's counter slice is also the hardware counter index used
-// while the thread runs.
+// owning thread's counter slice is the userspace fd; for the pinned
+// kinds (LiMiT, sampling) it is also the hardware counter index used
+// while the thread runs. A perf counter is a one-event EventGroup that
+// the group scheduler places, drains, parks and scales (groups.go).
 type ThreadCounter struct {
 	Kind        CounterKind
 	Event       pmu.Event
@@ -310,10 +312,8 @@ type ThreadCounter struct {
 	CountKernel bool
 
 	// Saved holds the hardware value while the thread is descheduled
-	// (LiMiT keeps the raw value; perf and sampling reload from zero).
+	// (pinned kinds only).
 	Saved uint64
-	// Acc is the kernel-side 64-bit accumulator (perf only).
-	Acc uint64
 	// TableAddr is the user-memory virtual counter address (LiMiT only).
 	TableAddr uint64
 	// OverflowBit mirrors the PMU programming for this counter.
@@ -347,25 +347,21 @@ type ThreadCounter struct {
 	// Overflows counts folds/sample interrupts taken on this counter.
 	Overflows uint64
 
-	// HWSlot is the hardware counter currently backing this counter,
-	// or -1 while unloaded. LiMiT and sampling counters are pinned
-	// (slot == index) because userspace rdpmc encodes the slot; perf
-	// counters float and are time-multiplexed when the thread has more
-	// of them than the PMU has slots.
+	// HWSlot is the hardware counter currently backing a pinned
+	// counter, or -1 while unloaded. LiMiT and sampling counters are
+	// pinned (slot == index) because userspace rdpmc encodes the slot.
+	// A perf counter's HWSlot stays -1: its group holds the slot.
 	HWSlot int
-	// WindowCycles and ActiveCycles track scheduled time since open vs
-	// time actually loaded on hardware (perf only); reads scale by
-	// Window/Active exactly as Linux's time_enabled/time_running
-	// multiplexing estimate does.
-	WindowCycles uint64
-	ActiveCycles uint64
+
+	// group backs a perf counter; nil for the pinned kinds and for
+	// closed clone placeholders.
+	group *EventGroup
 }
 
-// Multiplexed reports whether the counter has spent scheduled time
-// unloaded (its readings are scaled estimates).
-func (tc *ThreadCounter) Multiplexed() bool {
-	return tc.WindowCycles > tc.ActiveCycles
-}
+// Group returns the one-event group behind a perf counter, or nil for
+// other kinds. Its Estimate(0) is the counter's value: exact when the
+// group was loaded for its whole life, else a scaled estimate.
+func (tc *ThreadCounter) Group() *EventGroup { return tc.group }
 
 // ThreadStats accumulates per-thread scheduler statistics, including
 // the kernel's omniscient per-thread ground truth used by tests and
@@ -386,7 +382,8 @@ type ThreadStats struct {
 
 	// SchedCycles is total scheduled time (user + kernel rings) accrued
 	// at span close; group enabled-time conservation is checked against
-	// it. Only accounted once the thread holds event groups.
+	// it. Only accounted while the thread holds an open event group,
+	// a perf counter's included.
 	SchedCycles uint64
 }
 
@@ -426,23 +423,22 @@ type Thread struct {
 	// table when its last holder dies.
 	regions [][2]int
 
-	// hwSlots maps hardware slot -> counter index (-1 free) while the
-	// thread's counters are programmed; muxPos rotates floating perf
-	// counters across switch-ins; spanStartAt marks the current
-	// scheduled span for multiplexing bookkeeping.
-	hwSlots     []int
-	muxPos      int
+	// Event-group multiplexing state (groups.go): spanStartAt marks
+	// the current scheduled span; groups is the SysGroupOpen table;
+	// groupSlots maps hardware slot -> loaded group (nil free; pinned
+	// counters sit at slot == index, so this is the only slot ledger);
+	// muxPos is the perf counters' cursor, advanced per switch-in;
+	// muxRot is the SysGroupOpen groups' cursor, advanced per rotation
+	// quantum, and muxSpent the scheduled cycles since that rotation;
+	// gtMark is the per-event ground-truth baseline of the current
+	// truth interval.
 	spanStartAt uint64
-
-	// Event-group multiplexing state (groups.go): the group table, the
-	// slot→group ledger parallel to hwSlots, the round-robin rotation
-	// cursor, scheduled cycles spent since the last rotation, and the
-	// per-event ground-truth baseline of the current truth interval.
-	groups     []*EventGroup
-	groupSlots []int
-	muxRot     int
-	muxSpent   uint64
-	gtMark     *[pmu.NumEvents][2]uint64
+	groups      []*EventGroup
+	groupSlots  []*EventGroup
+	muxPos      int
+	muxRot      int
+	muxSpent    uint64
+	gtMark      *[pmu.NumEvents][2]uint64
 
 	// FaultMsg records why the thread died, if it faulted.
 	FaultMsg string
@@ -451,7 +447,7 @@ type Thread struct {
 }
 
 // Counters exposes the thread's counter table (read-only use intended;
-// experiments inspect Saved/Acc/Overflows).
+// experiments inspect Saved/Overflows and perf counters' groups).
 func (t *Thread) Counters() []*ThreadCounter { return t.counters }
 
 // Sample is one record captured by the sampling profiler.

@@ -302,8 +302,7 @@ func TestPerfCounterSurvivesContextSwitches(t *testing.T) {
 		if th.Stats.Preemptions == 0 {
 			t.Errorf("%s: expected preemptions", th.Name)
 		}
-		tc := th.Counters()[0]
-		got := tc.Acc + tc.Saved
+		got := th.Counters()[0].Group().Estimate(0)
 		truth := th.Stats.UserInstructions
 		if got > truth || truth-got > 10 {
 			t.Errorf("%s: perf counter %d vs ground truth %d", th.Name, got, truth)
@@ -348,6 +347,49 @@ func TestPerfResetAndClose(t *testing.T) {
 	}
 	if got := space.Read64(out + 8); got != ^uint64(0) {
 		t.Errorf("read after close returned %#x, want error sentinel", got)
+	}
+}
+
+// The perf syscalls act on perf counters only: handed a LiMiT fd, the
+// read fails as on a closed fd and the reset leaves the counter alone,
+// so the LiMiT count still equals the thread's true user instructions.
+func TestPerfSyscallsRejectLimitFd(t *testing.T) {
+	m := newMachine(1)
+	space := mem.NewSpace()
+	table := space.AllocWords(1)
+	out := space.AllocWords(1)
+
+	b := isa.NewBuilder()
+	b.Syscall(kernel.SysLimitInit)
+	b.MovImm(isa.R0, int64(pmu.EvInstructions))
+	b.MovImm(isa.R1, int64(kernel.FlagUser))
+	b.MovImm(isa.R2, int64(table))
+	b.Syscall(kernel.SysLimitOpen)
+	b.Mov(isa.R7, isa.R0)
+	b.Compute(1_000)
+	b.Mov(isa.R0, isa.R7)
+	b.Syscall(kernel.SysPerfReset)
+	b.Compute(100)
+	b.Mov(isa.R0, isa.R7)
+	b.Syscall(kernel.SysPerfRead)
+	b.MovImm(isa.R1, int64(out))
+	b.Store(isa.R1, 0, isa.R0)
+	b.Halt()
+
+	proc := m.Kern.NewProcess(b.MustBuild(), space)
+	th := m.Kern.Spawn(proc, "w", 0, 1)
+	run(t, m)
+
+	if got := space.Read64(out); got != kernel.RetErr {
+		t.Errorf("perf read of a LiMiT fd returned %d, want RetErr", got)
+	}
+	lim := th.Counters()[0]
+	if lim.Kind != kernel.KindLimit {
+		t.Fatalf("counter 0 is %v, want limit", lim.Kind)
+	}
+	got := space.Read64(table) + lim.Saved
+	if truth := th.Stats.UserInstructions; got > truth || truth-got > 10 {
+		t.Errorf("LiMiT counter %d vs ground truth %d: the perf reset touched it", got, truth)
 	}
 }
 
@@ -797,11 +839,9 @@ func TestMultiplexedEstimates(t *testing.T) {
 	truth := float64(th.Stats.UserInstructions)
 	sawMux := false
 	for fd := 0; fd < 8; fd++ {
-		v, err := perfFinal(th, fd)
-		if err != nil {
-			t.Fatalf("fd %d: %v", fd, err)
-		}
-		if th.Counters()[fd].Multiplexed() {
+		g := th.Counters()[fd].Group()
+		v := g.Estimate(0)
+		if g.Multiplexed() {
 			sawMux = true
 		}
 		relErr := (float64(v) - truth) / truth
@@ -812,20 +852,6 @@ func TestMultiplexedEstimates(t *testing.T) {
 	if !sawMux {
 		t.Error("8 counters on 4 slots should have multiplexed")
 	}
-}
-
-// perfFinal mirrors perfevent.FinalValue without the import cycle into
-// this test file's dependencies.
-func perfFinal(th *kernel.Thread, fd int) (uint64, error) {
-	tc := th.Counters()[fd]
-	raw := tc.Acc + tc.Saved
-	if tc.ActiveCycles == 0 {
-		return 0, nil
-	}
-	if !tc.Multiplexed() {
-		return raw, nil
-	}
-	return uint64(float64(raw) * float64(tc.WindowCycles) / float64(tc.ActiveCycles)), nil
 }
 
 func TestCounterIsolationBetweenThreads(t *testing.T) {

@@ -75,9 +75,11 @@ func (k *Kernel) clone(coreID int, t *Thread, entry int, tlsArg, seed, tableBase
 // 0 has the kernel allocate words. Pinned kinds (LiMiT, sampling)
 // reserve slots from the kernel-wide ledger in one all-or-nothing
 // call; when the reservation is denied the child degrades: every
-// inherited counter becomes a floating perf counter whose readings are
-// multiplexed estimates, flagged via Estimated — degraded, never
-// silently wrong. Reports whether the child degraded.
+// inherited counter becomes a perf counter — a one-event group the
+// scheduler multiplexes like any other — whose readings are flagged
+// via Estimated: degraded, never silently wrong. Perf counters, as
+// inherited or degraded, get their group here; it starts at the
+// child's zero scheduled cycles. Reports whether the child degraded.
 func (k *Kernel) inheritCounters(t, nt *Thread, tableBase uint64) bool {
 	pinnedNeed := 0
 	for _, pc := range t.counters {
@@ -110,8 +112,8 @@ func (k *Kernel) inheritCounters(t, nt *Thread, tableBase uint64) bool {
 		}
 		switch {
 		case degraded && pc.Kind == KindSample:
-			// A sampler cannot float across slots; the degraded child
-			// loses it rather than sampling from a wrong slot.
+			// A sampler needs its pinned slot; the degraded child loses
+			// it rather than sampling from a wrong slot.
 			tc.Closed, tc.Released = true, true
 		case degraded || pc.Kind == KindPerf:
 			tc.Kind = KindPerf
@@ -120,6 +122,7 @@ func (k *Kernel) inheritCounters(t, nt *Thread, tableBase uint64) bool {
 			if degraded {
 				tc.Estimated = true
 			}
+			tc.group = perfGroup(tc)
 		case pc.Kind == KindLimit:
 			if tableBase != 0 {
 				tc.TableAddr = tableBase + uint64(i)*8

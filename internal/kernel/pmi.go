@@ -16,8 +16,8 @@ import "limitsim/internal/trace"
 //     and post SIGPMU; the userspace handler performs the fold.
 //   - Sampling: record (tid, pc, cycle) and re-arm the counter at
 //     threshold−period.
-//   - Perf: overflow interrupts are not programmed; a stray one is
-//     ignored.
+//   - Groups, perf counters' included: overflow interrupts are not
+//     programmed; a stray one is ignored.
 func (k *Kernel) handlePMI(coreID int, mask uint64) {
 	core := k.cores[coreID]
 	t := k.cur[coreID]
@@ -39,8 +39,8 @@ func (k *Kernel) handlePMI(coreID int, mask uint64) {
 
 // pmiFor performs the per-counter overflow work for thread t, which
 // owns the core's current counter programming. The interrupt mask is
-// in hardware-slot space; slots are translated to the thread's counter
-// table through its slot map.
+// in hardware-slot space; a loaded pinned counter sits at slot ==
+// index, and any other slot is free or a group's.
 func (k *Kernel) pmiFor(coreID int, t *Thread, mask uint64) {
 	core := k.cores[coreID]
 	k.observePMIService(coreID, mask)
@@ -48,14 +48,10 @@ func (k *Kernel) pmiFor(coreID int, t *Thread, mask uint64) {
 		if mask&1 == 0 {
 			continue
 		}
-		ci := -1
-		if t.hwSlots != nil && slot < len(t.hwSlots) {
-			ci = t.hwSlots[slot]
-		}
-		if ci < 0 || ci >= len(t.counters) || t.counters[ci].Closed {
+		tc := t.pinnedIn(slot)
+		if tc == nil {
 			continue
 		}
-		tc := t.counters[ci]
 		switch tc.Kind {
 		case KindLimit:
 			chunk := core.PMU.WriteLimit()
@@ -78,7 +74,7 @@ func (k *Kernel) pmiFor(coreID int, t *Thread, mask uint64) {
 					t.Proc.Mem.Add64(tc.TableAddr, chunk)
 					k.probeFold(coreID, t, tc, chunk)
 				} else {
-					k.post(t, SIGPMU, uint64(ci))
+					k.post(t, SIGPMU, uint64(slot))
 				}
 			}
 			core.PMU.Write(slot, v)
@@ -91,8 +87,6 @@ func (k *Kernel) pmiFor(coreID int, t *Thread, mask uint64) {
 			jitter := k.rand() % (tc.Period/8 + 1)
 			core.PMU.Write(slot, threshold-tc.Period+jitter)
 			tc.Overflows++
-		case KindPerf:
-			// not programmed for overflow; ignore
 		}
 	}
 }

@@ -526,64 +526,28 @@ func (k *Kernel) applyFixup(t *Thread) {
 	}
 }
 
-// ensureSlots lazily sizes the thread's slot map to the core's PMU.
-func ensureSlots(core *cpu.Core, t *Thread) {
-	if t.hwSlots == nil {
-		t.hwSlots = make([]int, core.PMU.NumCounters())
-		for i := range t.hwSlots {
-			t.hwSlots[i] = -1
-		}
-	}
-}
-
-// spanEnd closes the thread's current scheduled span for multiplexing
-// bookkeeping: every open perf counter accrues window time, loaded
-// ones accrue active time.
-func spanEnd(core *cpu.Core, t *Thread) {
-	span := core.Now - t.spanStartAt
-	if span == 0 {
-		return
-	}
-	for _, tc := range t.counters {
-		if tc.Closed || tc.Kind != KindPerf {
-			continue
-		}
-		tc.WindowCycles += span
-		if tc.HWSlot >= 0 {
-			tc.ActiveCycles += span
-		}
-	}
-	t.spanStartAt = core.Now
-}
-
 // saveCounters virtualizes the thread's counters on deschedule. With
 // hardware virtualization (enhancement e3) the save is free; otherwise
-// each counter costs an MSR read, plus a write for counters that must
-// be stopped.
+// each loaded slot costs an MSR read, plus a write to stop it.
 func (k *Kernel) saveCounters(core *cpu.Core, t *Thread) {
 	if len(t.counters) == 0 && len(t.groups) == 0 {
 		return
-	}
-	ensureSlots(core, t)
-	if len(t.groups) != 0 {
-		ensureGroupSlots(core, t)
 	}
 	// Close the span first: drains loaded group counters and attributes
 	// ground truth at this instant, before any MSR cost lands.
 	k.spanClose(core, t)
 	hwVirt := core.PMU.Features().HardwareVirtualization
 	writeLimit := core.PMU.WriteLimit()
-	for slot, ci := range t.hwSlots {
-		if ci < 0 {
-			continue
+	for _, tc := range t.counters {
+		slot := tc.HWSlot
+		if slot < 0 {
+			continue // unloaded, closed, or a perf counter (its group holds the slot)
 		}
-		tc := t.counters[ci]
 		v := core.PMU.Read(slot)
 		if !hwVirt {
 			core.KernelWork(k.cfg.Costs.MSRRead)
 		}
-		switch tc.Kind {
-		case KindLimit:
+		if tc.Kind == KindLimit {
 			// The hardware value must stay below the write limit so it
 			// can be restored later; fold any excess now (this happens
 			// when the overflow interrupt was pending at switch time).
@@ -598,13 +562,8 @@ func (k *Kernel) saveCounters(core *cpu.Core, t *Thread) {
 				core.KernelWork(k.cfg.Costs.OverflowFold)
 				k.probeFold(core.ID, t, tc, writeLimit)
 			}
-			tc.Saved = v
-		case KindPerf:
-			tc.Acc += v
-			tc.Saved = 0
-		case KindSample:
-			tc.Saved = v
 		}
+		tc.Saved = v
 		// Disable the hardware counter so the next thread's events
 		// don't leak in before restore programs it.
 		core.PMU.Configure(slot, pmu.CounterConfig{Enabled: false, OverflowBit: -1})
@@ -612,94 +571,58 @@ func (k *Kernel) saveCounters(core *cpu.Core, t *Thread) {
 			core.KernelWork(k.cfg.Costs.MSRWrite)
 		}
 		tc.HWSlot = -1
-		t.hwSlots[slot] = -1
 	}
-	// Park loaded event groups. Their counts were drained by spanClose
-	// above; the park itself is a save (MSR read) plus a disable (MSR
-	// write) per slot, all charged outside the closed span.
-	if parked := k.groupsPark(core, t); parked > 0 && !hwVirt {
+	// Park every loaded group, perf counters' included. Their counts
+	// were drained by spanClose above; the park itself is a save (MSR
+	// read) plus a disable (MSR write) per slot, all charged outside
+	// the closed span.
+	parked := 0
+	for _, g := range t.groupSlots {
+		if g != nil {
+			parked += k.groupPark(core, t, g)
+		}
+	}
+	if parked > 0 && !hwVirt {
 		core.KernelWork((k.cfg.Costs.MSRRead + k.cfg.Costs.MSRWrite) * uint64(parked))
 	}
 }
 
-// programSlot loads counter ci into hardware slot.
-func (k *Kernel) programSlot(core *cpu.Core, t *Thread, slot, ci int) {
+// programSlot loads pinned counter ci into hardware slot ci.
+func (k *Kernel) programSlot(core *cpu.Core, t *Thread, ci int) {
 	tc := t.counters[ci]
-	core.PMU.Configure(slot, pmu.CounterConfig{
+	core.PMU.Configure(ci, pmu.CounterConfig{
 		Event:       tc.Event,
 		CountUser:   tc.CountUser,
 		CountKernel: tc.CountKernel,
 		Enabled:     true,
 		OverflowBit: tc.OverflowBit,
 	})
-	core.PMU.Write(slot, tc.Saved)
+	core.PMU.Write(ci, tc.Saved)
 	if !core.PMU.Features().HardwareVirtualization {
 		core.KernelWork(k.cfg.Costs.MSRWrite * 2) // evtsel + value
 	}
-	tc.HWSlot = slot
-	t.hwSlots[slot] = ci
+	tc.HWSlot = ci
 }
 
-// restoreCounters programs the core's PMU for the incoming thread.
-// LiMiT and sampling counters are pinned to their own indices;
-// floating perf counters fill the remaining slots, rotated each
-// switch-in so that over-subscribed sets time-multiplex.
+// restoreCounters programs the core's PMU for the incoming thread:
+// LiMiT and sampling counters are pinned to their own indices, and the
+// open groups (perf counters' included) fill the remaining slots.
 func (k *Kernel) restoreCounters(core *cpu.Core, t *Thread) {
-	ensureSlots(core, t)
-	n := core.PMU.NumCounters()
-	for slot := 0; slot < n; slot++ {
-		t.hwSlots[slot] = -1
-	}
-
-	var floaters []int
-	for ci, tc := range t.counters {
-		if tc.Closed {
-			tc.HWSlot = -1
-			continue
-		}
-		if ci >= n && tc.Kind != KindPerf {
-			// A pinned counter beyond the PMU's slot count can never
-			// load; allocation prevents this, but stay defensive.
-			tc.HWSlot = -1
-			continue
-		}
-		if tc.Kind == KindPerf {
-			tc.HWSlot = -1
-			floaters = append(floaters, ci)
-			continue
-		}
-		t.hwSlots[ci] = ci // pinned
-	}
-
-	if len(floaters) > 0 {
-		rot := t.muxPos % len(floaters)
-		t.muxPos++
-		picked := 0
-		for slot := 0; slot < n && picked < len(floaters); slot++ {
-			if t.hwSlots[slot] != -1 {
-				continue
-			}
-			t.hwSlots[slot] = floaters[(rot+picked)%len(floaters)]
-			picked++
-		}
-	}
-
-	for slot := 0; slot < n; slot++ {
-		if ci := t.hwSlots[slot]; ci >= 0 {
-			k.programSlot(core, t, slot, ci)
+	for slot := 0; slot < core.PMU.NumCounters(); slot++ {
+		if slot < len(t.counters) && !t.counters[slot].Closed && t.counters[slot].Kind != KindPerf {
+			k.programSlot(core, t, slot)
 		} else {
 			core.PMU.Configure(slot, pmu.CounterConfig{Enabled: false, OverflowBit: -1})
 		}
 	}
-	// Load whatever event groups fit the remaining slots, pricing the
-	// MSR traffic before the span opens so the new span starts with the
-	// groups already counting and the truth baseline marked at the same
-	// instant.
-	if len(t.groups) != 0 {
+	// Groups price their MSR traffic before the span opens, so the new
+	// span starts with them already counting and the truth baseline
+	// marked at the same instant.
+	if t.holdsGroups() {
 		k.groupsLoad(core, t)
+		k.groupMark(core, t)
 	}
 	t.spanStartAt = core.Now
-	k.groupMark(core, t)
 }
 
 // block removes the current thread from its core with the given state;

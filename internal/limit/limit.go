@@ -469,11 +469,11 @@ func MustFinalValue(t *kernel.Thread, idx int) uint64 {
 // A LiMiT counter is exact (virtual table word + saved remainder)
 // unless inheritance flagged it. A perf counter — including counters
 // the OpenPolicy fallback or degraded clone inheritance reopened
-// through the multiplexed path — is scaled by scheduled-time /
-// loaded-time exactly as Linux's time_enabled/time_running estimate,
-// and is flagged whenever it multiplexed or was opened by a degraded
-// path. Callers get a flagged estimate, never a silently wrong exact-
-// looking number.
+// through the multiplexed path — reads its group's estimate (scaled
+// by enabled / running time exactly as Linux's time_enabled/
+// time_running estimate), and is flagged whenever it multiplexed or
+// was opened by a degraded path. Callers get a flagged estimate, never
+// a silently wrong exact-looking number.
 func ThreadValue(t *kernel.Thread, idx int) (v uint64, estimated bool, err error) {
 	cs := t.Counters()
 	if idx < 0 || idx >= len(cs) {
@@ -485,18 +485,13 @@ func ThreadValue(t *kernel.Thread, idx int) (v uint64, estimated bool, err error
 		countRead(tc.Estimated)
 		return t.Proc.Mem.Read64(tc.TableAddr) + tc.Saved, tc.Estimated, nil
 	case kernel.KindPerf:
-		raw := tc.Acc + tc.Saved
-		est := tc.Estimated || tc.Multiplexed()
-		if tc.ActiveCycles == 0 {
-			countRead(est)
-			return 0, est, nil
+		est := tc.Estimated
+		if g := tc.Group(); g != nil {
+			v = g.Estimate(0)
+			est = est || g.Multiplexed()
 		}
-		if tc.ActiveCycles >= tc.WindowCycles {
-			countRead(est)
-			return raw, est, nil
-		}
-		countRead(true)
-		return pmu.Scale(raw, tc.WindowCycles, tc.ActiveCycles), true, nil
+		countRead(est)
+		return v, est, nil
 	default:
 		return 0, false, fmt.Errorf("limit: thread %d counter %d is %v", t.ID, idx, tc.Kind)
 	}

@@ -1,9 +1,10 @@
 // Package perfevent is the heavyweight baseline the paper compares
 // against: a perf_event-style counter interface in which every read is
-// a syscall. The kernel virtualizes the counter to 64 bits (a
-// kernel-side accumulator plus the live hardware count), so reads are
-// precise — but each one pays trap entry, handler, and trap exit,
-// landing around a microsecond versus LiMiT's tens of nanoseconds.
+// a syscall. The kernel virtualizes the counter to 64 bits as a
+// one-event group (drained hardware counts, scaled when the group was
+// multiplexed), so reads of a never-multiplexed counter are precise —
+// but each one pays trap entry, handler, and trap exit, landing around
+// a microsecond versus LiMiT's tens of nanoseconds.
 //
 // Like internal/limit, this package is a code emitter over isa.Builder
 // plus host-side helpers. Userspace keeps the returned fd in a
@@ -122,10 +123,9 @@ func EmitGroupRead(b *isa.Builder, gid, idx int, dst isa.Reg) {
 }
 
 // FinalValue returns the final 64-bit value of thread t's perf counter
-// fd after the thread has exited (counters are virtualized into the
-// kernel accumulator at the final deschedule). Over-subscribed
-// counters that were time-multiplexed return the Linux-style scaled
-// estimate raw × window/active.
+// fd after the thread has exited: its group's estimate, drained at the
+// final deschedule. A counter loaded for its whole life reads exact;
+// one that was time-multiplexed reads the Linux-style scaled estimate.
 func FinalValue(t *kernel.Thread, fd int) (uint64, error) {
 	cs := t.Counters()
 	if fd < 0 || fd >= len(cs) {
@@ -135,16 +135,10 @@ func FinalValue(t *kernel.Thread, fd int) (uint64, error) {
 	if tc.Kind != kernel.KindPerf {
 		return 0, fmt.Errorf("perfevent: thread %d counter %d is %v, not perf", t.ID, fd, tc.Kind)
 	}
-	raw := tc.Acc + tc.Saved
-	if tc.ActiveCycles == 0 {
-		return 0, nil
+	if g := tc.Group(); g != nil {
+		return g.Estimate(0), nil
 	}
-	if !tc.Multiplexed() {
-		return raw, nil
-	}
-	// 128-bit integer scaling: float64 drops low bits past 2^53 cycles,
-	// which long runs reach (see pmu.Scale's large-magnitude test).
-	return pmu.Scale(raw, tc.WindowCycles, tc.ActiveCycles), nil
+	return 0, nil // a closed clone placeholder never counted
 }
 
 // MustFinalValue is FinalValue but panics on error. It exists for

@@ -1,52 +1,21 @@
-// Package probe unifies the counter access methods behind one code-
-// emission interface so workloads can be instrumented identically with
-// each of them — the apples-to-apples structure behind the paper's
-// overhead and precision comparisons. A probe is bound to one event
-// and one program body; per-thread state (LiMiT virtual-counter slots,
-// perf fds, PAPI event sets) lives in a tls.Layout so that many threads
-// can share the body.
-//
-// Probes:
+// Package probe names the counter access methods a workload can be
+// instrumented with — the apples-to-apples axis behind the paper's
+// overhead and precision comparisons. The code each method emits lives
+// with the workloads that use it (internal/workloads); this package
+// holds only the shared vocabulary:
 //
 //	limit   — LiMiT userspace reads (the paper's contribution)
 //	perf    — one syscall per read (perf_event baseline)
 //	papi    — PAPI library over the syscall interface
 //	rdtsc   — raw cycle reads (cheap, but cycles only and unvirtualized)
 //	sample  — no reads; arms the overflow-driven sampling profiler
-//	null    — no instrumentation (the uninstrumented baseline)
+//	none    — no instrumentation (the uninstrumented baseline)
 package probe
 
-import (
-	"limitsim/internal/isa"
-	"limitsim/internal/limit"
-	"limitsim/internal/papi"
-	"limitsim/internal/perfevent"
-	"limitsim/internal/pmu"
-	"limitsim/internal/ref"
-	"limitsim/internal/sampling"
-	"limitsim/internal/tls"
-)
-
-// Probe emits instrumentation for one event. All Emit methods write
-// into the builder the probe was constructed around. EmitRead clobbers
-// R0..R3 in addition to dst.
-type Probe interface {
-	// Name identifies the access method in reports.
-	Name() string
-	// EmitProlog emits per-thread setup; call once at the body entry,
-	// after the TLS prolog.
-	EmitProlog(b *isa.Builder)
-	// EmitRead leaves the probe's current 64-bit event count in dst.
-	EmitRead(b *isa.Builder, dst isa.Reg)
-	// EmitEpilog emits trailing code (out-of-line blocks); call once
-	// after the body's final Halt.
-	EmitEpilog(b *isa.Builder)
-}
-
-// Kind names a probe family for construction by configuration.
+// Kind names an access method in configuration and reports.
 type Kind string
 
-// Probe kinds.
+// Access method kinds.
 const (
 	KindNull   Kind = "none"
 	KindLimit  Kind = "limit"
@@ -56,7 +25,7 @@ const (
 	KindSample Kind = "sample"
 )
 
-// AllKinds lists every probe kind in comparison order.
+// AllKinds lists every kind in comparison order.
 func AllKinds() []Kind {
 	return []Kind{KindNull, KindRdtsc, KindLimit, KindPerf, KindPAPI, KindSample}
 }
@@ -67,172 +36,3 @@ func AllKinds() []Kind {
 // path qualifies — syscall-per-read methods would perturb the regions
 // they measure (the paper's Figure 1 argument).
 func (k Kind) Profilable() bool { return k == KindLimit }
-
-// Config parameterizes probe construction.
-type Config struct {
-	Event pmu.Event
-	// Mode selects the LiMiT read-sequence shape (limit probes only).
-	Mode limit.Mode
-	// SamplePeriod is the sampling period (sample probes only).
-	SamplePeriod uint64
-}
-
-// New builds a probe of the given kind, reserving its per-thread state
-// in layout.
-func New(kind Kind, layout *tls.Layout, cfg Config) Probe {
-	switch kind {
-	case KindNull:
-		return Null{}
-	case KindRdtsc:
-		return Rdtsc{}
-	case KindLimit:
-		return &Limit{event: cfg.Event, mode: cfg.Mode, table: layout.Reserve(1)}
-	case KindPerf:
-		return &Perf{event: cfg.Event, fd: layout.Reserve(1)}
-	case KindPAPI:
-		return &PAPI{event: cfg.Event, state: layout.Reserve(papi.StateWords(1))}
-	case KindSample:
-		p := cfg.SamplePeriod
-		if p == 0 {
-			p = 100_000
-		}
-		return &Sample{event: cfg.Event, period: p}
-	}
-	panic("probe: unknown kind " + string(kind))
-}
-
-// Null is the uninstrumented baseline; reads produce zero.
-type Null struct{}
-
-// Name implements Probe.
-func (Null) Name() string { return string(KindNull) }
-
-// EmitProlog implements Probe.
-func (Null) EmitProlog(*isa.Builder) {}
-
-// EmitRead implements Probe.
-func (Null) EmitRead(b *isa.Builder, dst isa.Reg) { b.MovImm(dst, 0) }
-
-// EmitEpilog implements Probe.
-func (Null) EmitEpilog(*isa.Builder) {}
-
-// Rdtsc reads the core cycle counter directly: cheap, but it can only
-// observe cycles (no architectural events) and is not virtualized —
-// descheduled time leaks into measurements.
-type Rdtsc struct{}
-
-// Name implements Probe.
-func (Rdtsc) Name() string { return string(KindRdtsc) }
-
-// EmitProlog implements Probe.
-func (Rdtsc) EmitProlog(*isa.Builder) {}
-
-// EmitRead implements Probe.
-func (Rdtsc) EmitRead(b *isa.Builder, dst isa.Reg) { b.RdCycle(dst) }
-
-// EmitEpilog implements Probe.
-func (Rdtsc) EmitEpilog(*isa.Builder) {}
-
-// Limit is the LiMiT probe.
-type Limit struct {
-	event pmu.Event
-	mode  limit.Mode
-	table ref.Ref
-	e     *limit.Emitter
-	ctr   int
-}
-
-// Name implements Probe.
-func (p *Limit) Name() string { return string(KindLimit) }
-
-// Emitter exposes the underlying limit.Emitter (for tests and for
-// workloads that need interval reads).
-func (p *Limit) Emitter() *limit.Emitter { return p.e }
-
-// EmitProlog implements Probe.
-func (p *Limit) EmitProlog(b *isa.Builder) {
-	p.e = limit.NewEmitter(b, p.mode, p.table)
-	p.ctr = p.e.AddCounter(limit.UserCounter(p.event))
-	p.e.EmitInit()
-}
-
-// EmitRead implements Probe.
-func (p *Limit) EmitRead(b *isa.Builder, dst isa.Reg) {
-	p.e.EmitRead(dst, isa.R3, p.ctr)
-}
-
-// EmitEpilog implements Probe.
-func (p *Limit) EmitEpilog(*isa.Builder) { p.e.EmitFinish() }
-
-// Perf is the perf_event syscall probe.
-type Perf struct {
-	event pmu.Event
-	fd    ref.Ref
-}
-
-// Name implements Probe.
-func (p *Perf) Name() string { return string(KindPerf) }
-
-// EmitProlog implements Probe.
-func (p *Perf) EmitProlog(b *isa.Builder) {
-	perfevent.EmitOpen(b, perfevent.UserSpec(p.event), isa.R2)
-	p.fd.EmitStore(b, isa.R2, isa.R3)
-}
-
-// EmitRead implements Probe.
-func (p *Perf) EmitRead(b *isa.Builder, dst isa.Reg) {
-	p.fd.EmitLoad(b, isa.R0)
-	perfevent.EmitRead(b, isa.R0, dst)
-}
-
-// EmitEpilog implements Probe.
-func (p *Perf) EmitEpilog(*isa.Builder) {}
-
-// PAPI is the PAPI event-set probe (single-event set).
-type PAPI struct {
-	event pmu.Event
-	state ref.Ref
-	es    *papi.EventSet
-}
-
-// Name implements Probe.
-func (p *PAPI) Name() string { return string(KindPAPI) }
-
-// EmitProlog implements Probe.
-func (p *PAPI) EmitProlog(b *isa.Builder) {
-	p.es = papi.NewEventSet(p.state, p.event)
-	p.es.EmitStart(b)
-}
-
-// EmitRead implements Probe.
-func (p *PAPI) EmitRead(b *isa.Builder, dst isa.Reg) {
-	p.es.EmitReadInto(b, 0, dst)
-}
-
-// EmitEpilog implements Probe.
-func (p *PAPI) EmitEpilog(*isa.Builder) {}
-
-// Sample arms the overflow-driven sampling profiler; reads are no-ops
-// (sampling cannot answer "how many events so far" queries — the point
-// of the paper's precision comparison).
-type Sample struct {
-	event  pmu.Event
-	period uint64
-}
-
-// Name implements Probe.
-func (p *Sample) Name() string { return string(KindSample) }
-
-// Period returns the sampling period.
-func (p *Sample) Period() uint64 { return p.period }
-
-// EmitProlog implements Probe.
-func (p *Sample) EmitProlog(b *isa.Builder) {
-	sampling.EmitStart(b, p.event, p.period)
-}
-
-// EmitRead implements Probe.
-func (p *Sample) EmitRead(b *isa.Builder, dst isa.Reg) { b.MovImm(dst, 0) }
-
-// EmitEpilog implements Probe.
-func (p *Sample) EmitEpilog(*isa.Builder) {}

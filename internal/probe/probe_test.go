@@ -3,126 +3,61 @@ package probe_test
 import (
 	"testing"
 
-	"limitsim/internal/isa"
-	"limitsim/internal/kernel"
-	"limitsim/internal/limit"
 	"limitsim/internal/machine"
-	"limitsim/internal/mem"
-	"limitsim/internal/pmu"
 	"limitsim/internal/probe"
-	"limitsim/internal/tls"
+	"limitsim/internal/workloads"
 )
 
-// runProbe builds a single-thread program that reads the probe twice
-// around a 1000-instruction block and stores both values.
-func runProbe(t *testing.T, kind probe.Kind) (v1, v2 uint64, m *machine.Machine) {
+// runKind instruments a one-thread read loop of a single 1000-
+// instruction block with the given access method and returns the
+// block's measured cycle total, the thread's true user cycles, and the
+// machine it ran on.
+func runKind(t *testing.T, kind probe.Kind) (total, truth uint64, m *machine.Machine) {
 	t.Helper()
-	var layout tls.Layout
-	p := probe.New(kind, &layout, probe.Config{
-		Event: pmu.EvInstructions, Mode: limit.ModeStock, SamplePeriod: 500,
-	})
-	out := layout.Reserve(2)
-	space := mem.NewSpace()
-	layout.Alloc(space, 1)
-
-	b := isa.NewBuilder()
-	layout.EmitProlog(b)
-	p.EmitProlog(b)
-	p.EmitRead(b, isa.R4)
-	out.EmitStore(b, isa.R4, isa.R5)
-	b.Compute(1_000)
-	p.EmitRead(b, isa.R4)
-	out.Word(1).EmitStore(b, isa.R4, isa.R5)
-	b.Halt()
-	p.EmitEpilog(b)
-
-	m = machine.New(machine.Config{NumCores: 1})
-	proc := m.Kern.NewProcess(b.MustBuild(), space)
-	th := m.Kern.Spawn(proc, "w", 0, 1)
-	th.SetReg(tls.SlotReg, 0)
-	res := m.Run(machine.RunLimits{MaxSteps: 10_000_000})
+	cfg := workloads.DefaultReadLoop()
+	cfg.Iters = 1
+	app := workloads.BuildReadLoop(cfg, workloads.Instrumentation{Kind: kind, SamplePeriod: 500})
+	m, res, threads := app.Run(machine.Config{NumCores: 1}, machine.RunLimits{MaxSteps: 10_000_000})
 	if len(res.Faults) > 0 || !res.AllDone {
 		t.Fatalf("%s: %v", kind, res)
 	}
-	base := layout.ThreadBase(0)
-	return space.Read64(out.Resolve(base)), space.Read64(out.Word(1).Resolve(base)), m
+	total = app.Space.Read64(app.Bodies[0].TotalCycles.Resolve(app.ThreadBase(app.Plans[0])))
+	return total, threads[0].Stats.UserCycles, m
 }
 
 func TestActiveProbesMeasureTheBlock(t *testing.T) {
 	for _, kind := range []probe.Kind{probe.KindLimit, probe.KindPerf, probe.KindPAPI} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			v1, v2, _ := runProbe(t, kind)
-			delta := v2 - v1
-			// 1000 compute instructions plus a few instrumentation
-			// instructions (PAPI adds its bookkeeping work too).
-			if delta < 1_000 || delta > 1_900 {
-				t.Errorf("delta %d, want ~1000 (+instrumentation)", delta)
+			total, truth, _ := runKind(t, kind)
+			// 1000 one-cycle compute instructions plus the loop's own
+			// read and bookkeeping (PAPI adds its bookkeeping work too);
+			// a user-ring count never exceeds the thread's user cycles.
+			if total < 1_000 || total > 1_900 {
+				t.Errorf("measured %d cycles, want ~1000 (+instrumentation)", total)
+			}
+			if total > truth {
+				t.Errorf("measured %d cycles, more than the thread's true %d", total, truth)
 			}
 		})
 	}
 }
 
 func TestRdtscMeasuresCycles(t *testing.T) {
-	v1, v2, _ := runProbe(t, probe.KindRdtsc)
-	if v2-v1 < 1_000 {
-		t.Errorf("rdtsc delta %d, want >= 1000 cycles", v2-v1)
+	total, _, _ := runKind(t, probe.KindRdtsc)
+	if total < 1_000 {
+		t.Errorf("rdtsc measured %d, want >= 1000 cycles", total)
 	}
 }
 
 func TestPassiveProbesReadZero(t *testing.T) {
 	for _, kind := range []probe.Kind{probe.KindNull, probe.KindSample} {
-		v1, v2, m := runProbe(t, kind)
-		if v1 != 0 || v2 != 0 {
-			t.Errorf("%s reads (%d,%d), want zeros", kind, v1, v2)
+		total, _, m := runKind(t, kind)
+		if total != 0 {
+			t.Errorf("%s recorded %d cycles, want 0", kind, total)
 		}
 		if kind == probe.KindSample && len(m.Kern.Samples()) == 0 {
-			t.Error("sample probe should have armed the profiler")
+			t.Error("sample kind should have armed the profiler")
 		}
 	}
 }
-
-func TestProbeNames(t *testing.T) {
-	var layout tls.Layout
-	for _, kind := range probe.AllKinds() {
-		p := probe.New(kind, &layout, probe.Config{Event: pmu.EvCycles})
-		if p.Name() != string(kind) {
-			t.Errorf("probe %s names itself %q", kind, p.Name())
-		}
-	}
-}
-
-func TestUnknownKindPanics(t *testing.T) {
-	var layout tls.Layout
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown kind should panic")
-		}
-	}()
-	probe.New(probe.Kind("bogus"), &layout, probe.Config{})
-}
-
-func TestSampleProbeDefaultPeriod(t *testing.T) {
-	var layout tls.Layout
-	p := probe.New(probe.KindSample, &layout, probe.Config{Event: pmu.EvCycles})
-	if s, ok := p.(*probe.Sample); !ok || s.Period() == 0 {
-		t.Error("sample probe must default its period")
-	}
-}
-
-func TestLimitProbeExposesEmitter(t *testing.T) {
-	var layout tls.Layout
-	p := probe.New(probe.KindLimit, &layout, probe.Config{Event: pmu.EvCycles}).(*probe.Limit)
-	b := isa.NewBuilder()
-	p.EmitProlog(b)
-	if p.Emitter() == nil {
-		t.Fatal("emitter not exposed after prolog")
-	}
-	b.Halt()
-	p.EmitEpilog(b)
-	if _, err := b.Build(); err != nil {
-		t.Fatalf("probe-emitted program does not assemble: %v", err)
-	}
-}
-
-var _ = kernel.SysYield // keep kernel import for documentation symmetry

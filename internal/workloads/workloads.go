@@ -231,14 +231,12 @@ func (a *App) ThreadBase(plan ThreadPlan) uint64 {
 // reader emits measurement reads for one program body under the
 // configured access method.
 type reader struct {
-	ins    Instrumentation
-	le     *limit.Emitter // limit kind
-	ctrU   int
-	ctrUK  int
-	p      probe.Probe // other active kinds
-	fdRef  ref.Ref     // perf
-	es     *papi.EventSet
-	sample bool
+	ins   Instrumentation
+	le    *limit.Emitter // limit kind
+	ctrU  int
+	ctrUK int
+	fdRef ref.Ref // perf
+	es    *papi.EventSet
 
 	// prof is the region-attribution instrumenter (Profile mode only).
 	prof *profile.Instrumenter
@@ -324,8 +322,6 @@ func newReader(b *isa.Builder, layout *tls.Layout, space *mem.Space, ins Instrum
 			pspec = perfevent.AllRingsSpec(pmu.EvCycles)
 		}
 		r.es = papi.NewEventSetSpecs(layout.Reserve(papi.StateWords(1)), pspec)
-	case probe.KindSample:
-		r.sample = true
 	}
 	return r
 }

@@ -131,14 +131,30 @@ func TestFirefoxRunsWithTinyCriticalSections(t *testing.T) {
 	}
 }
 
+// TestReadLoopAllKinds drives every access method through the read
+// loop: each active kind measures the loop as a nonzero total of user
+// cycles no larger than the thread's true user cycles; the passive
+// kinds record nothing, and sample arms the profiler instead.
 func TestReadLoopAllKinds(t *testing.T) {
 	for _, kind := range probe.AllKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultReadLoop()
 			cfg.Iters = 2_000
-			app := BuildReadLoop(cfg, Instrumentation{Kind: kind, SamplePeriod: 50_000})
+			ins := Instrumentation{Kind: kind, SamplePeriod: 50_000}
+			app := BuildReadLoop(cfg, ins)
 			m, _ := runApp(t, app, 1)
+			total := app.Space.Read64(app.Bodies[0].TotalCycles.Resolve(app.ThreadBase(app.Plans[0])))
+			truth := m.Kern.Threads()[0].Stats.UserCycles
+			if ins.Active() {
+				// The loop is all but the whole thread: the prolog, the
+				// reads' own bookkeeping and the exit are all it leaves out.
+				if total == 0 || total > truth || total < truth-truth/1000 {
+					t.Errorf("measured %d cycles, want nonzero and within 0.1%% below the true %d", total, truth)
+				}
+			} else if total != 0 {
+				t.Errorf("passive kind recorded %d cycles, want 0", total)
+			}
 			if kind == probe.KindSample && len(m.Kern.Samples()) == 0 {
 				t.Error("sampling produced no samples")
 			}
