@@ -95,16 +95,6 @@ func RunTable1(s Scale) (*T1Result, error) {
 	return r, nil
 }
 
-// LimitNs returns LiMiT's measured per-read nanoseconds.
-func (r *T1Result) LimitNs() float64 {
-	for _, row := range r.Rows {
-		if row.Method == string(probe.KindLimit) {
-			return row.NsRead
-		}
-	}
-	return 0
-}
-
 // Row returns the named method's row.
 func (r *T1Result) Row(method string) (T1Row, bool) {
 	for _, row := range r.Rows {

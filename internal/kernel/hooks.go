@@ -122,20 +122,10 @@ type Probes struct {
 }
 
 // SetChaos attaches a fault-injection hook set (nil detaches).
-func (k *Kernel) SetChaos(c *Chaos) {
-	k.chaos = c
-	k.refreshSlowStep()
-}
+func (k *Kernel) SetChaos(c *Chaos) { k.chaos = c }
 
 // SetProbes attaches an observation hook set (nil detaches).
-func (k *Kernel) SetProbes(p *Probes) {
-	k.probes = p
-	k.refreshSlowStep()
-}
-
-func (k *Kernel) refreshSlowStep() {
-	k.slowStep = k.chaos != nil || k.probes != nil || k.ts != nil
-}
+func (k *Kernel) SetProbes(p *Probes) { k.probes = p }
 
 // chaosPreempt asks the injector whether to force-preempt the current
 // thread on coreID and performs the preemption if so. Unlike the timer

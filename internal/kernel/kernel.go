@@ -137,15 +137,16 @@ const (
 	SignalUser
 )
 
+// ctxSwitchPollutionLines is how many cache lines of kernel data a
+// context switch drags through the core's caches.
+const ctxSwitchPollutionLines = 32
+
 // Config tunes the kernel.
 type Config struct {
 	// Quantum is the scheduler time slice in cycles.
 	Quantum uint64
 	// Costs prices kernel operations.
 	Costs Costs
-	// CtxSwitchPollutionLines is how many cache lines of kernel data a
-	// context switch drags through the core's caches.
-	CtxSwitchPollutionLines int
 	// MigrateOnWake places woken threads on the least-loaded core
 	// instead of their home core, producing cross-core migrations.
 	MigrateOnWake bool
@@ -186,10 +187,6 @@ type Config struct {
 	// (0: unbounded). Caps below the core count force cross-core vCPU
 	// migration under load.
 	VCPUs int
-	// UncoreEvent selects which event the socket-level attribution
-	// policy divides among tenants (default EvLLCMiss — the canonical
-	// shared-resource event).
-	UncoreEvent pmu.Event
 }
 
 // DefaultConfig returns a configuration resembling a 2011 Linux desktop:
@@ -198,13 +195,12 @@ type Config struct {
 // heavily, as the paper's multi-threaded workloads do.
 func DefaultConfig() Config {
 	return Config{
-		Quantum:                 300_000,
-		Costs:                   DefaultCosts(),
-		CtxSwitchPollutionLines: 32,
-		MigrateOnWake:           true,
-		WorkStealing:            true,
-		LimitOverflow:           FoldInKernel,
-		Seed:                    1,
+		Quantum:       300_000,
+		Costs:         DefaultCosts(),
+		MigrateOnWake: true,
+		WorkStealing:  true,
+		LimitOverflow: FoldInKernel,
+		Seed:          1,
 	}
 }
 
@@ -530,24 +526,6 @@ type Kernel struct {
 	chaos  *Chaos
 	probes *Probes
 
-	// slowStep caches chaos != nil || probes != nil || ts != nil — the
-	// "something observes every instruction boundary" condition that
-	// forces RunCore to single-step. Maintained by the three writers
-	// (SetChaos, SetProbes, New's tenant setup) so the burst fast path
-	// tests one bool instead of three pointers.
-	slowStep bool
-
-	// Burst resume cache: a clean RunCore burst runs no kernel code
-	// anywhere, so the entry-block derivation for a core — current
-	// thread, quantum end, run-queue occupancy, group flag — stays
-	// exact across other cores' clean bursts, and RunCore can reuse
-	// it when the machine re-picks the core. An entry is live while
-	// its gen matches burstGen; every kernel mutation path (StepCore,
-	// postStep, sleeper wakes, Spawn, PostSignal) bumps burstGen,
-	// invalidating all entries at once.
-	burst    []burstEntry
-	burstGen uint64
-
 	// metrics, when non-nil, is the kernel's self-measurement surface
 	// (metrics.go). pmiRaiseAt holds per-core, per-slot raise marks for
 	// the PMI latency histogram; both are nil while detached.
@@ -595,17 +573,9 @@ func New(cfg Config, cores []*cpu.Core) *Kernel {
 		rng:          cfg.Seed ^ 0x8c0ffee0,
 		slots:        pmu.NewLedger(cfg.VirtSlotCapacity),
 		tableWords:   pmu.NewLedger(0),
-		burst:        make([]burstEntry, len(cores)),
-		burstGen:     1,
 	}
 	if cfg.Tenants > 1 {
-		// The zero UncoreEvent (EvCycles) means "default": attribute the
-		// canonical shared-resource event.
-		if k.cfg.UncoreEvent == pmu.EvCycles {
-			k.cfg.UncoreEvent = pmu.EvLLCMiss
-		}
 		k.ts = newTenantSched(k.cfg, len(cores))
-		k.slowStep = true
 	}
 	return k
 }
@@ -639,7 +609,6 @@ func (k *Kernel) NewProcess(prog *isa.Program, space *mem.Space) *Process {
 // loaded core. Initial register values may be supplied via regs (pairs
 // applied in order).
 func (k *Kernel) Spawn(proc *Process, name string, entry int, seed uint64) *Thread {
-	k.burstGen++
 	t := &Thread{
 		ID:         len(k.threads) + 1,
 		Name:       name,
@@ -667,9 +636,6 @@ func (t *Thread) SetReg(r isa.Reg, v uint64) { t.Ctx.Regs[r] = v }
 
 // Threads returns all threads ever spawned.
 func (k *Kernel) Threads() []*Thread { return k.threads }
-
-// Processes returns all processes.
-func (k *Kernel) Processes() []*Process { return k.procs }
 
 // Samples returns the sampling profiler's capture buffer.
 func (k *Kernel) Samples() []Sample { return k.samples }

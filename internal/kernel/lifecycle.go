@@ -301,7 +301,4 @@ func (k *Kernel) Resources() Resources {
 // boundary through the normal path (fixup applied before the frame is
 // saved). Tests use it to land deliveries inside read-critical
 // regions.
-func (k *Kernel) PostSignal(t *Thread, num int, arg uint64) {
-	k.burstGen++
-	k.post(t, num, arg)
-}
+func (k *Kernel) PostSignal(t *Thread, num int, arg uint64) { k.post(t, num, arg) }

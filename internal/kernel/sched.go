@@ -6,16 +6,6 @@ import (
 	"limitsim/internal/trace"
 )
 
-// burstEntry is one core's RunCore resume cache slot (see the burst
-// fields on Kernel).
-type burstEntry struct {
-	gen    uint64
-	t      *Thread
-	qEnd   uint64
-	others bool
-	groups bool
-}
-
 // StepStatus reports what a StepCore call accomplished.
 type StepStatus uint8
 
@@ -70,7 +60,6 @@ func (k *Kernel) WakeSleepersUpTo(cycle uint64) bool {
 }
 
 func (k *Kernel) wakeSleepers(cycle uint64) (woke bool) {
-	k.burstGen++
 	kept := k.sleepers[:0]
 	min := ^uint64(0)
 	for _, t := range k.sleepers {
@@ -110,7 +99,6 @@ func (k *Kernel) enqueue(t *Thread) {
 // needed) and handles any resulting trap, interrupt, or signal. It is
 // the kernel's single entry point for the machine loop.
 func (k *Kernel) StepCore(coreID int) StepStatus {
-	k.burstGen++
 	core := k.cores[coreID]
 
 	// Tenant timer first: an expired vCPU quantum preempts the whole
@@ -153,7 +141,6 @@ func (k *Kernel) StepCore(coreID int) StepStatus {
 // and signal delivery. StepCore and the burst loop in RunCore share it
 // so the boundary behaves identically on both paths.
 func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.StepResult, mask uint64) {
-	k.burstGen++
 	core := k.cores[coreID]
 
 	// Overflow interrupts land at the instruction boundary, before any
@@ -221,74 +208,48 @@ func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.Ste
 // boundary event fires, the running core's state is invisible to other
 // cores, so the global pick would keep choosing it until its clock
 // passes the horizon the machine computed.
-// The clean result reports that the burst ended purely on the horizon
-// or step budget: no kernel code ran, so no state outside this core —
-// other cores' queues, sleepers, thread lifetimes — can have changed,
-// and the caller may keep its cached view of them. now returns the
-// core's clock after the burst, saving the caller the re-read.
+// The clean result reports that no kernel code ran during the burst,
+// so no state outside this core — other cores' queues, sleepers,
+// thread lifetimes — can have changed, and the caller may keep its
+// cached view of them. now returns the core's clock after the burst,
+// saving the caller the re-read.
 func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, now uint64, clean bool) {
 	if maxSteps == 0 {
 		maxSteps = ^uint64(0)
 	}
+	core := k.cores[coreID]
+	t := k.cur[coreID]
 	// Chaos, tenant scheduling, and probes observe or perturb every
-	// instruction boundary, possibly across cores: single-step.
-	if k.slowStep {
+	// instruction boundary, and scheduling (preemption, work stealing,
+	// wake migration) consults and mutates other cores' queues, both
+	// possibly across cores: take one full StepCore, then hand back for
+	// a global re-pick.
+	if k.chaos != nil || k.probes != nil || k.ts != nil ||
+		t == nil || (core.Now >= k.quantumEnd[coreID] && len(k.runq[coreID]) > 0) {
 		if k.StepCore(coreID) == StepIdle {
 			return 0, 0, false
 		}
-		return 1, k.cores[coreID].Now, false
-	}
-
-	core := k.cores[coreID]
-	bc := &k.burst[coreID]
-	var t *Thread
-	var hasGroups, hasSignals, othersWaiting bool
-	var qEnd uint64
-	if bc.gen == k.burstGen {
-		// Resume: the previous burst on this core ended clean and no
-		// kernel code has run anywhere since, so its hoisted entry
-		// state is still exact (and its signal queue was necessarily
-		// empty at the clean exit — a pending signal ends a burst).
-		t = bc.t
-		hasGroups, othersWaiting, qEnd = bc.groups, bc.others, bc.qEnd
-		if othersWaiting && core.Now >= qEnd {
-			if k.StepCore(coreID) == StepIdle {
-				return 0, 0, false
-			}
-			return 1, core.Now, false
-		}
-	} else {
-		t = k.cur[coreID]
-		if t == nil || (core.Now >= k.quantumEnd[coreID] && len(k.runq[coreID]) > 0) {
-			// Scheduling (preemption, work stealing, wake migration)
-			// consults and mutates other cores' queues: take one full
-			// StepCore, then hand back for a global re-pick.
-			if k.StepCore(coreID) == StepIdle {
-				return 0, 0, false
-			}
-			return 1, core.Now, false
-		}
-		hasGroups = len(t.groups) != 0
-		hasSignals = len(t.pending) > 0
-		othersWaiting = len(k.runq[coreID]) > 0
-		qEnd = k.quantumEnd[coreID]
+		return 1, core.Now, false
 	}
 	// Loop invariants: nothing in the tight loop runs kernel code, and
 	// no other core runs during the burst, so the current thread, its
 	// signal queue, this core's run-queue length, and the quantum end
-	// cannot change until postStep or StepCore — both of which end the
-	// burst. Hoisting their loads out of the loop is therefore exact.
+	// cannot change until postStep — which ends the burst. Hoisting
+	// their loads out of the loop is therefore exact.
+	hasGroups := len(t.groups) != 0
+	hasSignals := len(t.pending) > 0
 	var res cpu.StepResult
 	// The loop's stop line folds the horizon and (when other threads
-	// wait) the quantum end into one compare; the exit path then sorts
-	// out which fired, horizon first, exactly as separate per-step
-	// checks would.
+	// wait) the quantum end into one compare. A stop on the quantum end
+	// is clean: the core's clock is still below the horizon, so it wins
+	// the next pick and the entry check above preempts it, exactly as
+	// the next single-step iteration would have.
 	stop := horizon
-	if othersWaiting && qEnd < stop {
-		stop = qEnd
+	if len(k.runq[coreID]) > 0 && k.quantumEnd[coreID] < stop {
+		stop = k.quantumEnd[coreID]
 	}
 	// Per-thread stats accumulate in locals and flush on every exit
-	// path, always before postStep or StepCore can observe them.
+	// path, always before postStep can observe them.
 	var ui, uc uint64
 	for {
 		if hasGroups {
@@ -313,25 +274,7 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 			core.Retired += ui
 			t.Stats.UserInstructions += ui
 			t.Stats.UserCycles += uc
-			if steps >= maxSteps || core.Now >= horizon {
-				// Field-at-a-time refresh: the conditional keeps the
-				// pointer store (and its write barrier) off the common
-				// path where the same thread keeps running.
-				bc.gen = k.burstGen
-				if bc.t != t {
-					bc.t = t
-				}
-				bc.qEnd = qEnd
-				bc.others = othersWaiting
-				bc.groups = hasGroups
-				return steps, core.Now, true
-			}
-			// Quantum expired mid-burst: preempt via a full StepCore,
-			// exactly as the next single-step iteration would have.
-			if k.StepCore(coreID) == StepIdle {
-				return steps, 0, false
-			}
-			return steps + 1, core.Now, false
+			return steps, core.Now, true
 		}
 	}
 }
@@ -475,10 +418,8 @@ func (k *Kernel) switchTo(coreID int, next *Thread) {
 	c := k.cfg.Costs
 	start := core.Now
 	core.KernelWork(c.CtxSwitchBase)
-	if n := k.cfg.CtxSwitchPollutionLines; n > 0 {
-		k.kernDataBase += 64 // touch a sliding kernel region
-		core.KernelCachePollution(k.kernDataBase, n)
-	}
+	k.kernDataBase += 64 // touch a sliding kernel region
+	core.KernelCachePollution(k.kernDataBase, ctxSwitchPollutionLines)
 	if next.HomeCore != coreID {
 		next.Stats.Migrations++
 		k.Stats.Migrations++

@@ -41,6 +41,10 @@ import (
 // ground truth gives the *true* per-tenant split, which the harness
 // reports as the policy's measured attribution error.
 
+// uncoreEvent is the event the uncore attribution policy divides among
+// tenants: LLC misses, the canonical shared-resource event.
+const uncoreEvent = pmu.EvLLCMiss
+
 // TenantLedger is one tenant's attribution record.
 type TenantLedger struct {
 	// Instructions is the tenant's true user-ring retired-instruction
@@ -74,10 +78,9 @@ type tenantSnap struct {
 // tenantSched is the guest-scheduler state (nil when Config.Tenants
 // <= 1, costing existing paths nothing).
 type tenantSched struct {
-	n        int
-	quantum  uint64
-	vcpus    int // per-tenant residency cap (0: unbounded)
-	uncoreEv pmu.Event
+	n       int
+	quantum uint64
+	vcpus   int // per-tenant residency cap (0: unbounded)
 
 	resident   []int        // per core: resident tenant (-1 none)
 	quantumEnd []uint64     // per core: tenant-quantum deadline
@@ -93,7 +96,6 @@ func newTenantSched(cfg Config, nCores int) *tenantSched {
 		n:          cfg.Tenants,
 		quantum:    cfg.TenantQuantum,
 		vcpus:      cfg.VCPUs,
-		uncoreEv:   cfg.UncoreEvent,
 		resident:   make([]int, nCores),
 		quantumEnd: make([]uint64, nCores),
 		base:       make([]tenantSnap, nCores),
@@ -128,7 +130,7 @@ func (ts *tenantSched) snap(k *Kernel, coreID int) tenantSnap {
 	return tenantSnap{
 		instr:  p.GroundTruth(pmu.EvInstructions, pmu.RingUser),
 		cycles: p.GroundTruthTotal(pmu.EvCycles),
-		uncore: p.GroundTruthTotal(ts.uncoreEv),
+		uncore: p.GroundTruthTotal(uncoreEvent),
 	}
 }
 
@@ -418,11 +420,11 @@ func (k *Kernel) UncoreTotal() uint64 {
 // "hardware" reading the policy must divide).
 func (k *Kernel) uncoreTotal() uint64 {
 	if u := k.cores[0].PMU.Uncore(); u != nil {
-		return u.Value(k.ts.uncoreEv)
+		return u.Value(uncoreEvent)
 	}
 	var sum uint64
 	for _, c := range k.cores {
-		sum += c.PMU.GroundTruthTotal(k.ts.uncoreEv)
+		sum += c.PMU.GroundTruthTotal(uncoreEvent)
 	}
 	return sum
 }

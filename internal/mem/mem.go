@@ -9,12 +9,12 @@
 //
 // Pages are stored as arrays of 64-bit little-endian words — the only
 // access granularity the ISA has — so Read64/Write64 are single
-// indexed loads/stores rather than byte loops. A one-entry last-page
-// cache on each of the read and write paths removes the page-map
-// lookup from hit-dominated access streams, and dirty-page tracking
-// makes Snapshot/Restore cost proportional to the pages actually
-// touched between runs rather than to total guest memory (the
-// copy-on-write contract the runner's worker pools rely on).
+// indexed loads/stores rather than byte loops. A small direct-mapped
+// page cache in front of the page map serves every accessor, and
+// dirty-page tracking makes Snapshot/Restore cost proportional to the
+// pages actually touched between runs rather than to total guest
+// memory (the copy-on-write contract the runner's worker pools rely
+// on).
 package mem
 
 import "fmt"
@@ -47,10 +47,10 @@ type Space struct {
 	brk   uint64 // next allocation address
 
 	// gen is the snapshot generation, bumped by Snapshot and Restore.
-	// It validates the hot-page caches and the per-page dirty marks:
-	// nothing is swept on a generation change, stale state simply stops
-	// comparing equal. Starts at 1 so a fresh page's zero mark is never
-	// "already dirty".
+	// It validates outstanding page handles and the per-page dirty
+	// marks: nothing is swept on a generation change, stale state simply
+	// stops comparing equal. Starts at 1 so a fresh page's zero mark is
+	// never "already dirty".
 	gen uint64
 	// active is the snapshot incremental Restore rewinds to; dirty and
 	// created record the page bases written to / materialized since it
@@ -59,21 +59,14 @@ type Space struct {
 	dirty   []uint64
 	created []uint64
 
-	// One-entry last-page caches. The read cache is valid until a
-	// Restore (which may delete pages); the write cache is valid only
-	// within the generation whose dirty barrier it passed.
-	rBase uint64
-	rPage *page
-	wBase uint64
-	wPage *page
-	wGen  uint64
-
-	// pcache is a small direct-mapped page-pointer cache serving
-	// ReadPage/WritePage — the CPU cores' translation-hint refill path.
-	// Several cores share one Space (threads of a process), so their
-	// interleaved refills thrash a single entry; a few indexed slots
-	// keep them off the page map. Entries hold base+1 (zero = invalid)
-	// and are cleared whenever pages may be deleted (adoptBaseline).
+	// pcache is a small direct-mapped page-pointer cache in front of
+	// the page map, serving every accessor (ReadPage/WritePage, and
+	// through them the word accessors and the CPU cores'
+	// translation-hint refills). Several cores share one Space (threads
+	// of a process), so their interleaved accesses would thrash a
+	// single entry; a few indexed slots keep them off the page map.
+	// Entries hold base+1 (zero = invalid) and are cleared whenever
+	// pages may be deleted (adoptBaseline).
 	pcache [pcacheSize]pcacheEntry
 }
 
@@ -108,17 +101,14 @@ func (s *Space) pageFor(base uint64) *page {
 	return p
 }
 
-// pageForWrite is pageFor plus the dirty barrier: the first write to a
-// page in each snapshot generation records it for incremental Restore.
-func (s *Space) pageForWrite(base uint64) *page {
-	p := s.pageFor(base)
-	if p.mark != s.gen {
-		p.mark = s.gen
-		if s.active != nil {
-			s.dirty = append(s.dirty, base)
-		}
+// cachedPage resolves the page based at base through pcache.
+func (s *Space) cachedPage(base uint64) *page {
+	e := &s.pcache[(base/PageSize)&(pcacheSize-1)]
+	if e.base != base+1 {
+		e.p = s.pageFor(base)
+		e.base = base + 1
 	}
-	return p
+	return e.p
 }
 
 // Alloc reserves size bytes aligned to 8 and returns the base address.
@@ -141,44 +131,24 @@ func (s *Space) Brk() uint64 { return s.brk }
 // generated, so this is a bug trap rather than a runtime condition).
 func (s *Space) Read64(addr uint64) uint64 {
 	CheckAligned(addr)
-	base := addr &^ uint64(PageSize-1)
-	p := s.rPage
-	if p == nil || s.rBase != base {
-		p = s.pageFor(base)
-		s.rPage, s.rBase = p, base
-	}
-	return p.words[(addr&(PageSize-1))>>3]
+	return s.ReadPage(addr)[(addr&(PageSize-1))>>3]
 }
 
 // Write64 stores the 8-byte little-endian word v at addr (8-byte
 // aligned).
 func (s *Space) Write64(addr, v uint64) {
 	CheckAligned(addr)
-	p := s.writePage(addr)
-	p.words[(addr&(PageSize-1))>>3] = v
-}
-
-// writePage resolves addr's page through the write-path cache; on a
-// hit the dirty barrier has already run this generation.
-func (s *Space) writePage(addr uint64) *page {
-	base := addr &^ uint64(PageSize-1)
-	if s.wGen == s.gen && s.wBase == base && s.wPage != nil {
-		return s.wPage
-	}
-	p := s.pageForWrite(base)
-	s.wPage, s.wBase, s.wGen = p, base, s.gen
-	return p
+	s.WritePage(addr)[(addr&(PageSize-1))>>3] = v
 }
 
 // Add64 adds delta to the word at addr and returns the new value. The
 // page is resolved once for the read-modify-write.
 func (s *Space) Add64(addr, delta uint64) uint64 {
 	CheckAligned(addr)
-	p := s.writePage(addr)
+	w := s.WritePage(addr)
 	i := (addr & (PageSize - 1)) >> 3
-	v := p.words[i] + delta
-	p.words[i] = v
-	return v
+	w[i] += delta
+	return w[i]
 }
 
 // ReadWords reads n consecutive 8-byte words starting at addr,
@@ -187,13 +157,12 @@ func (s *Space) ReadWords(addr uint64, n int) []uint64 {
 	CheckAligned(addr)
 	out := make([]uint64, n)
 	for i := 0; i < n; {
-		base := addr &^ uint64(PageSize-1)
 		off := int((addr & (PageSize - 1)) >> 3)
 		take := PageWords - off
 		if rem := n - i; take > rem {
 			take = rem
 		}
-		copy(out[i:i+take], s.pageFor(base).words[off:off+take])
+		copy(out[i:i+take], s.ReadPage(addr)[off:off+take])
 		i += take
 		addr += uint64(take) * 8
 	}
@@ -205,13 +174,12 @@ func (s *Space) ReadWords(addr uint64, n int) []uint64 {
 func (s *Space) WriteWords(addr uint64, words []uint64) {
 	CheckAligned(addr)
 	for i := 0; i < len(words); {
-		base := addr &^ uint64(PageSize-1)
 		off := int((addr & (PageSize - 1)) >> 3)
 		take := PageWords - off
 		if rem := len(words) - i; take > rem {
 			take = rem
 		}
-		copy(s.pageForWrite(base).words[off:off+take], words[i:i+take])
+		copy(s.WritePage(addr)[off:off+take], words[i:i+take])
 		i += take
 		addr += uint64(take) * 8
 	}
@@ -232,28 +200,19 @@ func (s *Space) Gen() uint64 { return s.gen }
 // core's per-core translation hint to keep hit-dominated access
 // streams off the page map entirely.
 func (s *Space) ReadPage(addr uint64) *PageData {
-	base := addr &^ uint64(PageSize-1)
-	e := &s.pcache[(base/PageSize)&(pcacheSize-1)]
-	if e.base != base+1 {
-		e.p = s.pageFor(base)
-		e.base = base + 1
-	}
-	return &e.p.words
+	return &s.cachedPage(addr &^ uint64(PageSize-1)).words
 }
 
 // WritePage is ReadPage for writable use: the page's dirty barrier
 // runs now, covering every direct store to the returned array for the
 // current generation. The pointer must be dropped when Gen changes.
+// Every write path goes through here, so this is the only barrier: the
+// first write to a page in each snapshot generation records it for
+// incremental Restore. The page cache only short-circuits the page-map
+// lookup, never the barrier.
 func (s *Space) WritePage(addr uint64) *PageData {
 	base := addr &^ uint64(PageSize-1)
-	e := &s.pcache[(base/PageSize)&(pcacheSize-1)]
-	if e.base != base+1 {
-		e.p = s.pageFor(base)
-		e.base = base + 1
-	}
-	p := e.p
-	// Dirty barrier, exactly as pageForWrite runs it: the cache only
-	// short-circuits the page-map lookup, never the barrier.
+	p := s.cachedPage(base)
 	if p.mark != s.gen {
 		p.mark = s.gen
 		if s.active != nil {
@@ -297,8 +256,6 @@ func (s *Space) adoptBaseline(snap *Snapshot) {
 	s.active = snap
 	s.dirty = s.dirty[:0]
 	s.created = s.created[:0]
-	s.rPage = nil
-	s.wPage = nil
 	s.pcache = [pcacheSize]pcacheEntry{}
 }
 

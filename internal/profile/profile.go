@@ -416,6 +416,3 @@ func (ins *Instrumenter) Region(name string, kind RegionKind, body func()) {
 	body()
 	ins.Exit()
 }
-
-// NumRegions returns how many regions have been defined.
-func (ins *Instrumenter) NumRegions() int { return len(ins.regions) }

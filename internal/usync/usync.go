@@ -155,11 +155,6 @@ func NewLockArray(space *mem.Space, n, spins int) LockArray {
 	return LockArray{Base: base, N: n, Spins: spins}
 }
 
-// WordRef returns a reference to lock i's word (static index).
-func (a LockArray) WordRef(i int) ref.Ref {
-	return ref.Absolute(a.Base + uint64(i)*LineBytes)
-}
-
 // EmitComputeAddr emits addrDst = Base + idx*LineBytes for a dynamic
 // index in idx. Clobbers scratch; addrDst and scratch must be outside
 // R0..R3 so the address survives EmitLock.
