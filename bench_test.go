@@ -262,7 +262,7 @@ func benchTelemetry(b *testing.B, withMetrics bool) {
 		app := workloads.BuildForkJoin(workloads.DefaultForkJoin(), workloads.LimitInstr())
 		m := machine.New(machine.Config{NumCores: 4})
 		if withMetrics {
-			m.Kern.SetMetrics(kernel.NewMetrics(telemetry.NewRegistry()))
+			m.Kern.SetMetrics(kernel.NewMetrics(telemetry.NewRegistry(), 0))
 		}
 		app.Launch(m)
 		if res := m.Run(machine.RunLimits{}); res.Err != nil {

@@ -77,45 +77,10 @@ func parseBundle(s string) ([]profile.BundleEvent, error) {
 	return out, nil
 }
 
-// buildWorkload constructs the named workload at the given scale, or
-// nil for an unknown name.
-func buildWorkload(name string, ins workloads.Instrumentation, scale float64) *workloads.App {
-	scaleN := func(n int) int {
-		v := int(float64(n) * scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	switch name {
-	case "mysql", "mysql-5.1", "mysql-4.1", "mysql-3.23":
-		ver := "5.1"
-		if i := strings.IndexByte(name, '-'); i >= 0 {
-			ver = name[i+1:]
-		}
-		cfg := workloads.MySQLVersion(ver)
-		cfg.TxnsPerWorker = scaleN(cfg.TxnsPerWorker)
-		return workloads.BuildMySQL(cfg, ins)
-	case "apache":
-		cfg := workloads.DefaultApache()
-		cfg.RequestsPerWorker = scaleN(cfg.RequestsPerWorker)
-		return workloads.BuildApache(cfg, ins)
-	case "firefox":
-		cfg := workloads.DefaultFirefox()
-		cfg.EventsPerThread = scaleN(cfg.EventsPerThread)
-		return workloads.BuildFirefox(cfg, ins)
-	case "forkjoin":
-		cfg := workloads.DefaultForkJoin()
-		cfg.Iterations = scaleN(cfg.Iterations)
-		return workloads.BuildForkJoin(cfg, ins)
-	}
-	return nil
-}
-
 // runCycles builds and runs one copy of the workload, returning the
 // app and final machine cycle count.
 func runCycles(name string, ins workloads.Instrumentation, scale float64, cores int, stderr io.Writer) (*workloads.App, uint64, int) {
-	app := buildWorkload(name, ins, scale)
+	app := workloads.ByName(name, ins, scale)
 	if app == nil {
 		fmt.Fprintf(stderr, "limit-profile: unknown workload %q\n", name)
 		return nil, 0, 2
@@ -136,7 +101,7 @@ func runCycles(name string, ins workloads.Instrumentation, scale float64, cores 
 // slowdown under budget.
 func calibrateStride(name string, spec profile.Spec, scale float64, cores, parallel int, budget float64, stdout, stderr io.Writer) (int, int) {
 	calScale := scale * 0.25
-	if buildWorkload(name, workloads.Instrumentation{Kind: probe.KindNull}, calScale) == nil {
+	if workloads.ByName(name, workloads.Instrumentation{Kind: probe.KindNull}, calScale) == nil {
 		fmt.Fprintf(stderr, "limit-profile: unknown workload %q\n", name)
 		return 0, 2
 	}
@@ -147,7 +112,7 @@ func calibrateStride(name string, spec profile.Spec, scale float64, cores, paral
 		workloads.ProfileInstr(calSpec),
 	}
 	cycles, err := runner.Map(runner.Config{Jobs: len(arms), Parallel: parallel}, func(j, _ int) (uint64, error) {
-		app := buildWorkload(name, arms[j], calScale)
+		app := workloads.ByName(name, arms[j], calScale)
 		m := machine.New(machine.Config{NumCores: cores})
 		app.Launch(m)
 		res := m.Run(machine.RunLimits{})

@@ -82,45 +82,6 @@ func buildInstrumentation(method string, period uint64) (workloads.Instrumentati
 	return ins, true
 }
 
-// buildApp constructs a workload model by name at the given scale, or
-// nil for an unknown name.
-func buildApp(appName string, ins workloads.Instrumentation, scale float64) *workloads.App {
-	scaleN := func(n int) int {
-		v := int(float64(n) * scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	switch appName {
-	case "mysql", "mysql-5.1":
-		cfg := workloads.MySQLVersion("5.1")
-		cfg.TxnsPerWorker = scaleN(cfg.TxnsPerWorker)
-		return workloads.BuildMySQL(cfg, ins)
-	case "mysql-3.23":
-		cfg := workloads.MySQLVersion("3.23")
-		cfg.TxnsPerWorker = scaleN(cfg.TxnsPerWorker)
-		return workloads.BuildMySQL(cfg, ins)
-	case "mysql-4.1":
-		cfg := workloads.MySQLVersion("4.1")
-		cfg.TxnsPerWorker = scaleN(cfg.TxnsPerWorker)
-		return workloads.BuildMySQL(cfg, ins)
-	case "apache":
-		cfg := workloads.DefaultApache()
-		cfg.RequestsPerWorker = scaleN(cfg.RequestsPerWorker)
-		return workloads.BuildApache(cfg, ins)
-	case "firefox":
-		cfg := workloads.DefaultFirefox()
-		cfg.EventsPerThread = scaleN(cfg.EventsPerThread)
-		return workloads.BuildFirefox(cfg, ins)
-	case "forkjoin":
-		cfg := workloads.DefaultForkJoin()
-		cfg.Iterations = scaleN(cfg.Iterations)
-		return workloads.BuildForkJoin(cfg, ins)
-	}
-	return nil
-}
-
 // listConfigurations prints the available events, access methods and
 // PMU feature presets.
 func listConfigurations(w *os.File) {
@@ -249,7 +210,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	app := buildApp(*appName, ins, *scale)
+	app := workloads.ByName(*appName, ins, *scale)
 	if app == nil {
 		fmt.Fprintf(os.Stderr, "limitctl: unknown app %q\n", *appName)
 		os.Exit(2)

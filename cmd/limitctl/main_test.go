@@ -43,22 +43,38 @@ func TestTraceChromeRoundTrip(t *testing.T) {
 	chromeOut := run(t, runTrace, append(append([]string{}, traceArgs...), "-format", "chrome")...)
 	jsonlOut := run(t, runTrace, append(append([]string{}, traceArgs...), "-format", "jsonl")...)
 
-	// The chrome document must be independently valid JSON.
-	var doc map[string]any
+	// Decode both forms with encoding/json: the chrome document as one
+	// object (cycle and arg exact in args), the JSONL stream line by
+	// line.
+	type event struct {
+		Cycle     uint64
+		Core, TID int
+		Kind      string
+		Arg       uint64
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name     string
+			PID, TID int
+			Args     struct{ Cycle, Arg uint64 }
+		}
+	}
 	if err := json.Unmarshal([]byte(chromeOut), &doc); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v", err)
 	}
-
-	fromChrome, err := trace.ParseChrome(strings.NewReader(chromeOut))
-	if err != nil {
-		t.Fatal(err)
+	var fromChrome, fromJSONL []event
+	for _, e := range doc.TraceEvents {
+		fromChrome = append(fromChrome, event{Cycle: e.Args.Cycle, Core: e.PID, TID: e.TID, Kind: e.Name, Arg: e.Args.Arg})
 	}
-	fromJSONL, err := trace.ParseJSONL(strings.NewReader(jsonlOut))
-	if err != nil {
-		t.Fatal(err)
+	for _, line := range strings.Split(strings.TrimSpace(jsonlOut), "\n") {
+		var e event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("jsonl line %q: %v", line, err)
+		}
+		fromJSONL = append(fromJSONL, e)
 	}
 	// Both exports encode the same deterministic run, so they must
-	// parse back to the identical event sequence.
+	// decode to the identical event sequence.
 	if len(fromChrome) == 0 || len(fromChrome) != len(fromJSONL) {
 		t.Fatalf("chrome %d events, jsonl %d", len(fromChrome), len(fromJSONL))
 	}
@@ -68,13 +84,17 @@ func TestTraceChromeRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A real run's trace must show scheduling, syscall and PMI events.
-	seen := map[trace.Kind]bool{}
+	// Every kind must export by name, and a real run's trace must show
+	// scheduling, syscall and PMI events.
+	seen := map[string]bool{}
 	for _, e := range fromChrome {
+		if strings.HasPrefix(e.Kind, "kind(") {
+			t.Errorf("event %+v exports an unnamed kind", e)
+		}
 		seen[e.Kind] = true
 	}
 	for _, k := range []trace.Kind{trace.SwitchIn, trace.SwitchOut, trace.Syscall, trace.PMI} {
-		if !seen[k] {
+		if !seen[k.String()] {
 			t.Errorf("trace lacks %v events", k)
 		}
 	}

@@ -119,7 +119,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 
 	ins := workloads.LimitInstr()
 	ins.MuxGroups = workloads.DefaultMuxGroups(*width)
-	app := buildApp(*appName, ins, *scale)
+	app := workloads.ByName(*appName, ins, *scale)
 	if app == nil {
 		fmt.Fprintf(stderr, "limitctl metrics: unknown app %q\n", *appName)
 		return 2

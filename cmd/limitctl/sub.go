@@ -10,6 +10,7 @@ import (
 	"limitsim/internal/machine"
 	"limitsim/internal/telemetry"
 	"limitsim/internal/trace"
+	"limitsim/internal/workloads"
 )
 
 // The trace and stats subcommands share the workload-construction
@@ -97,14 +98,14 @@ func runStats(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "limitctl stats: unknown method %q (see -list)\n", *method)
 		return 2
 	}
-	app := buildApp(*appName, ins, *scale)
+	app := workloads.ByName(*appName, ins, *scale)
 	if app == nil {
 		fmt.Fprintf(stderr, "limitctl stats: unknown app %q\n", *appName)
 		return 2
 	}
 
 	reg := telemetry.NewRegistry()
-	km := kernel.NewMetrics(reg)
+	km := kernel.NewMetrics(reg, 0)
 	lm := limit.NewMetrics(reg)
 
 	m := machine.New(machine.Config{NumCores: *cores})
@@ -150,7 +151,7 @@ func runTraced(appName, method string, cores int, scale float64, n int, period u
 		fmt.Fprintf(stderr, "limitctl trace: unknown method %q (see -list)\n", method)
 		return nil, nil, 2
 	}
-	app := buildApp(appName, ins, scale)
+	app := workloads.ByName(appName, ins, scale)
 	if app == nil {
 		fmt.Fprintf(stderr, "limitctl trace: unknown app %q\n", appName)
 		return nil, nil, 2

@@ -56,17 +56,12 @@ func machineConfig(seed uint64, cores, width, tenants int) machine.Config {
 }
 
 // newRegistry builds a kernel telemetry registry: the kernel metrics,
-// plus per-tenant metrics when the tenant layer is on. Every run's
+// per-tenant ones included when the tenant layer is on. Every run's
 // registry and the campaign-wide one come from here, so merging the
 // former into the latter cannot drift.
-func newRegistry(tenants int) (*telemetry.Registry, *kernel.Metrics, *kernel.TenantMetrics) {
+func newRegistry(tenants int) (*telemetry.Registry, *kernel.Metrics) {
 	reg := telemetry.NewRegistry()
-	km := kernel.NewMetrics(reg)
-	var tm *kernel.TenantMetrics
-	if tenants > 1 {
-		tm = kernel.NewTenantMetrics(reg, tenants)
-	}
-	return reg, km, tm
+	return reg, kernel.NewMetrics(reg, tenants)
 }
 
 // harness holds one pool worker's reusable run artifacts: the
@@ -79,9 +74,8 @@ type harness struct {
 	snap  *mem.Snapshot
 	chk   *invariant.Checker
 	inj   *faultinject.Injector
-	reg   *telemetry.Registry   // per-run registry (nil without Metrics)
-	km    *kernel.Metrics       // nil without Metrics
-	tm    *kernel.TenantMetrics // nil unless Metrics and tenants > 1
+	reg   *telemetry.Registry // per-run registry (nil without Metrics)
+	km    *kernel.Metrics     // nil without Metrics
 }
 
 func newHarness(space *mem.Space, regions [][2]int, cores, tenants int, metrics bool) harness {
@@ -94,7 +88,7 @@ func newHarness(space *mem.Space, regions [][2]int, cores, tenants int, metrics 
 	h.inj.SetRegions(regions)
 	h.inj.SetCores(cores)
 	if metrics {
-		h.reg, h.km, h.tm = newRegistry(tenants)
+		h.reg, h.km = newRegistry(tenants)
 	}
 	return h
 }
@@ -117,9 +111,6 @@ func (h *harness) start(mc machine.Config, inject faultinject.Config) *machine.M
 	if h.km != nil {
 		h.reg.Reset()
 		m.Kern.SetMetrics(h.km)
-		if h.tm != nil {
-			m.Kern.SetTenantMetrics(h.tm)
-		}
 	}
 	return m
 }

@@ -102,7 +102,7 @@ func AssembleCampaign(cfg Config, payloads [][]byte) (*Result, error) {
 func assembleCampaign(cfg Config, outs []runOutcome) (*Result, error) {
 	res := &Result{Cfg: cfg, Want: buildWorkload(cfg).want, Mixes: make([]MixResult, len(cfg.Mixes))}
 	if cfg.Metrics {
-		res.Telemetry, _, _ = newRegistry(cfg.Tenants)
+		res.Telemetry, _ = newRegistry(cfg.Tenants)
 	}
 	for mi := range res.Mixes {
 		res.Mixes[mi].Name = cfg.Mixes[mi].Name
@@ -173,7 +173,7 @@ func AssembleSoak(cfg SoakConfig, payloads [][]byte) (*SoakResult, error) {
 func assembleSoak(cfg SoakConfig, outs []soakOutcome) (*SoakResult, error) {
 	res := &SoakResult{Cfg: cfg, Want: workloads.BuildChurn(cfg.churn()).Want, Mixes: make([]SoakMixResult, len(cfg.Mixes))}
 	if cfg.Metrics {
-		res.Telemetry, _, _ = newRegistry(cfg.Tenants)
+		res.Telemetry, _ = newRegistry(cfg.Tenants)
 	}
 	for mi := range res.Mixes {
 		res.Mixes[mi].Name = cfg.Mixes[mi].Name

@@ -66,6 +66,13 @@ func run(t *testing.T, name string, args ...string) (int, string) {
 // simulation work starts.
 func TestExitCodeContract(t *testing.T) {
 	tmp := t.TempDir()
+	// A telemetry file whose histogram bounds descend: a parse error,
+	// not a crash.
+	badBounds := filepath.Join(tmp, "bad-bounds.jsonl")
+	line := `{"type":"histogram","name":"h","count":0,"sum":0,"min":0,"max":0,"bounds":[5,3],"counts":[0,0,0]}` + "\n"
+	if err := os.WriteFile(badBounds, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		bin  string
@@ -106,6 +113,8 @@ func TestExitCodeContract(t *testing.T) {
 
 		// Exit 1: runtime failures.
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},
+		{"limitctl merge bad histogram bounds", "limitctl", []string{"merge", badBounds, badBounds}, 1},
+		{"limitctl report bad histogram bounds", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-telemetry", badBounds}, 1},
 		{"limit-chaos unwritable report", "limit-chaos", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
 		{"limit-fleet unwritable report", "limit-fleet", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
 	}
@@ -114,6 +123,9 @@ func TestExitCodeContract(t *testing.T) {
 			code, stderr := run(t, tc.bin, tc.args...)
 			if code != tc.want {
 				t.Errorf("%s %v: exit %d, want %d\nstderr: %s", tc.bin, tc.args, code, tc.want, stderr)
+			}
+			if strings.Contains(stderr, "panic") {
+				t.Errorf("%s %v panicked:\n%s", tc.bin, tc.args, stderr)
 			}
 		})
 	}

@@ -73,10 +73,6 @@ type Core struct {
 	PMU    *pmu.PMU
 	Cost   CostModel
 
-	// Instructions retired in user ring, kept outside the PMU as a raw
-	// progress meter for the machine loop's run limits.
-	Retired uint64
-
 	// Per-core translation hint: the word array backing the last page
 	// this core touched, so hit-dominated access streams skip the
 	// space's page-map lookup entirely. hintSpace/hintBase/hintGen
@@ -169,7 +165,6 @@ func fault(format string, args ...any) StepResult {
 func (c *Core) Step(ctx *Context) StepResult {
 	var res StepResult
 	res.Instrs, res.Cycles, res.Trap = c.StepInto(ctx, &res)
-	c.Retired += res.Instrs
 	return res
 }
 
@@ -185,9 +180,8 @@ const regIndexMask = isa.NumRegs - 1
 // and returning the retired-instruction count, cycle count, and trap
 // kind in registers, where the burst loop consumes them without
 // touching memory. res carries only the trap operands (syscall number,
-// fault text); the counts and the trap kind are NOT stored into it,
-// and the caller owns the Retired accumulation — Step materializes
-// all three for callers that want the struct form.
+// fault text); the counts and the trap kind are NOT stored into it —
+// Step materializes all three for callers that want the struct form.
 func (c *Core) StepInto(ctx *Context, res *StepResult) (instrs, cycles uint64, trap TrapKind) {
 	prog := ctx.Prog
 	if uint(ctx.PC) >= uint(len(prog.Instrs)) {

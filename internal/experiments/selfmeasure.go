@@ -113,7 +113,7 @@ func RunSelfMeasure(s Scale) (*SelfResult, error) {
 
 	reg := telemetry.NewRegistry()
 	m := machine.New(machine.Config{NumCores: 1})
-	m.Kern.SetMetrics(kernel.NewMetrics(reg))
+	m.Kern.SetMetrics(kernel.NewMetrics(reg, 0))
 	proc := m.Kern.NewProcess(prog, space)
 	m.Kern.Spawn(proc, "self", 0, 7)
 	res := m.Run(machine.RunLimits{MaxSteps: runSteps})

@@ -68,8 +68,8 @@ func tenantFixture() (accts []kernel.TenantAcct, machineInstr, uncoreTotal uint6
 	t1 := &kernel.Thread{Tenant: 1}
 	t1.Stats.UserInstructions = 400
 	accts = []kernel.TenantAcct{
-		{ID: 0, Instructions: 600, Cycles: 3000, Uncore: 55, UncoreEst: 60},
-		{ID: 1, Instructions: 400, Cycles: 2000, Uncore: 45, UncoreEst: 40},
+		{ID: 0, TenantLedger: kernel.TenantLedger{Instructions: 600, Cycles: 3000, Uncore: 55}, UncoreEst: 60},
+		{ID: 1, TenantLedger: kernel.TenantLedger{Instructions: 400, Cycles: 2000, Uncore: 45}, UncoreEst: 40},
 	}
 	return accts, 1000, 100, []*kernel.Thread{t0, t1}
 }
@@ -145,7 +145,7 @@ func TestCheckTenantsClampsUntagged(t *testing.T) {
 	stray.Stats.UserInstructions = 25
 	owned := &kernel.Thread{Tenant: 0}
 	owned.Stats.UserInstructions = 75
-	accts := []kernel.TenantAcct{{ID: 0, Instructions: 100}, {ID: 1}}
+	accts := []kernel.TenantAcct{{ID: 0, TenantLedger: kernel.TenantLedger{Instructions: 100}}, {ID: 1}}
 	c := New(nil)
 	c.CheckTenants(accts, 100, 0, []*kernel.Thread{stray, owned})
 	if c.Count() != 0 {

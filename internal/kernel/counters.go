@@ -122,8 +122,8 @@ func (k *Kernel) perfOpen(coreID int, t *Thread, event, flags uint64) uint64 {
 	if event >= uint64(pmu.NumEvents) {
 		return errRet
 	}
-	if flags&FlagEstimated != 0 && k.metrics != nil {
-		k.metrics.DegradedOpens.Inc()
+	if flags&FlagEstimated != 0 {
+		k.Stats.DegradedOpens++
 	}
 	return k.allocCounter(coreID, t, &ThreadCounter{
 		Kind:        KindPerf,

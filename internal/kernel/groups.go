@@ -450,9 +450,6 @@ func (k *Kernel) muxRotate(coreID int, t *Thread) {
 	k.Stats.MuxRotations++
 	k.emitFrame(coreID, t, false)
 	k.tr(coreID, t, trace.MuxRotate, uint64(t.muxRot))
-	if k.metrics != nil {
-		k.metrics.MuxRotations.Inc()
-	}
 }
 
 // emitFrame appends one frame snapshotting every group of t. Callers
@@ -482,9 +479,6 @@ func (k *Kernel) emitFrame(coreID int, t *Thread, final bool) {
 		}
 	}
 	k.frames = append(k.frames, f)
-	if k.metrics != nil {
-		k.metrics.GroupFrames.Inc()
-	}
 }
 
 // groupOpen implements SysGroupOpen: R0 is the address of a descriptor

@@ -480,6 +480,16 @@ type Stats struct {
 	TenantPreemptions uint64 // vCPU preemptions (quantum expiry or chaos)
 
 	MuxRotations uint64 // event-group rotation windows closed
+
+	// RewindsAvoided counts fixup checks that ran with regions
+	// registered but found the PC outside every read-critical range.
+	RewindsAvoided uint64
+	// OpenPolicy pressure, seen from the kernel side: transient
+	// SysLimitOpen denials (RetAgain), perf opens flagged as degraded
+	// fallbacks, and clones whose inheritance degraded to estimates.
+	LimitOpenAgain uint64
+	DegradedOpens  uint64
+	DegradedClones uint64
 }
 
 // Kernel is the simulated OS instance managing a fixed set of cores.

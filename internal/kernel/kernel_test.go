@@ -544,7 +544,7 @@ func TestWorkSpreadsAcrossCores(t *testing.T) {
 	}
 	run(t, m)
 	for i, c := range m.Cores {
-		if c.Retired == 0 {
+		if c.PMU.GroundTruth(pmu.EvInstructions, pmu.RingUser) == 0 {
 			t.Errorf("core %d retired nothing; spawn should balance load", i)
 		}
 	}

@@ -56,9 +56,7 @@ func (k *Kernel) clone(coreID int, t *Thread, entry int, tlsArg, seed, tableBase
 	degraded := k.inheritCounters(t, nt, tableBase)
 	if degraded {
 		nt.Ctx.Regs[isa.R0] = 1
-		if k.metrics != nil {
-			k.metrics.DegradedClones.Inc()
-		}
+		k.Stats.DegradedClones++
 	}
 	k.Stats.Clones++
 	k.tr(coreID, nt, trace.Clone, uint64(t.ID))

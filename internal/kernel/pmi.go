@@ -23,9 +23,6 @@ func (k *Kernel) handlePMI(coreID int, mask uint64) {
 	t := k.cur[coreID]
 	core.KernelWork(k.cfg.Costs.PMIHandler)
 	k.Stats.PMIs++
-	if k.metrics != nil {
-		k.metrics.PMIs.Inc()
-	}
 	k.tr(coreID, t, trace.PMI, mask)
 	if t == nil {
 		// Stray interrupt with no owner; nothing to virtualize, but the
@@ -66,9 +63,6 @@ func (k *Kernel) pmiFor(coreID int, t *Thread, mask uint64) {
 				v -= chunk
 				tc.Overflows++
 				k.Stats.OverflowFolds++
-				if k.metrics != nil {
-					k.metrics.Folds.Inc()
-				}
 				core.KernelWork(k.cfg.Costs.OverflowFold)
 				if k.cfg.LimitOverflow == FoldInKernel {
 					t.Proc.Mem.Add64(tc.TableAddr, chunk)

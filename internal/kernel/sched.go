@@ -128,7 +128,6 @@ func (k *Kernel) StepCore(coreID int) StepStatus {
 	prevPC := t.Ctx.PC
 	var res cpu.StepResult
 	instrs, cycles, trap := core.StepInto(&t.Ctx, &res)
-	core.Retired += instrs
 	t.Stats.UserInstructions += instrs
 	t.Stats.UserCycles += cycles
 	k.probeStep(coreID, t, prevPC)
@@ -264,14 +263,12 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 			// Kernel-visible boundary: finish it exactly as StepCore
 			// would, then return for a global re-pick (the kernel may
 			// have woken, migrated, or exited threads).
-			core.Retired += ui
 			t.Stats.UserInstructions += ui
 			t.Stats.UserCycles += uc
 			k.postStep(coreID, t, tr, &res, mask)
 			return steps, core.Now, false
 		}
 		if steps >= maxSteps || core.Now >= stop {
-			core.Retired += ui
 			t.Stats.UserInstructions += ui
 			t.Stats.UserCycles += uc
 			return steps, core.Now, true
@@ -451,9 +448,6 @@ func (k *Kernel) applyFixup(t *Thread) {
 			from := t.Ctx.PC
 			t.Ctx.PC = r.Start
 			t.Stats.FixupRewinds++
-			if k.metrics != nil {
-				k.metrics.RewindsTaken.Inc()
-			}
 			if k.probes != nil && k.probes.Rewind != nil {
 				k.probes.Rewind(t, from, r.Start)
 			}
@@ -462,8 +456,8 @@ func (k *Kernel) applyFixup(t *Thread) {
 	}
 	// The check ran with regions registered but the PC was outside every
 	// read-critical range: the common case the fixup design keeps free.
-	if k.metrics != nil && len(t.Proc.FixupRegions) > 0 {
-		k.metrics.RewindsAvoided.Inc()
+	if len(t.Proc.FixupRegions) > 0 {
+		k.Stats.RewindsAvoided++
 	}
 }
 
@@ -497,9 +491,6 @@ func (k *Kernel) saveCounters(core *cpu.Core, t *Thread) {
 				v -= writeLimit
 				tc.Overflows++
 				k.Stats.OverflowFolds++
-				if k.metrics != nil {
-					k.metrics.Folds.Inc()
-				}
 				core.KernelWork(k.cfg.Costs.OverflowFold)
 				k.probeFold(core.ID, t, tc, writeLimit)
 			}

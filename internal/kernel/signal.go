@@ -41,9 +41,6 @@ func (k *Kernel) deliverSignals(coreID int, t *Thread) {
 		t.Ctx.Regs[isa.R1] = sig.arg
 		t.Ctx.SigDepth++
 		t.Stats.Signals++
-		if k.metrics != nil {
-			k.metrics.SignalsDelivered.Inc()
-		}
 		return
 	}
 }

@@ -124,9 +124,6 @@ func (k *Kernel) syscall(coreID int, t *Thread, num int64) {
 	core.KernelWork(c.SyscallEntry)
 	t.Stats.Syscalls++
 	k.Stats.Syscalls++
-	if k.metrics != nil {
-		k.metrics.Syscalls.Inc()
-	}
 	k.tr(coreID, t, trace.Syscall, uint64(num))
 
 	regs := &t.Ctx.Regs
@@ -212,8 +209,8 @@ func (k *Kernel) syscall(coreID int, t *Thread, num int64) {
 	case SysLimitOpen:
 		core.KernelWork(c.LimitOpen)
 		r := k.limitOpen(coreID, t, regs[isa.R0], regs[isa.R1], regs[isa.R2])
-		if r == RetAgain && k.metrics != nil {
-			k.metrics.LimitOpenAgain.Inc()
+		if r == RetAgain {
+			k.Stats.LimitOpenAgain++
 		}
 		regs[isa.R0] = r
 	case SysLimitRegisterFixup:

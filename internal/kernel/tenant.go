@@ -1,11 +1,9 @@
 package kernel
 
 import (
-	"fmt"
 	"math/bits"
 
 	"limitsim/internal/pmu"
-	"limitsim/internal/telemetry"
 	"limitsim/internal/trace"
 )
 
@@ -88,7 +86,6 @@ type tenantSched struct {
 	resCount   []int        // per tenant: cores currently resident
 	lastCore   []int        // per tenant: last core resumed on (-1 never)
 	led        []TenantLedger
-	metrics    *TenantMetrics
 }
 
 func newTenantSched(cfg Config, nCores int) *tenantSched {
@@ -148,10 +145,6 @@ func (ts *tenantSched) closeSpan(k *Kernel, coreID int) {
 	led.Instructions += di
 	led.Cycles += dc
 	led.Uncore += du
-	if ts.metrics != nil {
-		ts.metrics.Instructions[tid].Add(di)
-		ts.metrics.CyclesResident[tid].Add(dc)
-	}
 	ts.base[coreID] = now
 }
 
@@ -181,9 +174,6 @@ func (k *Kernel) tenantEnsure(coreID, tid int) {
 	if ts.lastCore[tid] >= 0 && ts.lastCore[tid] != coreID {
 		led.Migrations++
 		k.Stats.VCpuMigrations++
-		if ts.metrics != nil {
-			ts.metrics.Migrations[tid].Inc()
-		}
 		k.tr(coreID, nil, trace.VCpuMigrate, uint64(tid))
 	}
 	led.Resumes++
@@ -240,9 +230,6 @@ func (k *Kernel) vcpuPreempt(coreID int, t *Thread) {
 	tid := ts.tenantOf(t)
 	ts.led[tid].Preempts++
 	k.Stats.TenantPreemptions++
-	if ts.metrics != nil {
-		ts.metrics.Preempts[tid].Inc()
-	}
 	k.tr(coreID, t, trace.VCpuPreempt, uint64(tid))
 	t.Stats.Preemptions++
 	k.Stats.Preemptions++
@@ -292,9 +279,6 @@ func (k *Kernel) tenantMigrate(coreID int) {
 				k.runq[dst] = append(k.runq[dst], t)
 				ts.led[tid].Migrations++
 				k.Stats.VCpuMigrations++
-				if ts.metrics != nil {
-					ts.metrics.Migrations[tid].Inc()
-				}
 				k.tr(coreID, t, trace.VCpuMigrate, uint64(tid))
 				continue
 			}
@@ -348,17 +332,10 @@ func (k *Kernel) tenantStealOK(thief int, t *Thread) bool {
 // share-by-cycles uncore estimate.
 type TenantAcct struct {
 	ID int
-	// Instructions, Cycles, Uncore mirror TenantLedger (ground truth).
-	Instructions uint64
-	Cycles       uint64
-	Uncore       uint64
+	TenantLedger
 	// UncoreEst is the share-by-cycles policy estimate; estimates over
 	// all tenants sum to the socket total exactly.
 	UncoreEst uint64
-
-	Preempts   uint64
-	Resumes    uint64
-	Migrations uint64
 }
 
 // TenantAccts returns the per-tenant attribution snapshot with live
@@ -390,16 +367,7 @@ func (k *Kernel) TenantAccts() []TenantAcct {
 	est := apportion(total, totalCyc, led)
 	accts := make([]TenantAcct, ts.n)
 	for i := range accts {
-		accts[i] = TenantAcct{
-			ID:           i,
-			Instructions: led[i].Instructions,
-			Cycles:       led[i].Cycles,
-			Uncore:       led[i].Uncore,
-			UncoreEst:    est[i],
-			Preempts:     led[i].Preempts,
-			Resumes:      led[i].Resumes,
-			Migrations:   led[i].Migrations,
-		}
+		accts[i] = TenantAcct{ID: i, TenantLedger: led[i], UncoreEst: est[i]}
 	}
 	return accts
 }
@@ -465,49 +433,4 @@ func apportion(total, totalCyc uint64, led []TenantLedger) []uint64 {
 		assigned++
 	}
 	return est
-}
-
-// TenantMetrics is the per-tenant telemetry surface. Metric names are
-// zero-padded ("tenant.03.vcpu.preempts") and registered in
-// lexicographic order, so registration order equals canonical sorted
-// order and fleet-mode merges of tenant campaigns stay
-// byte-deterministic.
-type TenantMetrics struct {
-	CyclesResident []*telemetry.Counter
-	Instructions   []*telemetry.Counter
-	Migrations     []*telemetry.Counter
-	Preempts       []*telemetry.Counter
-}
-
-// NewTenantMetrics registers n tenants' metrics on reg in canonical
-// sorted order and returns the handle to attach with SetTenantMetrics.
-func NewTenantMetrics(reg *telemetry.Registry, n int) *TenantMetrics {
-	tm := &TenantMetrics{
-		CyclesResident: make([]*telemetry.Counter, n),
-		Instructions:   make([]*telemetry.Counter, n),
-		Migrations:     make([]*telemetry.Counter, n),
-		Preempts:       make([]*telemetry.Counter, n),
-	}
-	for i := 0; i < n; i++ {
-		// Per tenant, register in the metric names' alphabetical order;
-		// with the zero-padded tenant prefix ascending outside, the whole
-		// block lands sorted.
-		tm.CyclesResident[i] = reg.Counter(fmt.Sprintf("tenant.%02d.cycles.resident", i))
-		tm.Instructions[i] = reg.Counter(fmt.Sprintf("tenant.%02d.instructions", i))
-		tm.Migrations[i] = reg.Counter(fmt.Sprintf("tenant.%02d.vcpu.migrations", i))
-		tm.Preempts[i] = reg.Counter(fmt.Sprintf("tenant.%02d.vcpu.preempts", i))
-	}
-	return tm
-}
-
-// SetTenantMetrics attaches per-tenant metrics (nil detaches). No-op
-// when the tenant layer is off.
-func (k *Kernel) SetTenantMetrics(tm *TenantMetrics) {
-	if k.ts == nil {
-		return
-	}
-	if tm != nil && len(tm.Preempts) < k.ts.n {
-		panic("kernel: TenantMetrics smaller than tenant count")
-	}
-	k.ts.metrics = tm
 }

@@ -100,8 +100,15 @@ func TestTenantAcctsOffLayer(t *testing.T) {
 	if ut := m.Kern.UncoreTotal(); ut != 0 {
 		t.Errorf("UncoreTotal = %d with the layer off, want 0", ut)
 	}
-	// SetTenantMetrics must be a tolerated no-op, not a panic.
-	m.Kern.SetTenantMetrics(nil)
+	// Attaching metrics without tenant counters must not panic; a set
+	// registered for tenants the kernel does not run is a wiring error.
+	m.Kern.SetMetrics(kernel.NewMetrics(telemetry.NewRegistry(), 1))
+	defer func() {
+		if recover() == nil {
+			t.Error("attaching 3-tenant metrics to a kernel without tenants did not panic")
+		}
+	}()
+	m.Kern.SetMetrics(kernel.NewMetrics(telemetry.NewRegistry(), 3))
 }
 
 // TestTenantResidencyCapMigrates caps each tenant at one resident vCPU
@@ -222,14 +229,12 @@ func TestSignalDeliveryInsideFixupRegionDuringMigration(t *testing.T) {
 }
 
 // TestTenantMetricsCanonicalOrder is the golden test for the per-tenant
-// telemetry surface: NewTenantMetrics must register names so that
+// telemetry surface: NewMetrics must register tenant names so that
 // registration order (which is render order) equals canonical sorted
 // order — the property fleet-mode merges of tenant campaigns rely on.
 func TestTenantMetricsCanonicalOrder(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tm := kernel.NewTenantMetrics(reg, 3)
-	tm.Instructions[1].Add(7)
-	tm.Preempts[2].Inc()
+	kernel.NewMetrics(reg, 3)
 
 	var buf bytes.Buffer
 	reg.Render(&buf)

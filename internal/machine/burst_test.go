@@ -55,7 +55,7 @@ func observe(m *machine.Machine, space *mem.Space) burstObs {
 	o := burstObs{Res: m.Run(machine.RunLimits{MaxSteps: 200_000_000})}
 	o.Stats = m.Kern.Stats
 	for _, c := range m.Cores {
-		co := coreObs{Now: c.Now, Retired: c.Retired}
+		co := coreObs{Now: c.Now, Retired: c.PMU.GroundTruth(pmu.EvInstructions, pmu.RingUser)}
 		for ev := range co.Truth {
 			co.Truth[ev] = c.PMU.GroundTruthTotal(pmu.Event(ev))
 		}

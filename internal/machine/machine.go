@@ -380,6 +380,7 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 	// truncated by a limit (or deadlocked) still ends its frame stream
 	// with complete cumulative state; a no-op when every thread exited.
 	m.Kern.FlushFrames()
+	m.Kern.PublishMetrics()
 
 	for _, c := range m.Cores {
 		if c.Now > res.Cycles {

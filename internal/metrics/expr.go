@@ -29,11 +29,7 @@ import (
 // Expr is a parsed metric expression, ready for repeated evaluation.
 type Expr struct {
 	root node
-	src  string
 }
-
-// Source returns the original expression text.
-func (e *Expr) Source() string { return e.src }
 
 type node interface {
 	eval(env map[string]float64) (float64, error)
@@ -128,7 +124,7 @@ func Parse(src string) (*Expr, error) {
 	if tok := p.peek(); tok.kind != tokEOF {
 		return nil, fmt.Errorf("metrics: parse %q: unexpected %q", src, tok.text)
 	}
-	return &Expr{root: root, src: src}, nil
+	return &Expr{root: root}, nil
 }
 
 // MustParse is Parse for the built-in definitions, where a syntax

@@ -638,7 +638,7 @@ func (p *PMU) TakePendingOverflows() uint64 {
 // consuming it.
 func (p *PMU) HasPending() bool { return p.pending != 0 }
 
-// GroundTruth returns the omniscient count of ev in ring since reset.
+// GroundTruth returns the omniscient count of ev in ring.
 func (p *PMU) GroundTruth(ev Event, ring Ring) uint64 {
 	p.flushRetire()
 	return p.events[int(ring)*int(NumEvents)+int(ev)].truth
@@ -648,13 +648,4 @@ func (p *PMU) GroundTruth(ev Event, ring Ring) uint64 {
 func (p *PMU) GroundTruthTotal(ev Event) uint64 {
 	p.flushRetire()
 	return p.events[ev].truth + p.events[int(NumEvents)+int(ev)].truth
-}
-
-// ResetGroundTruth zeroes the omniscient accumulators (counters and
-// dispatch state are unaffected).
-func (p *PMU) ResetGroundTruth() {
-	p.flushRetire() // deferred retirements precede the reset
-	for i := range p.events {
-		p.events[i].truth = 0
-	}
 }

@@ -165,10 +165,6 @@ func TestGroundTruthUnaffectedByProgramming(t *testing.T) {
 	if got := p.GroundTruthTotal(EvL1DMiss); got != 6 {
 		t.Errorf("total ground truth %d, want 6", got)
 	}
-	p.ResetGroundTruth()
-	if p.GroundTruthTotal(EvL1DMiss) != 0 {
-		t.Error("reset did not clear ground truth")
-	}
 }
 
 func TestCounterSumInvariant(t *testing.T) {

@@ -1,10 +1,6 @@
 package pmu
 
-import (
-	"fmt"
-
-	"limitsim/internal/telemetry"
-)
+import "fmt"
 
 // Ledger tracks reservations of a counted counter resource — pinned
 // virtualized-counter slots, kernel-allocated virtual-counter words —
@@ -22,30 +18,10 @@ type Ledger struct {
 	acquired uint64
 	released uint64
 	denied   uint64
-
-	// Telemetry mirrors (nil when disabled): occupancy tracks the live
-	// level and its high-water mark, deniedCtr each refused reservation.
-	occupancy *telemetry.Gauge
-	deniedCtr *telemetry.Counter
 }
 
 // NewLedger builds a ledger with the given capacity (<= 0: unbounded).
 func NewLedger(capacity int) *Ledger { return &Ledger{capacity: capacity} }
-
-// Instrument attaches telemetry to the ledger (either argument may be
-// nil): occupancy mirrors the live reservation level and its peak,
-// denied counts refused reservations. The gauge is synced to the
-// current state so late attachment stays truthful.
-func (l *Ledger) Instrument(occupancy *telemetry.Gauge, denied *telemetry.Counter) {
-	l.occupancy = occupancy
-	l.deniedCtr = denied
-	if occupancy != nil {
-		occupancy.Set(int64(l.inUse))
-	}
-	if denied != nil {
-		denied.Add(l.denied)
-	}
-}
 
 // TryAcquire reserves n units, reporting whether the reservation fit.
 // A denied reservation acquires nothing: callers that need several
@@ -57,18 +33,12 @@ func (l *Ledger) TryAcquire(n int) bool {
 	}
 	if l.capacity > 0 && l.inUse+n > l.capacity {
 		l.denied++
-		if l.deniedCtr != nil {
-			l.deniedCtr.Inc()
-		}
 		return false
 	}
 	l.inUse += n
 	l.acquired += uint64(n)
 	if l.inUse > l.peak {
 		l.peak = l.inUse
-	}
-	if l.occupancy != nil {
-		l.occupancy.Add(int64(n))
 	}
 	return true
 }
@@ -85,9 +55,6 @@ func (l *Ledger) Release(n int) {
 	}
 	l.inUse -= n
 	l.released += uint64(n)
-	if l.occupancy != nil {
-		l.occupancy.Add(-int64(n))
-	}
 }
 
 // InUse returns the units currently reserved.

@@ -34,9 +34,9 @@ type jsonlMetric struct {
 // quantity is integral.
 //
 // Malformed input — bad JSON, an unknown metric type, a duplicate
-// name, a histogram whose counts do not line up with its bounds —
-// fails with an error naming the line; nothing is ever silently
-// skipped or defaulted.
+// name, a histogram whose bounds do not strictly ascend or whose
+// counts do not line up with them — fails with an error naming the
+// line; nothing is ever silently skipped or defaulted.
 func ParseJSONL(r io.Reader) (*Registry, error) {
 	reg := NewRegistry()
 	sc := bufio.NewScanner(r)
@@ -86,6 +86,9 @@ func ParseJSONL(r io.Reader) (*Registry, error) {
 			if len(m.Bounds) == 0 || len(m.Counts) != len(m.Bounds)+1 {
 				return nil, fmt.Errorf("telemetry: jsonl line %d: histogram %q has %d counts for %d bounds (want bounds+1)",
 					line, m.Name, len(m.Counts), len(m.Bounds))
+			}
+			if i := notAscending(m.Bounds); i > 0 {
+				return nil, fmt.Errorf("telemetry: jsonl line %d: histogram %q bounds not ascending at %d", line, m.Name, i)
 			}
 			var total uint64
 			for _, c := range m.Counts {

@@ -14,8 +14,9 @@
 // byte-deterministic for a given run: metrics render in registration
 // order and all arithmetic is integral until presentation.
 //
-// The package depends only on the standard library so that any layer
-// (pmu, kernel, limit, chaos, cmds) can import it without cycles.
+// The package depends only on the standard library and the
+// stdlib-only internal/jsonl string encoder, so that any layer (kernel,
+// limit, chaos, cmds) can import it without cycles.
 package telemetry
 
 import (
@@ -23,6 +24,8 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
+
+	"limitsim/internal/jsonl"
 )
 
 // Counter is a monotonic event count.
@@ -90,12 +93,21 @@ func NewHistogram(bounds []uint64) *Histogram {
 	if bounds == nil {
 		bounds = DefaultCycleBounds
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram bounds not ascending at %d", i))
-		}
+	if i := notAscending(bounds); i > 0 {
+		panic(fmt.Sprintf("telemetry: histogram bounds not ascending at %d", i))
 	}
 	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// notAscending returns the first index whose bound does not exceed the
+// one before it, or 0 when the bounds strictly ascend.
+func notAscending(bounds []uint64) int {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			return i
+		}
+	}
+	return 0
 }
 
 // Observe records one value.
@@ -447,27 +459,29 @@ func meanString(h *Histogram) string {
 }
 
 // WriteJSONL emits the registry as JSON lines, one metric per line, in
-// registration order — the tool-consumable form of Render. Counters:
+// registration order — the tool-consumable form of Render. Names are
+// escaped as JSON strings, so any name ParseJSONL accepts writes back
+// as valid JSON. Counters:
 // {"type":"counter","name":...,"value":N}. Gauges add "peak".
 // Histograms carry counts, sum, min/max and explicit buckets.
 func (r *Registry) WriteJSONL(w io.Writer) error {
 	for i, name := range r.counterIDs {
-		if _, err := fmt.Fprintf(w, "{\"type\":\"counter\",\"name\":%q,\"value\":%d}\n",
-			name, r.counters[i].Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "{\"type\":\"counter\",\"name\":%s,\"value\":%d}\n",
+			jsonl.AppendString(nil, name), r.counters[i].Value()); err != nil {
 			return err
 		}
 	}
 	for i, name := range r.gaugeIDs {
-		if _, err := fmt.Fprintf(w, "{\"type\":\"gauge\",\"name\":%q,\"value\":%d,\"peak\":%d}\n",
-			name, r.gauges[i].Value(), r.gauges[i].Peak()); err != nil {
+		if _, err := fmt.Fprintf(w, "{\"type\":\"gauge\",\"name\":%s,\"value\":%d,\"peak\":%d}\n",
+			jsonl.AppendString(nil, name), r.gauges[i].Value(), r.gauges[i].Peak()); err != nil {
 			return err
 		}
 	}
 	for i, name := range r.histIDs {
 		h := r.hists[i]
 		var sb strings.Builder
-		fmt.Fprintf(&sb, "{\"type\":\"histogram\",\"name\":%q,\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"bounds\":[",
-			name, h.Count(), h.Sum(), h.Min(), h.Max())
+		fmt.Fprintf(&sb, "{\"type\":\"histogram\",\"name\":%s,\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"bounds\":[",
+			jsonl.AppendString(nil, name), h.Count(), h.Sum(), h.Min(), h.Max())
 		for j, b := range h.bounds {
 			if j > 0 {
 				sb.WriteByte(',')

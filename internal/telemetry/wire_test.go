@@ -186,6 +186,8 @@ func TestParseJSONLRejectsMalformed(t *testing.T) {
 		{"dup name", `{"type":"counter","name":"x","value":1}` + "\n" + `{"type":"gauge","name":"x","value":1,"peak":1}`, "duplicate metric"},
 		{"count mismatch", `{"type":"histogram","name":"h","count":9,"sum":1,"min":1,"max":1,"bounds":[10],"counts":[1,0]}`, "sum to 1, count says 9"},
 		{"bad bucket shape", `{"type":"histogram","name":"h","count":1,"sum":1,"min":1,"max":1,"bounds":[10,20],"counts":[1]}`, "want bounds+1"},
+		{"descending bounds", `{"type":"histogram","name":"h","count":0,"sum":0,"min":0,"max":0,"bounds":[5,3],"counts":[0,0,0]}`, `histogram "h" bounds not ascending at 1`},
+		{"equal bounds", `{"type":"histogram","name":"h","count":0,"sum":0,"min":0,"max":0,"bounds":[1,1],"counts":[0,0,0]}`, `histogram "h" bounds not ascending at 1`},
 	}
 	for _, c := range cases {
 		if _, err := ParseJSONL(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -209,4 +211,34 @@ func TestParsedRegistriesSchemaDrift(t *testing.T) {
 	if err := a.Merge(b); !errors.As(err, &se) || se.Name != "kern.rewinds" {
 		t.Errorf("merge err = %v, want *SchemaError naming kern.rewinds", err)
 	}
+}
+
+// FuzzParseJSONL: any input either fails with an error or parses to a
+// registry whose WriteJSONL output parses back and re-emits the same
+// bytes. It never panics.
+func FuzzParseJSONL(f *testing.F) {
+	f.Add([]byte(`{"type":"counter","name":"kern.syscalls","value":120}`))
+	f.Add([]byte(`{"type":"gauge","name":"pmu.slots.occupancy","value":-1,"peak":4}`))
+	f.Add([]byte(`{"type":"histogram","name":"kern.exit.cycles","count":3,"sum":160,"min":10,"max":100,"bounds":[50,100],"counts":[1,2,0]}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := ParseJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := r.WriteJSONL(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseJSONL(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", first.Bytes(), err)
+		}
+		var second bytes.Buffer
+		if err := back.WriteJSONL(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-emit differs:\n%q\nvs\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Structured trace export: the same event stream the text dump prints,
@@ -14,9 +12,9 @@ import (
 // threads to tids, every kernel event is an instant); the JSONL form
 // is one event object per line for scripted analysis. Both writers
 // hand-format their JSON so output is byte-deterministic for a given
-// event sequence, and both have parsers that reconstruct the exact
-// Event values — timestamps in the Chrome form are rounded to
-// microseconds for the viewer, so the exact cycle rides along in args.
+// event sequence. Both carry the exact Event values: timestamps in the
+// Chrome form are rounded to microseconds for the viewer, so the exact
+// cycle rides along in args.
 
 // WriteJSONL writes one JSON object per event:
 // {"cycle":N,"core":N,"tid":N,"kind":"name","arg":N}.
@@ -28,43 +26,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
-}
-
-// jsonlEvent is the parse shape for one JSONL line.
-type jsonlEvent struct {
-	Cycle uint64 `json:"cycle"`
-	Core  int    `json:"core"`
-	TID   int    `json:"tid"`
-	Kind  string `json:"kind"`
-	Arg   uint64 `json:"arg"`
-}
-
-// ParseJSONL reads a WriteJSONL stream back into events.
-func ParseJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" {
-			continue
-		}
-		var je jsonlEvent
-		if err := json.Unmarshal([]byte(txt), &je); err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %w", line, err)
-		}
-		k, ok := KindFromString(je.Kind)
-		if !ok {
-			return nil, fmt.Errorf("trace: jsonl line %d: unknown kind %q", line, je.Kind)
-		}
-		out = append(out, Event{Cycle: je.Cycle, Core: je.Core, TID: je.TID, Kind: k, Arg: je.Arg})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: jsonl: %w", err)
-	}
-	return out, nil
 }
 
 // WriteChrome writes the events as a Chrome trace-event JSON document
@@ -94,22 +55,6 @@ func WriteChrome(w io.Writer, events []Event, cyclesPerUsec float64) error {
 	}
 	_, err := io.WriteString(w, "],\"displayTimeUnit\":\"ns\"}\n")
 	return err
-}
-
-// chromeDoc and chromeEvent are the parse shapes for WriteChrome
-// output.
-type chromeDoc struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
-type chromeEvent struct {
-	Name string `json:"name"`
-	PID  int    `json:"pid"`
-	TID  int    `json:"tid"`
-	Args struct {
-		Cycle uint64 `json:"cycle"`
-		Arg   uint64 `json:"arg"`
-	} `json:"args"`
 }
 
 // Span is a named duration on a (pid, tid) track — the hierarchy/
@@ -175,26 +120,6 @@ func ParseChromeSpans(r io.Reader) ([]Span, error) {
 		out = append(out, Span{
 			Name: cs.Name, PID: cs.PID, TID: cs.TID,
 			StartCycle: cs.Args.StartCycle, DurCycles: cs.Args.DurCycles,
-		})
-	}
-	return out, nil
-}
-
-// ParseChrome reads a WriteChrome document back into the exact event
-// sequence (cycle and arg come from args, not the rounded ts).
-func ParseChrome(r io.Reader) ([]Event, error) {
-	var doc chromeDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("trace: chrome: %w", err)
-	}
-	out := make([]Event, 0, len(doc.TraceEvents))
-	for i, ce := range doc.TraceEvents {
-		k, ok := KindFromString(ce.Name)
-		if !ok {
-			return nil, fmt.Errorf("trace: chrome event %d: unknown kind %q", i, ce.Name)
-		}
-		out = append(out, Event{
-			Cycle: ce.Args.Cycle, Core: ce.PID, TID: ce.TID, Kind: k, Arg: ce.Args.Arg,
 		})
 	}
 	return out, nil

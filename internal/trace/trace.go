@@ -67,17 +67,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindFromString maps a kind name back to its Kind value (the inverse
-// of Kind.String, used by the structured-export parsers).
-func KindFromString(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Event is one trace record.
 type Event struct {
 	Cycle uint64

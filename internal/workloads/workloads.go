@@ -11,6 +11,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"limitsim/internal/isa"
@@ -185,6 +186,37 @@ type BodyMeta struct {
 	// Profiler owns the body's region accumulators (Profile
 	// instrumentation only).
 	Profiler *profile.Instrumenter
+}
+
+// ByName builds the named application model — mysql (version 5.1),
+// mysql-5.1, mysql-4.1, mysql-3.23, apache, firefox or forkjoin — with
+// its per-worker work scaled by scale (at least one unit), or returns
+// nil for an unknown name.
+func ByName(name string, ins Instrumentation, scale float64) *App {
+	scaleN := func(n int) int { return max(1, int(float64(n)*scale)) }
+	switch name {
+	case "mysql", "mysql-5.1", "mysql-4.1", "mysql-3.23":
+		ver := "5.1"
+		if v, ok := strings.CutPrefix(name, "mysql-"); ok {
+			ver = v
+		}
+		cfg := MySQLVersion(ver)
+		cfg.TxnsPerWorker = scaleN(cfg.TxnsPerWorker)
+		return BuildMySQL(cfg, ins)
+	case "apache":
+		cfg := DefaultApache()
+		cfg.RequestsPerWorker = scaleN(cfg.RequestsPerWorker)
+		return BuildApache(cfg, ins)
+	case "firefox":
+		cfg := DefaultFirefox()
+		cfg.EventsPerThread = scaleN(cfg.EventsPerThread)
+		return BuildFirefox(cfg, ins)
+	case "forkjoin":
+		cfg := DefaultForkJoin()
+		cfg.Iterations = scaleN(cfg.Iterations)
+		return BuildForkJoin(cfg, ins)
+	}
+	return nil
 }
 
 // App is a built workload ready to launch.

@@ -344,3 +344,24 @@ func TestAppLevelDeterminism(t *testing.T) {
 			c1, a1, s1, w1, c2, a2, s2, w2)
 	}
 }
+
+// TestByName: every application name the commands accept builds the
+// model it names (plain "mysql" is 5.1), and an unknown name builds
+// nothing.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"mysql": "mysql-5.1", "mysql-5.1": "mysql-5.1", "mysql-4.1": "mysql-4.1", "mysql-3.23": "mysql-3.23",
+		"apache": "apache", "firefox": "firefox", "forkjoin": "forkjoin",
+	} {
+		got := "nil"
+		if app := ByName(name, Instrumentation{}, 0.01); app != nil {
+			got = app.Name
+		}
+		if got != want {
+			t.Errorf("ByName(%q) built %s, want %s", name, got, want)
+		}
+	}
+	if app := ByName("bogus", Instrumentation{}, 1); app != nil {
+		t.Errorf("ByName(bogus) = %s, want nil", app.Name)
+	}
+}
