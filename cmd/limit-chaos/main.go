@@ -17,12 +17,12 @@
 //
 // -tenants N (N > 1) activates the kernel's guest-scheduler layer: the
 // workload's threads are dealt across N tenant VMs that time-share the
-// cores under a second scheduling level, every run carries a shared
-// socket uncore counter block, the fault matrix switches to the
-// vCPU-preemption mixes, and the per-tenant attribution oracles
-// (conservation, no cross-tenant leakage, uncore share bounds) run
-// after every run. The report gains a tenant-layer table quantifying
-// double context switches and the share-by-cycles attribution error.
+// cores under a second scheduling level, the fault matrix switches to
+// the vCPU-preemption mixes, and the per-tenant attribution oracles
+// (conservation, no cross-tenant leakage, uncore share bounds against
+// the socket's summed per-core count) run after every run. The report
+// gains a tenant-layer table quantifying double context switches and
+// the share-by-cycles attribution error.
 //
 // -mix NAME restricts the campaign to the single named fault mix; an
 // unknown name prints the available mixes and exits 2.

@@ -40,8 +40,9 @@
 // measurement files on disk (profiler findings, windowed series,
 // telemetry registries, flame spans) without running a simulation.
 // Unknown subcommands, unknown -format values, unknown -metric names,
-// a non-positive -window, merge with no input files, and report with
-// no inputs exit 2 with usage.
+// a non-positive -window, -cores below 1, -counters outside
+// [1, pmu.MaxCounters], merge with no input files, and report with no
+// inputs exit 2 with usage.
 package main
 
 import (
@@ -136,6 +137,17 @@ var subcommands = []struct {
 	{"report", "assemble a self-contained HTML artifact from measurement files on disk", runReport},
 }
 
+// validCores reports whether a -cores value is usable, printing a
+// usage error naming the flag when it is not: the machine would
+// otherwise quietly replace a non-positive count with its default.
+func validCores(prog string, cores int, stderr io.Writer) bool {
+	if cores >= 1 {
+		return true
+	}
+	fmt.Fprintf(stderr, "%s: -cores must be >= 1 (got %d)\n", prog, cores)
+	return false
+}
+
 // usage writes the flag help plus the subcommand index.
 func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintln(w, "usage: limitctl [subcommand] [flags]")
@@ -202,6 +214,9 @@ func main() {
 	if *list {
 		listConfigurations(os.Stdout)
 		return
+	}
+	if !validCores("limitctl", *cores, os.Stderr) {
+		os.Exit(2)
 	}
 
 	ins, ok := buildInstrumentation(*method, *period)

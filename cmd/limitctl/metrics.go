@@ -87,6 +87,13 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "limitctl metrics: -tenants must be >= 1 (got %d)\n", *tenants)
 		return 2
 	}
+	if !validCores("limitctl metrics", *cores, stderr) {
+		return 2
+	}
+	if *counters < 1 || *counters > pmu.MaxCounters {
+		fmt.Fprintf(stderr, "limitctl metrics: -counters must be in [1, %d] (got %d)\n", pmu.MaxCounters, *counters)
+		return 2
+	}
 
 	// Resolve the metric selection before running anything: a typo must
 	// cost a usage message, not a simulation.
@@ -130,7 +137,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	kcfg := kernel.DefaultConfig()
 	kcfg.MuxQuantum = *rotation
 	kcfg.Tenants = *tenants
-	m := machine.New(machine.Config{NumCores: *cores, PMU: f, Kernel: kcfg, Uncore: *tenants > 1})
+	m := machine.New(machine.Config{NumCores: *cores, PMU: f, Kernel: kcfg})
 	threads := app.Launch(m)
 	if *tenants > 1 {
 		for i, t := range threads {

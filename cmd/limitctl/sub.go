@@ -45,6 +45,9 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if !validCores("limitctl trace", *cores, stderr) {
+		return 2
+	}
 
 	buf, _, code := runTraced(*appName, *method, *cores, *scale, *n, *period, stderr)
 	if code != 0 {
@@ -90,6 +93,9 @@ func runStats(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "limitctl stats: unknown -format %q (text, jsonl)\n", *format)
 		fs.Usage()
+		return 2
+	}
+	if !validCores("limitctl stats", *cores, stderr) {
 		return 2
 	}
 

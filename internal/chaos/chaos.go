@@ -133,10 +133,10 @@ type Config struct {
 	Parallel int
 	// Tenants, when > 1, activates the kernel's guest-scheduler layer:
 	// workload threads are dealt round-robin across that many tenant
-	// VMs, every run gets a shared uncore counter block, the mix matrix
-	// defaults to TenantMixes, and the tenant attribution oracles
-	// (conservation, no cross-tenant leakage, uncore share bounds) run
-	// after every run.
+	// VMs, the mix matrix defaults to TenantMixes, and the tenant
+	// attribution oracles (conservation, no cross-tenant leakage,
+	// uncore share bounds against the socket's summed per-core count)
+	// run after every run.
 	Tenants int
 	// Mixes is the fault matrix (default DefaultMixes; TenantMixes
 	// when Tenants > 1).

@@ -13,6 +13,7 @@ import (
 	"limitsim/internal/pmu"
 	"limitsim/internal/tabwrite"
 	"limitsim/internal/telemetry"
+	"limitsim/internal/trace"
 )
 
 // What every campaign and soak run shares: the pooled worker harness,
@@ -23,10 +24,14 @@ import (
 // maxSamples caps the violation samples kept per run and per mix.
 const maxSamples = 8
 
+// traceEvents is the kernel trace ring every run attaches: the tail a
+// FaultError carries for post-mortem diagnosis.
+const traceEvents = 256
+
 // machineConfig is the machine every run boots: narrowed counter
 // writes so overflow folds happen constantly, short slices so natural
 // preemption joins the storm, in-kernel folds, and — with tenants — the
-// guest scheduler plus a shared uncore counter block.
+// guest scheduler.
 func machineConfig(seed uint64, cores, width, tenants int) machine.Config {
 	feats := pmu.DefaultFeatures()
 	feats.WriteWidth = width
@@ -46,13 +51,7 @@ func machineConfig(seed uint64, cores, width, tenants int) machine.Config {
 			kcfg.VCPUs = cores - 1
 		}
 	}
-	return machine.Config{
-		NumCores:      cores,
-		PMU:           feats,
-		Kernel:        kcfg,
-		TraceCapacity: 256,
-		Uncore:        tenants > 1,
-	}
+	return machine.Config{NumCores: cores, PMU: feats, Kernel: kcfg}
 }
 
 // newRegistry builds a kernel telemetry registry: the kernel metrics,
@@ -94,11 +93,13 @@ func newHarness(space *mem.Space, regions [][2]int, cores, tenants int, metrics 
 }
 
 // start restores the pristine workload image and boots a machine for
-// one seeded run with the injector, checker and telemetry attached, so
-// a run cannot depend on which runs the worker executed before it.
+// one seeded run with the trace ring, injector, checker and telemetry
+// attached, so a run cannot depend on which runs the worker executed
+// before it.
 func (h *harness) start(mc machine.Config, inject faultinject.Config) *machine.Machine {
 	h.space.Restore(h.snap)
 	m := machine.New(mc)
+	m.Kern.SetTracer(trace.NewBuffer(traceEvents))
 
 	inject.Seed = mc.Kernel.Seed ^ 0x5ca1ab1e
 	inject.NumSlots = mc.PMU.NumCounters

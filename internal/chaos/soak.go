@@ -114,9 +114,8 @@ type SoakConfig struct {
 	Parallel int
 	// Tenants, when > 1, runs that many independent manager+pool copies
 	// as guest VMs under the kernel's tenant scheduler: slot capacities
-	// scale with the combined pool, every run gets a shared uncore
-	// block, a vCPU-churn mix joins the matrix, and the tenant
-	// attribution oracles run after every run.
+	// scale with the combined pool, a vCPU-churn mix joins the matrix,
+	// and the tenant attribution oracles run after every run.
 	Tenants int
 	// Mixes is the lifecycle fault matrix (default DefaultSoakMixes).
 	Mixes []SoakMix

@@ -110,6 +110,10 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl metrics unknown metric", "limitctl", []string{"metrics", "-metric", "bogus"}, 2},
 		{"limitctl metrics unknown format", "limitctl", []string{"metrics", "-format", "bogus"}, 2},
 		{"limitctl metrics empty selection", "limitctl", []string{"metrics", "-metric", ","}, 2},
+		{"limitctl metrics counters over limit", "limitctl", []string{"metrics", "-counters", "65"}, 2},
+		{"limitctl metrics negative counters", "limitctl", []string{"metrics", "-counters", "-1"}, 2},
+		{"limitctl zero cores", "limitctl", []string{"-cores", "0"}, 2},
+		{"limitctl metrics negative cores", "limitctl", []string{"metrics", "-cores", "-1"}, 2},
 
 		// Exit 1: runtime failures.
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},

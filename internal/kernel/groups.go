@@ -394,7 +394,7 @@ func (t *Thread) loadedGroupSlots() int {
 }
 
 // muxTick fires group rotation once the thread's scheduled time since
-// the last rotation reaches the rotation quantum. Called from StepCore
+// the last rotation reaches the rotation quantum. Called from RunCore
 // before each instruction of a group-holding thread; the fast path is
 // one add and compare.
 func (k *Kernel) muxTick(coreID int, t *Thread) {

@@ -87,10 +87,11 @@ type Chaos struct {
 // mutate simulation state (they run inside the event loop and any
 // side effect would perturb the run they are watching).
 type Probes struct {
-	// Step fires after each core.Step, before trap handling and
-	// interrupt service: prevPC is the PC the retired instruction was
-	// fetched from, pc the architectural PC after it (branch targets
-	// included, rewinds not yet applied).
+	// Step fires after every retired instruction, before trap handling
+	// and interrupt service: prevPC is the PC the retired instruction
+	// was fetched from, pc the architectural PC after it (branch
+	// targets included, rewinds not yet applied). It runs inside
+	// bursts and does not end them.
 	Step func(coreID int, t *Thread, prevPC, pc int)
 
 	// Fold fires once per write-limit chunk folded from a LiMiT
@@ -137,33 +138,23 @@ func (k *Kernel) chaosPreempt(coreID int) {
 	if t == nil || k.chaos == nil || k.chaos.PreemptAfter == nil || !k.chaos.PreemptAfter(coreID, t) {
 		return
 	}
-	t.Stats.Preemptions++
-	k.Stats.Preemptions++
-	k.deschedule(coreID, t)
-	t.State = StateReady
-	t.ReadyAt = k.cores[coreID].Now
-	core := coreID
-	if k.chaos.Place != nil {
-		if c := k.chaos.Place(t, core); c >= 0 && c < len(k.cores) {
-			core = c
-		}
-	}
-	k.runq[core] = append(k.runq[core], t)
+	k.preempt(coreID, true)
 }
 
 // chaosClone asks the injector whether to force a clone at this
-// boundary and performs it. The forced child behaves exactly like a
-// SysClone child with a kernel-allocated virtual-counter table; only
-// its entry PC (the injector's choice) and its seed (kernel RNG)
-// differ from what the parent would have passed.
-func (k *Kernel) chaosClone(coreID int) {
+// boundary and performs it, reporting whether it did. The forced
+// child behaves exactly like a SysClone child with a kernel-allocated
+// virtual-counter table; only its entry PC (the injector's choice)
+// and its seed (kernel RNG) differ from what the parent would have
+// passed.
+func (k *Kernel) chaosClone(coreID int) bool {
 	t := k.cur[coreID]
 	if t == nil || k.chaos == nil || k.chaos.CloneAfter == nil {
-		return
+		return false
 	}
 	entry, ok := k.chaos.CloneAfter(coreID, t)
 	if !ok {
-		return
+		return false
 	}
 	start := k.cores[coreID].Now
 	k.cores[coreID].KernelWork(k.cfg.Costs.Clone)
@@ -171,6 +162,7 @@ func (k *Kernel) chaosClone(coreID int) {
 	if k.metrics != nil {
 		k.metrics.CloneCycles.Observe(k.cores[coreID].Now - start)
 	}
+	return true
 }
 
 // chaosKill asks the injector whether to kill the current thread at
@@ -182,13 +174,6 @@ func (k *Kernel) chaosKill(coreID int) {
 	}
 	k.Stats.Kills++
 	k.exitThread(coreID, t, exitKilled)
-}
-
-// probeStep reports a retired instruction to the checker.
-func (k *Kernel) probeStep(coreID int, t *Thread, prevPC int) {
-	if k.probes != nil && k.probes.Step != nil {
-		k.probes.Step(coreID, t, prevPC, t.Ctx.PC)
-	}
 }
 
 // probeFold reports one overflow-chunk fold to the checker.

@@ -6,18 +6,6 @@ import (
 	"limitsim/internal/trace"
 )
 
-// StepStatus reports what a StepCore call accomplished.
-type StepStatus uint8
-
-// Step statuses.
-const (
-	// StepRan: one instruction executed (possibly plus trap handling).
-	StepRan StepStatus = iota
-	// StepIdle: the core has nothing runnable now; NextActionTime gives
-	// the earliest cycle at which it might.
-	StepIdle
-)
-
 // NextActionTime returns the earliest cycle at which the core can do
 // useful work, and whether any such time exists. The machine loop uses
 // it to pick the causally-next core.
@@ -95,51 +83,15 @@ func (k *Kernel) enqueue(t *Thread) {
 	k.runq[core] = append(k.runq[core], t)
 }
 
-// StepCore advances core coreID by one instruction (scheduling first if
-// needed) and handles any resulting trap, interrupt, or signal. It is
-// the kernel's single entry point for the machine loop.
-func (k *Kernel) StepCore(coreID int) StepStatus {
-	core := k.cores[coreID]
-
-	// Tenant timer first: an expired vCPU quantum preempts the whole
-	// guest (the double context switch), before the thread-level timer
-	// gets a say.
-	k.tenantTick(coreID)
-
-	// Timer: preempt an expired quantum when others are waiting.
-	if t := k.cur[coreID]; t != nil && core.Now >= k.quantumEnd[coreID] && len(k.runq[coreID]) > 0 {
-		k.preempt(coreID)
-	}
-
-	if k.cur[coreID] == nil {
-		if !k.schedule(coreID) {
-			return StepIdle
-		}
-	}
-
-	t := k.cur[coreID]
-	// Group rotation rides the timer path: fire before the instruction
-	// when the thread's scheduled time since last rotation fills the
-	// rotation quantum. One add+compare for group-holding threads, no
-	// cost at all for the rest.
-	if len(t.groups) != 0 {
-		k.muxTick(coreID, t)
-	}
-	prevPC := t.Ctx.PC
-	var res cpu.StepResult
-	instrs, cycles, trap := core.StepInto(&t.Ctx, &res)
-	t.Stats.UserInstructions += instrs
-	t.Stats.UserCycles += cycles
-	k.probeStep(coreID, t, prevPC)
-	k.postStep(coreID, t, trap, &res, core.PMU.TakePendingOverflows())
-	return StepRan
-}
-
 // postStep runs the instruction-boundary work after one executed
 // instruction: PMI raising and delivery, trap routing, chaos hooks,
-// and signal delivery. StepCore and the burst loop in RunCore share it
-// so the boundary behaves identically on both paths.
-func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.StepResult, mask uint64) {
+// and signal delivery. It reports whether the boundary was quiet:
+// nothing ran that can change state outside this core — no PMI was
+// serviced, no trap, no forced clone, the thread is still current (no
+// kill, vCPU preemption or preemption) and no signal is pending — so
+// the burst may go on. A FlushAfter flush is quiet: every core has its
+// own caches and TLB.
+func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.StepResult, mask uint64) (quiet bool) {
 	core := k.cores[coreID]
 
 	// Overflow interrupts land at the instruction boundary, before any
@@ -180,93 +132,111 @@ func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.Ste
 	// Chaos: forced clone, asynchronous kill, or adversarial timer
 	// interrupt at any boundary (each checks that the thread is still
 	// current — an earlier hook may have removed it).
-	k.chaosClone(coreID)
+	cloned := k.chaosClone(coreID)
 	k.chaosKill(coreID)
 	k.chaosVCpuPreempt(coreID)
 	k.chaosPreempt(coreID)
 
 	// Deliver pending signals on the way back to user (unless the
 	// chaos hook is delaying delivery at this boundary).
-	if ct := k.cur[coreID]; ct != nil && len(ct.pending) > 0 {
+	ct := k.cur[coreID]
+	if ct != nil && len(ct.pending) > 0 {
 		if k.chaos == nil || k.chaos.HoldSignal == nil || !k.chaos.HoldSignal(coreID, ct) {
 			k.deliverSignals(coreID, ct)
 		}
 	}
+	return mask == 0 && trap == cpu.TrapNone && !cloned && ct == t && len(t.pending) == 0
 }
 
 // RunCore advances core coreID until its clock reaches horizon, up to
-// maxSteps instructions (0 means unbounded), or until any event that
+// maxSteps instructions (0 means unbounded), or until a boundary that
 // could influence another core or the sleeper set — a trap, a PMI, a
-// scheduling decision, or a pending signal — at which point it hands
-// control back for a global core re-pick. Within those bounds it runs
-// a tight loop with the per-instruction hook checks hoisted out, which
-// is where the simulator spends nearly all of its time.
+// forced clone, a kill or preemption, or a pending signal — at which
+// point it hands control back for a global core re-pick. It is the
+// simulator's only instruction-stepping loop, and where it spends
+// nearly all of its time.
 //
-// The burst is observationally identical to calling StepCore in a
-// machine loop that re-picks after every instruction: while no
-// boundary event fires, the running core's state is invisible to other
-// cores, so the global pick would keep choosing it until its clock
-// passes the horizon the machine computed.
-// The clean result reports that no kernel code ran during the burst,
-// so no state outside this core — other cores' queues, sleepers,
-// thread lifetimes — can have changed, and the caller may keep its
-// cached view of them. now returns the core's clock after the burst,
-// saving the caller the re-read.
+// A burst is observationally identical to one instruction per global
+// pick: while every boundary stays quiet, the running core's state is
+// invisible to other cores, so the pick would keep choosing it until
+// its clock passes the horizon the machine computed. Attached chaos
+// hooks and probes run at every boundary inside the burst, in the
+// order the single-step loop would call them.
+// The clean result reports that every boundary was quiet, so no state
+// outside the core — other cores' queues, sleepers, thread lifetimes
+// — can have changed, and the caller may keep its cached view of
+// them. now returns the core's clock after the burst, saving the
+// caller the re-read.
 func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, now uint64, clean bool) {
 	if maxSteps == 0 {
 		maxSteps = ^uint64(0)
 	}
 	core := k.cores[coreID]
 	t := k.cur[coreID]
-	// Chaos, tenant scheduling, and probes observe or perturb every
-	// instruction boundary, and scheduling (preemption, work stealing,
-	// wake migration) consults and mutates other cores' queues, both
-	// possibly across cores: take one full StepCore, then hand back for
-	// a global re-pick.
-	if k.chaos != nil || k.probes != nil || k.ts != nil ||
-		t == nil || (core.Now >= k.quantumEnd[coreID] && len(k.runq[coreID]) > 0) {
-		if k.StepCore(coreID) == StepIdle {
+	// Scheduling (tenant and thread timers, then picking a thread)
+	// consults and mutates other cores' queues through work stealing
+	// and tenant migration, so a burst that needs it runs one
+	// instruction and hands back for a global re-pick.
+	single := t == nil || (core.Now >= k.quantumEnd[coreID] && len(k.runq[coreID]) > 0) ||
+		(k.ts != nil && core.Now >= k.ts.quantumEnd[coreID])
+	if single {
+		if t = k.enter(coreID); t == nil {
 			return 0, 0, false
 		}
-		return 1, core.Now, false
 	}
-	// Loop invariants: nothing in the tight loop runs kernel code, and
-	// no other core runs during the burst, so the current thread, its
-	// signal queue, this core's run-queue length, and the quantum end
-	// cannot change until postStep — which ends the burst. Hoisting
-	// their loads out of the loop is therefore exact.
-	hasGroups := len(t.groups) != 0
-	hasSignals := len(t.pending) > 0
+	// Loop invariants: the loop goes on past postStep only when the
+	// boundary was quiet, and no other core runs during the burst, so
+	// the current thread, its groups, this core's run-queue length and
+	// both quantum ends cannot change while it runs. Hoisting their
+	// loads out of the loop is therefore exact. each sends every
+	// boundary through the probe and postStep: chaos hooks act at any
+	// of them, a pending signal is delivered at the next, and a single
+	// burst's one instruction ends in it. pre folds group rotation and
+	// the probe's PC capture into one test, so a run with neither pays
+	// nothing per instruction for them. The loop reloads every local it
+	// carries on each iteration, so it carries as few as it can.
+	pre := len(t.groups) != 0 || k.probes != nil
+	each := single || len(t.pending) > 0 || k.chaos != nil || k.probes != nil
 	var res cpu.StepResult
-	// The loop's stop line folds the horizon and (when other threads
-	// wait) the quantum end into one compare. A stop on the quantum end
-	// is clean: the core's clock is still below the horizon, so it wins
-	// the next pick and the entry check above preempts it, exactly as
-	// the next single-step iteration would have.
+	// The loop's stop line folds the horizon, the quantum end (when
+	// other threads wait) and the tenant quantum end into one compare.
+	// A stop on either quantum end is clean: every boundary was quiet,
+	// and when the core next wins the pick the entry check above runs
+	// the timers, exactly as the next single-step iteration would
+	// have.
 	stop := horizon
 	if len(k.runq[coreID]) > 0 && k.quantumEnd[coreID] < stop {
 		stop = k.quantumEnd[coreID]
+	}
+	if k.ts != nil && k.ts.quantumEnd[coreID] < stop {
+		stop = k.ts.quantumEnd[coreID]
 	}
 	// Per-thread stats accumulate in locals and flush on every exit
 	// path, always before postStep can observe them.
 	var ui, uc uint64
 	for {
-		if hasGroups {
-			k.muxTick(coreID, t) // core-local counter rotation
+		var prevPC int
+		if pre {
+			if len(t.groups) != 0 {
+				k.muxTick(coreID, t) // core-local counter rotation
+			}
+			prevPC = t.Ctx.PC
 		}
 		si, sc, tr := core.StepInto(&t.Ctx, &res)
 		ui += si
 		uc += sc
 		steps++
 		mask := core.PMU.TakePendingOverflows()
-		if mask != 0 || tr != cpu.TrapNone || hasSignals {
-			// Kernel-visible boundary: finish it exactly as StepCore
-			// would, then return for a global re-pick (the kernel may
-			// have woken, migrated, or exited threads).
+		if mask != 0 || tr != cpu.TrapNone || each {
+			if p := k.probes; p != nil && p.Step != nil {
+				p.Step(coreID, t, prevPC, t.Ctx.PC)
+			}
 			t.Stats.UserInstructions += ui
 			t.Stats.UserCycles += uc
-			k.postStep(coreID, t, tr, &res, mask)
-			return steps, core.Now, false
+			ui, uc = 0, 0
+			if !k.postStep(coreID, t, tr, &res, mask) || single {
+				return steps, core.Now, false
+			}
 		}
 		if steps >= maxSteps || core.Now >= stop {
 			t.Stats.UserInstructions += ui
@@ -274,6 +244,26 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 			return steps, core.Now, true
 		}
 	}
+}
+
+// enter runs the kernel work that may precede a burst — the tenant
+// timer (an expired vCPU quantum preempts the whole guest, the double
+// context switch, before the thread-level timer gets a say), the
+// thread timer, then scheduling — and returns the thread now current,
+// or nil when the core has nothing runnable yet. It stays out of line
+// so the prelude does not widen RunCore's frame, which every burst
+// pays for.
+//
+//go:noinline
+func (k *Kernel) enter(coreID int) *Thread {
+	k.tenantTick(coreID)
+	if t := k.cur[coreID]; t != nil && k.cores[coreID].Now >= k.quantumEnd[coreID] && len(k.runq[coreID]) > 0 {
+		k.preempt(coreID, false)
+	}
+	if k.cur[coreID] == nil && !k.schedule(coreID) {
+		return nil
+	}
+	return k.cur[coreID]
 }
 
 // schedule installs the next runnable thread on the core. Returns false
@@ -358,15 +348,24 @@ func (k *Kernel) stealVictim(thief int) (*stolen, int) {
 	return nil, 0
 }
 
-// preempt deschedules the current thread at end of quantum.
-func (k *Kernel) preempt(coreID int) {
+// preempt deschedules the current thread involuntarily — timer,
+// vCPU or chaos — and requeues it ready at the core's clock. place
+// lets the chaos Place hook redirect the requeue, after the
+// deschedule.
+func (k *Kernel) preempt(coreID int, place bool) {
 	t := k.cur[coreID]
 	t.Stats.Preemptions++
 	k.Stats.Preemptions++
 	k.deschedule(coreID, t)
 	t.State = StateReady
 	t.ReadyAt = k.cores[coreID].Now
-	k.runq[coreID] = append(k.runq[coreID], t)
+	core := coreID
+	if place && k.chaos.Place != nil {
+		if c := k.chaos.Place(t, core); c >= 0 && c < len(k.cores) {
+			core = c
+		}
+	}
+	k.runq[core] = append(k.runq[core], t)
 }
 
 // deschedule saves thread state, applies the LiMiT fixup, and charges

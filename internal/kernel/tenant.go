@@ -28,8 +28,9 @@ import (
 // vCPU-switch overhead is charged *between* spans and stays
 // unattributed host work by design.
 //
-// Uncore attribution policy: socket-level counters cannot be saved or
-// restored per thread, so per-tenant uncore values are estimated by
+// Uncore attribution policy: a socket-level counter cannot be saved or
+// restored per thread, so per-tenant shares of the socket total (the
+// per-core ground truth summed) are estimated by
 // share-of-resident-cycles — tenant i gets
 //
 //	est_i = floor(total * cycles_i / Σcycles)
@@ -231,12 +232,7 @@ func (k *Kernel) vcpuPreempt(coreID int, t *Thread) {
 	ts.led[tid].Preempts++
 	k.Stats.TenantPreemptions++
 	k.tr(coreID, t, trace.VCpuPreempt, uint64(tid))
-	t.Stats.Preemptions++
-	k.Stats.Preemptions++
-	k.deschedule(coreID, t)
-	t.State = StateReady
-	t.ReadyAt = k.cores[coreID].Now
-	k.runq[coreID] = append(k.runq[coreID], t)
+	k.preempt(coreID, false)
 	// Expire the tenant quantum so the next schedule() rotates to the
 	// waiting tenant instead of resuming this one.
 	ts.quantumEnd[coreID] = 0
@@ -359,7 +355,7 @@ func (k *Kernel) TenantAccts() []TenantAcct {
 		led[tid].Cycles += now.cycles - b.cycles
 		led[tid].Uncore += now.uncore - b.uncore
 	}
-	total := k.uncoreTotal()
+	total := k.UncoreTotal()
 	var totalCyc uint64
 	for i := range led {
 		totalCyc += led[i].Cycles
@@ -374,21 +370,12 @@ func (k *Kernel) TenantAccts() []TenantAcct {
 
 // UncoreTotal returns the socket-wide uncore-event count the
 // attribution policy divides — the denominator oracles and reports
-// judge estimates against. Zero when the tenant layer is off.
+// judge estimates against: the per-core ground truth summed over the
+// socket's cores, which is what a shared socket counter fed by every
+// core would read. Zero when the tenant layer is off.
 func (k *Kernel) UncoreTotal() uint64 {
 	if k.ts == nil {
 		return 0
-	}
-	return k.uncoreTotal()
-}
-
-// uncoreTotal returns the socket-wide uncore-event count: the shared
-// Uncore block when one is attached, else the per-core ground-truth
-// sum (identical by construction, but the attached block is the
-// "hardware" reading the policy must divide).
-func (k *Kernel) uncoreTotal() uint64 {
-	if u := k.cores[0].PMU.Uncore(); u != nil {
-		return u.Value(uncoreEvent)
 	}
 	var sum uint64
 	for _, c := range k.cores {

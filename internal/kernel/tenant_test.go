@@ -38,7 +38,7 @@ func TestTenantTimeSharing(t *testing.T) {
 	kcfg := kernel.DefaultConfig()
 	kcfg.Tenants = 2
 	kcfg.TenantQuantum = 2_000
-	m := machine.New(machine.Config{NumCores: 1, Kernel: kcfg, Uncore: true})
+	m := machine.New(machine.Config{NumCores: 1, Kernel: kcfg})
 
 	b := isa.NewBuilder()
 	entryA := computeLoop(b, "a", 300, 40)
@@ -121,7 +121,7 @@ func TestTenantResidencyCapMigrates(t *testing.T) {
 	kcfg.Tenants = 2
 	kcfg.TenantQuantum = 2_000
 	kcfg.VCPUs = 1
-	m := machine.New(machine.Config{NumCores: 2, Kernel: kcfg, Uncore: true})
+	m := machine.New(machine.Config{NumCores: 2, Kernel: kcfg})
 
 	b := isa.NewBuilder()
 	entries := []int{

@@ -35,15 +35,6 @@ type Config struct {
 	PMU pmu.Features
 	// Kernel tunes the simulated OS (default kernel.DefaultConfig).
 	Kernel kernel.Config
-	// TraceCapacity, when positive, attaches a scheduling/interrupt
-	// trace ring of that many events to the kernel. The ring is cheap
-	// (fixed size, overwrites oldest) and is what FaultError carries
-	// for post-mortem diagnosis when a run goes wrong.
-	TraceCapacity int
-	// Uncore attaches one shared socket-level counter block to every
-	// core's PMU (required by the kernel's tenant attribution layer;
-	// off by default because it adds a branch to every AddEvent).
-	Uncore bool
 }
 
 // DefaultConfig returns a 4-core machine with stock-2011 PMU features.
@@ -59,9 +50,6 @@ func DefaultConfig() Config {
 type Machine struct {
 	Cores []*cpu.Core
 	Kern  *kernel.Kernel
-	// Uncore is the socket-level shared counter block when
-	// Config.Uncore was set (nil otherwise).
-	Uncore *pmu.Uncore
 }
 
 // New builds a machine from cfg, applying defaults for zero fields.
@@ -76,21 +64,10 @@ func New(cfg Config) *Machine {
 		cfg.Kernel = kernel.DefaultConfig()
 	}
 	cores := make([]*cpu.Core, cfg.NumCores)
-	var uncore *pmu.Uncore
-	if cfg.Uncore {
-		uncore = pmu.NewUncore()
-	}
 	for i := range cores {
 		cores[i] = cpu.NewCore(i, cfg.PMU)
-		if uncore != nil {
-			cores[i].PMU.AttachUncore(uncore)
-		}
 	}
-	m := &Machine{Cores: cores, Kern: kernel.New(cfg.Kernel, cores), Uncore: uncore}
-	if cfg.TraceCapacity > 0 {
-		m.Kern.SetTracer(trace.NewBuffer(cfg.TraceCapacity))
-	}
-	return m
+	return &Machine{Cores: cores, Kern: kernel.New(cfg.Kernel, cores)}
 }
 
 // RunLimits bounds a Run call. Zero fields mean "unbounded".
@@ -107,7 +84,8 @@ type RunLimits struct {
 type RunResult struct {
 	// Cycles is the final maximum core clock.
 	Cycles uint64
-	// Steps is the number of StepCore calls that executed work.
+	// Steps is the number of instructions executed (a Compute block
+	// counts as one).
 	Steps uint64
 	// AllDone reports whether every thread terminated.
 	AllDone bool
@@ -163,7 +141,7 @@ func (e *FaultError) Error() string {
 // tracer was attached.
 func (e *FaultError) DumpTrace(w io.Writer, max int) {
 	if len(e.Trace) == 0 {
-		fmt.Fprintln(w, "  (no trace ring attached; set machine.Config.TraceCapacity)")
+		fmt.Fprintln(w, "  (no trace ring attached; attach one with Kernel.SetTracer)")
 		return
 	}
 	evs := e.Trace
@@ -226,9 +204,10 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 			}
 			dirty = false
 		} else if last >= 0 {
-			// A clean burst ran no kernel code, so the thread is still
-			// current on its core and the core's next action is simply
-			// its clock, which RunCore reported on the way out.
+			// A clean burst left nothing outside its core changed, so
+			// the thread is still current on its core and the core's
+			// next action is simply its clock, which RunCore reported
+			// on the way out.
 			ats[last] = lastNow
 		}
 
@@ -352,9 +331,9 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 		}
 
 		// Cap the horizon by the next sleeper deadline and the cycle
-		// limit. RunCore also hands back on every kernel-visible event,
-		// so anything that could change another core's next-action time
-		// re-picks first.
+		// limit. RunCore also hands back on every boundary that is not
+		// quiet, so anything that could change another core's
+		// next-action time re-picks first.
 		horizon := never
 		if m2 != never {
 			horizon = m2

@@ -25,7 +25,7 @@ func muxRun(t *testing.T, tenants int, build func(workloads.Instrumentation) *wo
 	f.NumCounters = 6
 	kcfg := kernel.DefaultConfig()
 	kcfg.Tenants = tenants
-	m := machine.New(machine.Config{NumCores: 4, PMU: f, Kernel: kcfg, Uncore: tenants > 1})
+	m := machine.New(machine.Config{NumCores: 4, PMU: f, Kernel: kcfg})
 	threads := app.Launch(m)
 	if tenants > 1 {
 		for i, th := range threads {

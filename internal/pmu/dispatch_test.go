@@ -186,50 +186,35 @@ func fullScanWatchers(p *PMU) [2 * int(NumEvents)]uint64 {
 			w[int(NumEvents)+int(cfg.Event)] |= bit
 		}
 	}
-	if p.uncore != nil {
-		for i := range w {
-			w[i] |= uncoreBit
-		}
-	}
 	return w
 }
 
 // TestDispatchTableMatchesFullScan drives random reprogramming —
 // enable/disable, event changes including out-of-range selectors,
-// ring filters, overflow bits — interleaved with uncore attach and
-// detach, and after every call requires each entry's watcher mask to
-// equal a from-scratch rebuild.
+// ring filters, overflow bits — up to the full MaxCounters width, and
+// after every call requires each entry's watcher mask to equal a
+// from-scratch rebuild.
 func TestDispatchTableMatchesFullScan(t *testing.T) {
-	for _, n := range []int{1, 4, 8, 63} {
+	for _, n := range []int{1, 4, 8, 63, MaxCounters} {
 		f := DefaultFeatures()
 		f.NumCounters = n
 		p := New(f)
-		u := NewUncore()
 		rng := rand.New(rand.NewSource(int64(n)))
 		for step := 0; step < 5000; step++ {
-			what := "Configure"
-			switch r := rng.Intn(20); {
-			case r == 0:
-				what = "AttachUncore(u)"
-				p.AttachUncore(u)
-			case r == 1:
-				what = "AttachUncore(nil)"
-				p.AttachUncore(nil)
-			default:
-				ev := Event(rng.Intn(int(NumEvents)))
-				if rng.Intn(8) == 0 {
-					ev = Event(int(NumEvents) + rng.Intn(256-int(NumEvents)))
-				}
-				p.Configure(rng.Intn(n), CounterConfig{
-					Event:       ev,
-					CountUser:   rng.Intn(2) == 0,
-					CountKernel: rng.Intn(2) == 0,
-					Enabled:     rng.Intn(3) != 0,
-					OverflowBit: []int{-1, 0, 9, 31, 47, 63, 64}[rng.Intn(7)],
-				})
+			ev := Event(rng.Intn(int(NumEvents)))
+			if rng.Intn(8) == 0 {
+				ev = Event(int(NumEvents) + rng.Intn(256-int(NumEvents)))
 			}
+			idx := rng.Intn(n)
+			p.Configure(idx, CounterConfig{
+				Event:       ev,
+				CountUser:   rng.Intn(2) == 0,
+				CountKernel: rng.Intn(2) == 0,
+				Enabled:     rng.Intn(3) != 0,
+				OverflowBit: []int{-1, 0, 9, 31, 47, 63, 64}[rng.Intn(7)],
+			})
 			if want := fullScanWatchers(p); p.watcherMasks() != want {
-				t.Fatalf("%d counters, step %d (%s): watchers %x, full scan %x", n, step, what, p.watcherMasks(), want)
+				t.Fatalf("%d counters, step %d (Configure(%d)): watchers %x, full scan %x", n, step, idx, p.watcherMasks(), want)
 			}
 		}
 	}

@@ -76,15 +76,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("event(%d)", uint8(e))
 }
 
-// uncoreBit is set in every dispatch-table entry while an Uncore is
-// attached, folding "is anything mirrored to the socket block?" into
-// the same load that answers "does any counter watch this event?".
-// Counter indices are therefore capped at 63 (enforced by New).
-const uncoreBit = uint64(1) << 63
+// MaxCounters is the most programmable counters a PMU can have:
+// counter i occupies bit i of the 64-bit dispatch-table and
+// pending-overflow masks.
+const MaxCounters = 64
 
 // eventEntry is one (event, ring) slot of the dispatch table: the
-// omniscient accumulator and the mask of parties that must also see
-// the event (watching counters, plus uncoreBit).
+// omniscient accumulator and the mask of counters that watch the
+// event.
 type eventEntry struct {
 	truth    uint64
 	watchers uint64
@@ -201,9 +200,8 @@ type PMU struct {
 	// totals that the paper obtained from long calibration runs.
 	//
 	// watchers is the bitmask of enabled counters whose event selector
-	// and ring filter accept (ev, ring), plus uncoreBit when a socket
-	// counter block is attached. It is updated by Configure — the only
-	// place a counter's programming changes — so AddEvent's common
+	// and ring filter accept (ev, ring). It is updated by Configure —
+	// the only place a counter's programming changes — so AddEvent's common
 	// case ("no counter watches this event") is a single indexed
 	// entry: one add, one load, one branch, instead of a scan over
 	// every counter. The machine loop calls AddEvent several times per
@@ -236,11 +234,6 @@ type PMU struct {
 	// deltas are capped at deferStepMask (4095), so each 24-bit lane
 	// tops out at 4095*4095 < 2^24 and lanes never carry.
 	defRetire uint64
-
-	// uncore, when attached, receives a copy of every event. Several
-	// cores on one socket share a single Uncore, modeling socket-level
-	// resources that cannot be filtered per thread or ring.
-	uncore *Uncore
 }
 
 // New returns a PMU with the given features. All counters start
@@ -249,10 +242,8 @@ func New(f Features) *PMU {
 	if f.NumCounters <= 0 {
 		panic("pmu: NumCounters must be positive")
 	}
-	if f.NumCounters > 63 {
-		// Counter index i occupies bit i of the dispatch-table masks;
-		// bit 63 is reserved for the uncore-attached flag.
-		panic("pmu: NumCounters must be at most 63")
+	if f.NumCounters > MaxCounters {
+		panic(fmt.Sprintf("pmu: NumCounters must be at most %d", MaxCounters))
 	}
 	if f.CounterWidth <= 0 || f.CounterWidth > 64 {
 		panic("pmu: CounterWidth out of range")
@@ -286,10 +277,10 @@ func (p *PMU) check(idx int) {
 // overflow on that counter but preserves its value (software writes the
 // value separately, as on real hardware).
 //
-// Configure is the only writer of counter bits in the dispatch table
-// (AttachUncore owns uncoreBit), so counter idx's bit can only sit in
-// the user and kernel entries of its outgoing event: reprogramming
-// clears those two and sets the new ones, independent of NumEvents.
+// Configure is the only writer of the dispatch table's watcher masks,
+// so counter idx's bit can only sit in the user and kernel entries of
+// its outgoing event: reprogramming clears those two and sets the new
+// ones, independent of NumEvents.
 func (p *PMU) Configure(idx int, cfg CounterConfig) {
 	p.check(idx)
 	p.syncRetire() // deferred retirements precede the reprogramming
@@ -494,15 +485,8 @@ func (p *PMU) syncRetire() {
 // matters, which deferral preserves exactly; they impose no bound.
 func (p *PMU) recomputeDeferBudget() {
 	p.defRetire = 0
-	im := p.events[EvInstructions].watchers
-	cm := p.events[EvCycles].watchers
-	if (im|cm)&uncoreBit != 0 {
-		// The socket block is shared across cores and read without
-		// this PMU's involvement; its mirror cannot lag.
-		return
-	}
 	w := uint64(maxDeferWindow)
-	for m := im | cm; m != 0; {
+	for m := p.events[EvInstructions].watchers | p.events[EvCycles].watchers; m != 0; {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
 		c := &p.counters[i]
@@ -528,20 +512,12 @@ func (p *PMU) recomputeDeferBudget() {
 // as the pre-dispatch-table scan.
 func (p *PMU) bumpRetire(instrs, cycles uint64) {
 	m := p.events[EvInstructions].watchers
-	if m&uncoreBit != 0 {
-		p.uncore.add(EvInstructions, instrs)
-		m &^= uncoreBit
-	}
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
 		p.bump(i, instrs)
 	}
 	m = p.events[EvCycles].watchers
-	if m&uncoreBit != 0 {
-		p.uncore.add(EvCycles, cycles)
-		m &^= uncoreBit
-	}
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
@@ -561,10 +537,6 @@ func (p *PMU) addUserSlow(ev Event, n uint64) {
 		p.syncRetire() // this add may advance a retirement-watching counter
 	}
 	m := p.events[ev].watchers
-	if m&uncoreBit != 0 {
-		p.uncore.add(ev, n)
-		m &^= uncoreBit
-	}
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
@@ -578,10 +550,6 @@ func (p *PMU) addKernelSlow(ev Event, n uint64) {
 		p.syncRetire() // a CountUser+CountKernel counter may also watch retirement
 	}
 	m := p.events[int(NumEvents)+int(ev)].watchers
-	if m&uncoreBit != 0 {
-		p.uncore.add(ev, n)
-		m &^= uncoreBit
-	}
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
@@ -589,16 +557,12 @@ func (p *PMU) addKernelSlow(ev Event, n uint64) {
 	}
 }
 
-// addSlow handles the uncore mirror and watched counters. Kept out of
-// line so AddEvent inlines into every count site — the common "nobody
-// watches this event" case is then add, load, branch, with no call.
+// addSlow bumps the watching counters. Kept out of line so AddEvent
+// inlines into every count site — the common "nobody watches this
+// event" case is then add, load, branch, with no call.
 func (p *PMU) addSlow(ev Event, m, n uint64) {
 	if ev <= EvInstructions {
 		p.syncRetire()
-	}
-	if m&uncoreBit != 0 {
-		p.uncore.add(ev, n)
-		m &^= uncoreBit
 	}
 	// Counters advance in ascending index order, exactly as the
 	// pre-dispatch-table scan did.

@@ -15,7 +15,7 @@ set -eu
 
 dir="$(dirname "$0")"
 mode="${1:-check}"
-files="campaign.txt soak.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html"
+files="campaign.txt soak.txt soak-tenants.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html"
 
 case "$mode" in
 record) out="$dir" ;;
@@ -25,6 +25,7 @@ esac
 
 go run ./cmd/limit-chaos -seeds 4 -iters 150 -metrics -parallel 1 >"$out/campaign.txt"
 go run ./cmd/limit-chaos -soak -seeds 2 -metrics -parallel 4 >"$out/soak.txt"
+go run ./cmd/limit-chaos -soak -tenants 2 -seeds 2 -metrics -parallel 4 >"$out/soak-tenants.txt"
 go run ./cmd/limit-chaos -tenants 4 -seeds 2 -metrics -parallel 4 -report "$out/tenant-campaign.txt"
 go run ./cmd/limit-profile -workload mysql -scale 0.3 -budget 1.05 -parallel 4 -html "$out/report-mysql.html" >"$out/profile-mysql.txt"
 go run ./cmd/limit-experiments -scale 0.1 -parallel 4 >"$out/experiments.txt"
