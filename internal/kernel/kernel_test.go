@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"limitsim/internal/cpu"
@@ -59,6 +61,52 @@ func TestNanosleepAdvancesTime(t *testing.T) {
 	res := run(t, m)
 	if res.Cycles < 500_000 {
 		t.Errorf("run finished at %d cycles; sleep should push past 500k", res.Cycles)
+	}
+}
+
+// A nanosleep whose deadline would wrap the clock or reach ^0, the
+// sleeper set's "no deadline" sentinel, faults the thread as an unknown
+// syscall does. One cycle shorter still sleeps: the kernel takes the
+// deadline, and the machine stops at its clock ceiling instead.
+func TestNanosleepDeadlineOverflow(t *testing.T) {
+	sleep := func(dur uint64) (machine.RunResult, *kernel.Thread) {
+		m := newMachine(1)
+		b := isa.NewBuilder()
+		b.MovImm(isa.R0, int64(dur))
+		b.Syscall(kernel.SysNanosleep)
+		b.Halt()
+		proc := m.Kern.NewProcess(b.MustBuild(), nil)
+		th := m.Kern.Spawn(proc, "sleeper", 0, 1)
+		return m.Run(machine.RunLimits{MaxSteps: 1_000}), th
+	}
+	// A zero-length sleep's deadline is the clock the syscall reads.
+	_, th := sleep(0)
+	now := th.WakeAt
+	for _, c := range []struct {
+		name  string
+		dur   uint64
+		fault bool
+	}{
+		{"-1", ^uint64(0), true},
+		{"^0-now", ^uint64(0) - now, true},
+		{"^0-now-1", ^uint64(0) - now - 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, _ := sleep(c.dur)
+			var fe *machine.FaultError
+			if !errors.As(res.Err, &fe) {
+				t.Fatalf("run ended without a fault: %v", res)
+			}
+			if c.fault {
+				if len(res.Faults) != 1 || !strings.Contains(res.Faults[0], "nanosleep") || fe.Ceiling != 0 {
+					t.Errorf("want one nanosleep thread fault, got %v (ceiling %d)", res.Faults, fe.Ceiling)
+				}
+				return
+			}
+			if len(res.Faults) != 0 || fe.Ceiling == 0 {
+				t.Errorf("want the machine's clock ceiling, got %v (%v)", res.Faults, fe)
+			}
+		})
 	}
 }
 

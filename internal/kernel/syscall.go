@@ -148,6 +148,13 @@ func (k *Kernel) syscall(coreID int, t *Thread, num int64) {
 	case SysNanosleep:
 		core.KernelWork(c.Nanosleep)
 		dur := regs[isa.R0]
+		// The deadline must fit below ^0, the sleeper set's "no
+		// deadline" sentinel; one that would wrap or reach it faults
+		// the thread, as an unknown syscall does.
+		if dur >= ^uint64(0)-core.Now {
+			k.faultThread(coreID, t, "nanosleep "+itoa(int64(dur))+": deadline overflows the clock")
+			return
+		}
 		k.block(coreID, t, StateSleeping)
 		t.WakeAt = core.Now + dur
 		k.sleepers = append(k.sleepers, t)

@@ -283,6 +283,7 @@ func TestBurstMatchesSingleStep(t *testing.T) {
 	}{
 		{"mysql/limit", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
 		{"mysql/mux", 4, 6, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, muxIns) })},
+		{"mysql/6cores", 6, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
 		{"apache/limit", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, workloads.LimitInstr()) })},
 		{"apache/sample", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, sampleIns) })},
 		{"apache/perf", 3, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, perfIns) })},

@@ -1,10 +1,13 @@
 package machine_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"limitsim/internal/isa"
+	"limitsim/internal/kernel"
 	"limitsim/internal/machine"
 	"limitsim/internal/pmu"
 )
@@ -37,6 +40,60 @@ func TestMaxStepsStopsRun(t *testing.T) {
 	res := m.Run(machine.RunLimits{MaxSteps: 1_000})
 	if res.Steps > 1_000 {
 		t.Errorf("executed %d steps past the limit", res.Steps)
+	}
+}
+
+// A next-action time at or past the clock ceiling does not pack into a
+// pick key, so Run stops there with a FaultError naming the core and
+// the ceiling, and no pick is made from it: the marker after the jump
+// never runs.
+func TestClockCeilingStopsRun(t *testing.T) {
+	for _, c := range []struct {
+		cores   int
+		ceiling uint64 // ^0 >> max(1, bits.Len(cores−1))
+	}{
+		{1, 1<<63 - 1},
+		{3, 1<<62 - 1},
+		{4, 1<<62 - 1},
+	} {
+		for _, jump := range []string{"compute", "nanosleep"} {
+			t.Run(fmt.Sprintf("%dcores/%s", c.cores, jump), func(t *testing.T) {
+				m := machine.New(machine.Config{NumCores: c.cores})
+				b := isa.NewBuilder()
+				if jump == "compute" {
+					// Two blocks: on one core the first stays below the
+					// ceiling, and the burst goes on into the second.
+					b.Compute(1 << 62)
+					b.Compute(1 << 62)
+				} else {
+					b.MovImm(isa.R0, int64(c.ceiling))
+					b.Syscall(kernel.SysNanosleep)
+				}
+				b.Syscall(kernel.SysLogValue)
+				b.Halt()
+				proc := m.Kern.NewProcess(b.MustBuild(), nil)
+				m.Kern.Spawn(proc, "jumper", 0, 1)
+				res := m.Run(machine.RunLimits{})
+				var fe *machine.FaultError
+				if !errors.As(res.Err, &fe) {
+					t.Fatalf("run ended without a fault: %v", res)
+				}
+				if fe.Ceiling != c.ceiling || res.AllDone || len(res.Faults) != 0 {
+					t.Errorf("ceiling %d, done %v, faults %v; want ceiling %d, not done, no thread fault",
+						fe.Ceiling, res.AllDone, res.Faults, c.ceiling)
+				}
+				want := fmt.Sprintf("core %d's next-action time reached the clock ceiling %d", fe.Core, c.ceiling)
+				if !strings.Contains(fe.Error(), want) {
+					t.Errorf("error %q does not name the core and ceiling (%q)", fe.Error(), want)
+				}
+				if jump == "compute" && m.Cores[fe.Core].Now < c.ceiling {
+					t.Errorf("core %d is at %d, below the ceiling it is blamed for", fe.Core, m.Cores[fe.Core].Now)
+				}
+				if logs := m.Kern.Logs(); len(logs) != 0 {
+					t.Errorf("a pick ran the core past the ceiling: logged %+v", logs)
+				}
+			})
+		}
 	}
 }
 

@@ -94,9 +94,10 @@ type RunResult struct {
 	Deadlocked bool
 	// Faults carries descriptions of faulted threads.
 	Faults []string
-	// Err is non-nil when the run faulted or deadlocked; it is always
-	// a *FaultError carrying the faulting threads and the tail of the
-	// kernel trace ring (if one was attached).
+	// Err is non-nil when the run faulted, deadlocked or reached the
+	// clock ceiling; it is always a *FaultError carrying the faulting
+	// threads and the tail of the kernel trace ring (if one was
+	// attached).
 	Err error
 }
 
@@ -106,10 +107,10 @@ func (r RunResult) String() string {
 }
 
 // FaultError describes a run that ended badly: one or more threads
-// faulted, or every remaining thread blocked forever. It carries the
-// kernel's scheduling/interrupt trace tail (when a tracer was
-// attached) so the events leading up to the failure are diagnosable
-// without rerunning.
+// faulted, every remaining thread blocked forever, or a core's
+// next-action time reached the clock ceiling. It carries the kernel's
+// scheduling/interrupt trace tail (when a tracer was attached) so the
+// events leading up to the failure are diagnosable without rerunning.
 type FaultError struct {
 	// Faults are the kernel's fault descriptions, one per dead thread.
 	Faults []string
@@ -120,11 +121,20 @@ type FaultError struct {
 	// Trace is the tail of the kernel trace ring at the time of death
 	// (nil when no tracer was attached).
 	Trace []trace.Event
+	// Ceiling, when non-zero, is the clock ceiling that core Core's
+	// next-action time reached, stopping the run: the pick packs each
+	// time with its core index into one uint64, and a time at or past
+	// the ceiling does not fit.
+	Ceiling uint64
+	Core    int
 }
 
 // Error summarizes the failure in one line.
 func (e *FaultError) Error() string {
 	switch {
+	case e.Ceiling != 0:
+		return fmt.Sprintf("machine: core %d's next-action time reached the clock ceiling %d, which the core pick cannot order",
+			e.Core, e.Ceiling)
 	case len(e.Faults) > 0 && e.Deadlocked:
 		return fmt.Sprintf("machine: %d thread(s) faulted and remaining threads deadlocked: %s",
 			len(e.Faults), strings.Join(e.Faults, "; "))
@@ -153,18 +163,19 @@ func (e *FaultError) DumpTrace(w io.Writer, max int) {
 	}
 }
 
-// Run executes until all threads finish, a limit is hit, or the system
-// deadlocks.
+// Run executes until all threads finish, a limit is hit, the system
+// deadlocks, or a core's next-action time reaches the pick's ceiling
+// (see pack).
 func (m *Machine) Run(limits RunLimits) RunResult {
-	const never = ^uint64(0)
 	var res RunResult
-	// Cached next-action time per core (never = no runnable work). A
-	// clean RunCore burst touches nothing outside its core, so only
-	// that core's entry needs refreshing before the next pick; any
-	// kernel activity (scheduling, wakes, exits) invalidates the lot.
-	ats := make([]uint64, len(m.Cores))
+	// Cached pick key per core. A clean RunCore burst touches nothing
+	// outside its core, so only that core's key needs refreshing before
+	// the next pick; any kernel activity (scheduling, wakes, exits)
+	// invalidates the lot.
+	shift := keyShift(len(m.Cores))
+	keys := make([]uint64, len(m.Cores))
 	dirty := true
-	last := -1
+	last, over := -1, -1 // over: the core whose time did not pack
 	// Mirror of the kernel's earliest sleeper deadline. It can change
 	// only inside kernel code (the nanosleep syscall, which dirties the
 	// pick) or when this loop wakes sleepers — both refresh it — so the
@@ -180,11 +191,7 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 	if maxSteps == 0 {
 		maxSteps = never
 	}
-	for {
-		if res.Steps >= maxSteps {
-			break
-		}
-
+	for res.Steps < maxSteps {
 		if dirty {
 			// Threads can only finish inside kernel code, which also
 			// sets dirty — so AllDone needs rechecking exactly here.
@@ -192,96 +199,31 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 				res.AllDone = true
 				break
 			}
-			for i := range m.Cores {
-				ats[i] = never
-				if at, ok := m.Kern.NextActionTime(i); ok {
-					ats[i] = at
-				}
+			if over = m.fill(keys, shift); over >= 0 {
+				break
 			}
 			nextWake = never
 			if at, ok := m.Kern.NextSleeperWake(); ok {
 				nextWake = at
 			}
 			dirty = false
-		} else if last >= 0 {
+		} else {
 			// A clean burst left nothing outside its core changed, so
 			// the thread is still current on its core and the core's
 			// next action is simply its clock, which RunCore reported
 			// on the way out.
-			ats[last] = lastNow
+			k, fits := pack(lastNow, last, shift)
+			if !fits {
+				over = last
+				break
+			}
+			keys[last] = k
 		}
 
-		// Pick the causally-next core (smallest next-action time, lowest
-		// index on ties) and, in the same pass, the burst horizon: the
-		// chosen core keeps winning the global pick until it reaches an
-		// earlier core's next-action time (equality already loses) or
-		// strictly passes a later core's (it wins those ties). That is
-		// m2 — the smallest non-best time — when some core *below* best
-		// attains it, else m2+1. lowTie tracks the "below best" part: a
-		// displaced best always sits below its displacer, as does every
-		// core scanned before it, so displacement sets it outright.
-		best, bestT := -1, never
-		m2 := never
-		lowTie := false
-		if len(ats) == 4 {
-			// Unrolled four-core pick — the common shape — with the
-			// scan's semantics restated directly: best is the
-			// lowest-index minimum, m2 the minimum over the rest, and
-			// lowTie whether some core below best attains m2 (below
-			// best=0 nothing can; below best=3 something must, since
-			// best=3 means the others are strictly larger). Idle cores
-			// hold never, which loses every min and, when m2 itself is
-			// never, leaves the horizon uncapped exactly as the scan's
-			// skip does.
-			a0, a1, a2, a3 := ats[0], ats[1], ats[2], ats[3]
-			b, bt := 0, a0
-			if a1 < bt {
-				b, bt = 1, a1
-			}
-			if a2 < bt {
-				b, bt = 2, a2
-			}
-			if a3 < bt {
-				b, bt = 3, a3
-			}
-			if bt != never {
-				best, bestT = b, bt
-				switch b {
-				case 0:
-					m2 = min(a1, a2, a3)
-				case 1:
-					m2 = min(a0, a2, a3)
-					lowTie = a0 == m2
-				case 2:
-					m2 = min(a0, a1, a3)
-					lowTie = a0 == m2 || a1 == m2
-				default:
-					m2 = min(a0, a1, a2)
-					lowTie = true
-				}
-			}
-		} else {
-			for i, at := range ats {
-				if at == never {
-					continue
-				}
-				if best == -1 {
-					best, bestT = i, at
-					continue
-				}
-				if at < bestT {
-					if bestT < m2 {
-						m2 = bestT
-					}
-					lowTie = true
-					best, bestT = i, at
-				} else if at < m2 {
-					m2, lowTie = at, false
-				}
-			}
-		}
-
-		if best == -1 {
+		// The causally-next core holds the smallest key; the
+		// second-smallest sets the burst horizon.
+		first, second := smallest2(keys)
+		if first == never {
 			// No core has runnable work; jump to the next sleeper wake.
 			if nextWake == never {
 				res.Deadlocked = true
@@ -294,33 +236,25 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 			dirty = true
 			continue
 		}
-
+		best, bestT := int(first&(1<<shift-1)), first>>shift
 		if bestT >= maxCyc {
 			break
 		}
 
 		// Wake any sleepers whose deadline the chosen core has reached,
 		// so they compete for cores at the right time. A wake can land
-		// a thread on any core, so the cached times must be rebuilt and
-		// the horizon inputs recomputed (relative to the already-chosen
-		// core) before the burst starts.
+		// a thread on any core, so the keys must be rebuilt and the
+		// horizon recomputed against the other cores (the chosen core
+		// stays chosen) before the burst starts.
 		if bestT >= nextWake {
 			if m.Kern.WakeSleepersUpTo(bestT) {
-				m2, lowTie = never, false
-				for i := range m.Cores {
-					ats[i] = never
-					at, ok := m.Kern.NextActionTime(i)
-					if !ok {
-						continue
-					}
-					ats[i] = at
-					if i == best {
-						continue
-					}
-					if at < m2 {
-						m2, lowTie = at, i < best
-					} else if at == m2 && i < best {
-						lowTie = true
+				if over = m.fill(keys, shift); over >= 0 {
+					break
+				}
+				second = never
+				for i, k := range keys {
+					if i != best {
+						second = min(second, k)
 					}
 				}
 			}
@@ -333,23 +267,11 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 		// Cap the horizon by the next sleeper deadline and the cycle
 		// limit. RunCore also hands back on every boundary that is not
 		// quiet, so anything that could change another core's
-		// next-action time re-picks first.
-		horizon := never
-		if m2 != never {
-			horizon = m2
-			if !lowTie {
-				horizon++
-			}
-		}
-		if nextWake < horizon {
-			horizon = nextWake
-		}
-		if maxCyc < horizon {
-			horizon = maxCyc
-		}
-		// maxSteps-res.Steps stays astronomically large in the unlimited
-		// case, which RunCore's step budget treats the same as no bound.
-		steps, now, clean := m.Kern.RunCore(best, horizon, maxSteps-res.Steps)
+		// next-action time re-picks first. maxSteps-res.Steps stays
+		// astronomically large in the unlimited case, which RunCore's
+		// step budget treats the same as no bound.
+		h := min(horizon(second, best, shift), nextWake, maxCyc)
+		steps, now, clean := m.Kern.RunCore(best, h, maxSteps-res.Steps)
 		res.Steps += steps
 		dirty = !clean
 		last, lastNow = best, now
@@ -367,8 +289,11 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 		}
 	}
 	res.Faults = m.Kern.Faults()
-	if len(res.Faults) > 0 || res.Deadlocked {
+	if len(res.Faults) > 0 || res.Deadlocked || over >= 0 {
 		fe := &FaultError{Faults: res.Faults, Deadlocked: res.Deadlocked}
+		if over >= 0 {
+			fe.Core, fe.Ceiling = over, never>>shift
+		}
 		for _, t := range m.Kern.FaultedThreads() {
 			fe.ThreadIDs = append(fe.ThreadIDs, t.ID)
 		}
@@ -378,6 +303,21 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 		res.Err = fe
 	}
 	return res
+}
+
+// fill rebuilds every core's key from the kernel. It returns the first
+// core whose next-action time does not pack, or -1.
+func (m *Machine) fill(keys []uint64, shift uint) int {
+	for i := range keys {
+		keys[i] = never
+		if at, ok := m.Kern.NextActionTime(i); ok {
+			var fits bool
+			if keys[i], fits = pack(at, i, shift); !fits {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // MustRun is Run but panics if any thread faulted or the system
