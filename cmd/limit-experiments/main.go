@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"limitsim/internal/experiments"
+	"limitsim/internal/flagcheck"
 	"limitsim/internal/machine"
 )
 
@@ -45,6 +46,12 @@ func main() {
 
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "limit-experiments: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	if !flagcheck.OK(os.Stderr, "limit-experiments",
+		flagcheck.Positive("scale", *scale),
+		flagcheck.AtLeast("parallel", *parallel, 0),
+	) {
 		os.Exit(2)
 	}
 

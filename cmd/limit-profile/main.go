@@ -30,9 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
+	"limitsim/internal/flagcheck"
 	"limitsim/internal/machine"
 	"limitsim/internal/pmu"
 	"limitsim/internal/probe"
@@ -142,7 +144,7 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	events := fs.String("events", "", `bundle as CSV; ":k" suffix = all rings (default cycles,cycles:k,l1d-miss,branch-miss)`)
 	stride := fs.Int("stride", 1, "measure every Nth boundary per region")
-	budget := fs.Float64("budget", 0, "target slowdown bound (e.g. 1.05); >0 calibrates the stride")
+	budget := fs.Float64("budget", 0, "target slowdown bound, > 1 (e.g. 1.05); 0 = off, else calibrates the stride")
 	top := fs.Int("top", 10, "rows in the ranked report")
 	format := fs.String("format", "text", "output format: text, markdown, jsonl")
 	flame := fs.String("flame", "", "write the self-time hierarchy as Chrome trace JSON to FILE")
@@ -155,6 +157,18 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "limit-profile: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if !flagcheck.OK(stderr, "limit-profile",
+		flagcheck.AtLeast("cores", *cores, 1),
+		flagcheck.Positive("scale", *scale),
+		flagcheck.AtLeast("stride", *stride, 1),
+		// A stride's slowdown is always above 1, so no stride meets a
+		// bound at or below it.
+		flagcheck.Check(*budget == 0 || (*budget > 1 && !math.IsInf(*budget, 1)), "budget", "0 (off) or a finite bound > 1", *budget),
+		flagcheck.AtLeast("top", *top, 1),
+		flagcheck.AtLeast("parallel", *parallel, 0),
+	) {
 		return 2
 	}
 	switch *format {
@@ -176,10 +190,6 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(spec.Events) == 0 || !(spec.Events[0] == profile.BundleEvent{Event: pmu.EvCycles}) {
 		fmt.Fprintf(stderr, "limit-profile: the first bundle event must be user-ring cycles\n")
-		return 2
-	}
-	if *stride < 1 {
-		fmt.Fprintf(stderr, "limit-profile: -stride must be >= 1\n")
 		return 2
 	}
 	spec.Stride = *stride

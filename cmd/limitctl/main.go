@@ -40,9 +40,10 @@
 // measurement files on disk (profiler findings, windowed series,
 // telemetry registries, flame spans) without running a simulation.
 // Unknown subcommands, unknown -format values, unknown -metric names,
-// a non-positive -window, -cores below 1, -counters outside
-// [1, pmu.MaxCounters], merge with no input files, and report with no
-// inputs exit 2 with usage.
+// a numeric flag outside its domain (a non-positive -window or -scale,
+// -cores below 1, a -period the kernel would refuse, a metrics -width
+// whose groups cannot fit the counters LiMiT leaves free), merge with
+// no input files, and report with no inputs exit 2 with usage.
 package main
 
 import (
@@ -52,6 +53,7 @@ import (
 	"os"
 
 	"limitsim/internal/analysis"
+	"limitsim/internal/flagcheck"
 	"limitsim/internal/machine"
 	"limitsim/internal/metrics"
 	"limitsim/internal/pmu"
@@ -137,15 +139,19 @@ var subcommands = []struct {
 	{"report", "assemble a self-contained HTML artifact from measurement files on disk", runReport},
 }
 
-// validCores reports whether a -cores value is usable, printing a
-// usage error naming the flag when it is not: the machine would
-// otherwise quietly replace a non-positive count with its default.
-func validCores(prog string, cores int, stderr io.Writer) bool {
-	if cores >= 1 {
-		return true
-	}
-	fmt.Fprintf(stderr, "%s: -cores must be >= 1 (got %d)\n", prog, cores)
-	return false
+// workloadChecks are the domains of the flags every workload-running
+// mode shares: the machine would otherwise quietly replace a
+// non-positive core count with its default.
+func workloadChecks(cores int, scale float64) []error {
+	return []error{flagcheck.AtLeast("cores", cores, 1), flagcheck.Positive("scale", scale)}
+}
+
+// periodCheck is the sampling period's domain: the kernel refuses a
+// period of 0 or one at or above the PMU's write limit, and the
+// attribution scales by the period it is given.
+func periodCheck(period uint64) error {
+	limit := pmu.DefaultFeatures().WriteLimit()
+	return flagcheck.Check(period >= 1 && period < limit, "period", fmt.Sprintf("in [1, %d]", limit-1), period)
 }
 
 // usage writes the flag help plus the subcommand index.
@@ -215,7 +221,8 @@ func main() {
 		listConfigurations(os.Stdout)
 		return
 	}
-	if !validCores("limitctl", *cores, os.Stderr) {
+	if !flagcheck.OK(os.Stderr, "limitctl", append(workloadChecks(*cores, *scale),
+		periodCheck(*period), flagcheck.AtLeast("trace", *traceN, 0))...) {
 		os.Exit(2)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"limitsim/internal/flagcheck"
 	"limitsim/internal/kernel"
 	"limitsim/internal/machine"
 	"limitsim/internal/metrics"
@@ -83,15 +84,18 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *tenants < 1 {
-		fmt.Fprintf(stderr, "limitctl metrics: -tenants must be >= 1 (got %d)\n", *tenants)
+	ins := workloads.LimitInstr()
+	pinned := ins.LimitCounters()
+	if !flagcheck.OK(stderr, "limitctl metrics", append(workloadChecks(*cores, *scale),
+		flagcheck.AtLeast("tenants", *tenants, 1),
+		flagcheck.In("counters", *counters, pinned+1, pmu.MaxCounters))...) {
 		return 2
 	}
-	if !validCores("limitctl metrics", *cores, stderr) {
-		return 2
-	}
-	if *counters < 1 || *counters > pmu.MaxCounters {
-		fmt.Fprintf(stderr, "limitctl metrics: -counters must be in [1, %d] (got %d)\n", pmu.MaxCounters, *counters)
+	// A group wider than the slots the LiMiT counters leave free never
+	// loads, and every metric over its events would read n/a.
+	free := *counters - pinned
+	if !flagcheck.OK(stderr, "limitctl metrics", flagcheck.Check(*width >= 1 && kernel.GroupFits(*width, free),
+		"width", fmt.Sprintf("in [1, %d] with -counters %d (LiMiT pins %d)", free, *counters, pinned), *width)) {
 		return 2
 	}
 
@@ -124,7 +128,6 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ins := workloads.LimitInstr()
 	ins.MuxGroups = workloads.DefaultMuxGroups(*width)
 	app := workloads.ByName(*appName, ins, *scale)
 	if app == nil {

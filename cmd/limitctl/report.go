@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 
+	"limitsim/internal/flagcheck"
 	"limitsim/internal/metrics"
 	"limitsim/internal/profile"
 	"limitsim/internal/report"
@@ -48,6 +49,9 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	if *profileFile == "" && *seriesFile == "" && *framesFile == "" && *telemetryFiles == "" && *flameFile == "" {
 		fmt.Fprintln(stderr, "limitctl report: no inputs (need at least one of -profile, -series, -frames, -telemetry, -flame)")
 		fs.Usage()
+		return 2
+	}
+	if !flagcheck.OK(stderr, "limitctl report", flagcheck.AtLeast("window", int(*window), 0)) {
 		return 2
 	}
 	if *framesFile != "" && *window <= 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"limitsim/internal/flagcheck"
 	"limitsim/internal/kernel"
 	"limitsim/internal/limit"
 	"limitsim/internal/machine"
@@ -45,7 +46,8 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if !validCores("limitctl trace", *cores, stderr) {
+	if !flagcheck.OK(stderr, "limitctl trace", append(workloadChecks(*cores, *scale),
+		flagcheck.AtLeast("n", *n, 1), periodCheck(*period))...) {
 		return 2
 	}
 
@@ -95,7 +97,7 @@ func runStats(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if !validCores("limitctl stats", *cores, stderr) {
+	if !flagcheck.OK(stderr, "limitctl stats", workloadChecks(*cores, *scale)...) {
 		return 2
 	}
 

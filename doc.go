@@ -10,8 +10,10 @@
 // models (usync, workloads), and the reproduction harness
 // (experiments, analysis). See DESIGN.md for the system inventory and
 // the per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. Executables are under cmd/, runnable examples under
-// examples/.
+// results. Executables are under cmd/; the runnable examples are the
+// Example functions in example_test.go, whose output go test checks:
+//
+//	go test -run Example -v .
 //
 // The top-level bench suite (bench_test.go) regenerates every table
 // and figure:

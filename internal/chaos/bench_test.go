@@ -12,7 +12,7 @@ import (
 // counter tables, delta buffers), a fresh invariant checker, and a
 // fresh injector.
 func BenchmarkCampaignSetupFresh(b *testing.B) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := buildWorkload(cfg)
@@ -28,7 +28,7 @@ func BenchmarkCampaignSetupFresh(b *testing.B) {
 // per run instead: restore the memory snapshot and reset the checker
 // and injector in place. Allocations per op should be near zero.
 func BenchmarkCampaignSetupPooled(b *testing.B) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	ws := newCampaignWorker(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -43,7 +43,7 @@ func BenchmarkCampaignSetupPooled(b *testing.B) {
 // the churn workload build is the dominant per-run cost the soak
 // worker pool avoids.
 func BenchmarkSoakSetupFresh(b *testing.B) {
-	cfg := SoakConfig{}.withDefaults()
+	cfg := SoakConfig{}.WithDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ws := newSoakWorker(cfg)
@@ -52,7 +52,7 @@ func BenchmarkSoakSetupFresh(b *testing.B) {
 }
 
 func BenchmarkSoakSetupPooled(b *testing.B) {
-	cfg := SoakConfig{}.withDefaults()
+	cfg := SoakConfig{}.WithDefaults()
 	ws := newSoakWorker(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -100,7 +100,7 @@ func TenantMixes() []Mix {
 
 // Config shapes a campaign.
 type Config struct {
-	// Seeds is how many seeds each mix runs (default 8).
+	// Seeds is how many seeds each mix runs (default 32).
 	Seeds int
 	// Threads is the workload's thread count (default 6 — more
 	// threads than the default 4 cores, so natural quantum preemption
@@ -115,8 +115,7 @@ type Config struct {
 	ComputeK int
 	// WriteWidth narrows the PMU's writable counter width so overflow
 	// folds happen constantly (default 12 bits — a fold every 4096
-	// events instead of every 2^31). Must be at least 10 so a torn
-	// read's chunk-sized error stays far above the re-execution slack.
+	// events instead of every 2^31). Must be at least MinWriteWidth.
 	WriteWidth int
 	// NoFixup disables fixup-region registration — the ablation that
 	// must make the campaign report torn reads.
@@ -143,9 +142,16 @@ type Config struct {
 	Mixes []Mix
 }
 
-func (c Config) withDefaults() Config {
+// MinWriteWidth is the narrowest writable counter width a campaign
+// may run at: its fold chunk of 2^10 events keeps a torn read's
+// chunk-sized error far above the re-execution slack (deltaSlack).
+const MinWriteWidth = 10
+
+// WithDefaults fills every unset field with its default. The commands
+// read their flag defaults from it, so each default lives here once.
+func (c Config) WithDefaults() Config {
 	if c.Seeds <= 0 {
-		c.Seeds = 8
+		c.Seeds = 32
 	}
 	if c.Threads <= 0 {
 		c.Threads = 6

@@ -99,7 +99,7 @@ func TestSoakParallelDeterminism(t *testing.T) {
 // residue.
 func TestCampaignWorkerReuseClean(t *testing.T) {
 	for _, tenants := range []int{0, 2} {
-		cfg := Config{Seeds: 1, Threads: 4, Iters: 120, Metrics: true, Tenants: tenants}.withDefaults()
+		cfg := Config{Seeds: 1, Threads: 4, Iters: 120, Metrics: true, Tenants: tenants}.WithDefaults()
 		ws := newCampaignWorker(cfg)
 		mix := cfg.Mixes[len(cfg.Mixes)-1] // the full mix: every injector path
 
@@ -122,7 +122,7 @@ func TestSoakWorkerReuseClean(t *testing.T) {
 	for _, tenants := range []int{1, 2} {
 		cfg := quickSoakCfg()
 		cfg.Metrics, cfg.Tenants = true, tenants
-		cfg = cfg.withDefaults()
+		cfg = cfg.WithDefaults()
 		ws := newSoakWorker(cfg)
 		mix := cfg.Mixes[len(cfg.Mixes)-1] // full-churn: preempts, kills and clone storms
 

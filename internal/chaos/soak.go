@@ -75,7 +75,7 @@ func DefaultSoakMixes(pool int) []SoakMix {
 
 // SoakConfig shapes a soak campaign.
 type SoakConfig struct {
-	// Seeds is how many seeds each mix runs (default 4).
+	// Seeds is how many seeds each mix runs (default 8).
 	Seeds int
 	// Pool is the worker-pool width (default 4).
 	Pool int
@@ -88,8 +88,7 @@ type SoakConfig struct {
 	// Cores is the machine's core count (default 4).
 	Cores int
 	// WriteWidth narrows the PMU's writable width so even short-lived
-	// workers cross fold boundaries (default 10, the narrowest width
-	// whose chunk still dwarfs the value oracle's slack).
+	// workers cross fold boundaries (default MinWriteWidth).
 	WriteWidth int
 	// SlotCapacity is the pinned-slot ledger capacity for mixes that do
 	// not override it (default 2*(Pool+1)+4: the full pool plus
@@ -117,13 +116,15 @@ type SoakConfig struct {
 	// scale with the combined pool, a vCPU-churn mix joins the matrix,
 	// and the tenant attribution oracles run after every run.
 	Tenants int
-	// Mixes is the lifecycle fault matrix (default DefaultSoakMixes).
+	// Mixes is the lifecycle fault matrix (default soakMixes).
 	Mixes []SoakMix
 }
 
-func (c SoakConfig) withDefaults() SoakConfig {
+// WithDefaults fills every unset field with its default, as
+// Config.WithDefaults does for the campaign.
+func (c SoakConfig) WithDefaults() SoakConfig {
 	if c.Seeds <= 0 {
-		c.Seeds = 4
+		c.Seeds = 8
 	}
 	if c.Pool <= 0 {
 		c.Pool = 4
@@ -141,7 +142,7 @@ func (c SoakConfig) withDefaults() SoakConfig {
 		c.Cores = 4
 	}
 	if c.WriteWidth <= 0 {
-		c.WriteWidth = 10
+		c.WriteWidth = MinWriteWidth
 	}
 	if c.Tenants <= 0 {
 		c.Tenants = 1
@@ -151,17 +152,17 @@ func (c SoakConfig) withDefaults() SoakConfig {
 		c.SlotCapacity = 2*c.Tenants*(c.Pool+1) + 4
 	}
 	if len(c.Mixes) == 0 {
-		c.Mixes = SoakMixes(c.Pool, c.Tenants)
+		c.Mixes = soakMixes(c.Pool, c.Tenants)
 	}
 	return c
 }
 
-// SoakMixes returns the default lifecycle matrix for a soak of the
+// soakMixes returns the default lifecycle matrix for a soak of the
 // given per-tenant pool width and tenant count: DefaultSoakMixes sized
 // to the combined pool, plus — when the tenant layer is on — a
 // vCPU-churn mix that lands double context switches inside read
 // regions while the pools churn.
-func SoakMixes(pool, tenants int) []SoakMix {
+func soakMixes(pool, tenants int) []SoakMix {
 	if tenants <= 0 {
 		tenants = 1
 	}

@@ -52,7 +52,7 @@ type CampaignSpace struct {
 
 // NewCampaignSpace builds the space over the defaulted config.
 func NewCampaignSpace(cfg Config) *CampaignSpace {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s := &CampaignSpace{cfg: cfg}
 	s.pool.build = func() *campaignWorker { return newCampaignWorker(cfg) }
 	return s
@@ -89,7 +89,7 @@ func (s *CampaignSpace) Run(job, worker int) ([]byte, error) {
 // payloads with the fold Run uses, so the rendered report is
 // byte-identical to a single-process campaign's.
 func AssembleCampaign(cfg Config, payloads [][]byte) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	outs, err := decodePayloads[runOutcome](payloads, len(cfg.Mixes)*cfg.Seeds, "campaign")
 	if err != nil {
 		return nil, err
@@ -125,14 +125,11 @@ type SoakSpace struct {
 
 // NewSoakSpace builds the space over the defaulted config.
 func NewSoakSpace(cfg SoakConfig) *SoakSpace {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s := &SoakSpace{cfg: cfg}
 	s.pool.build = func() *soakWorker { return newSoakWorker(cfg) }
 	return s
 }
-
-// Config returns the defaulted soak config the space runs.
-func (s *SoakSpace) Config() SoakConfig { return s.cfg }
 
 // NumJobs is mixes × seeds.
 func (s *SoakSpace) NumJobs() int { return len(s.cfg.Mixes) * s.cfg.Seeds }
@@ -161,7 +158,7 @@ func (s *SoakSpace) Run(job, worker int) ([]byte, error) {
 // byte-identical to RunSoak's for the same config. A payload whose wave
 // accounting does not match cfg.Waves is an error naming its job.
 func AssembleSoak(cfg SoakConfig, payloads [][]byte) (*SoakResult, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	outs, err := decodePayloads[soakOutcome](payloads, len(cfg.Mixes)*cfg.Seeds, "soak")
 	if err != nil {
 		return nil, err

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"limitsim/internal/chaos"
 )
 
 // binDir holds the freshly built cmd binaries for the whole run.
@@ -82,11 +84,9 @@ func TestExitCodeContract(t *testing.T) {
 		// Exit 0: cheap successful invocations.
 		{"limitctl bare help", "limitctl", nil, 0},
 		{"limit-chaos tiny campaign", "limit-chaos", []string{"-seeds", "1", "-threads", "2", "-cores", "2", "-iters", "20"}, 0},
-		{"limit-fleet in-process tiny", "limit-fleet", []string{"-workers", "0", "-seeds", "1", "-threads", "2", "-cores", "2", "-iters", "20"}, 0},
 
 		// Exit 2: stray positional arguments, everywhere.
 		{"limit-chaos stray arg", "limit-chaos", []string{"bogus"}, 2},
-		{"limit-fleet stray arg", "limit-fleet", []string{"bogus"}, 2},
 		{"limit-experiments stray arg", "limit-experiments", []string{"bogus"}, 2},
 		{"limit-profile stray arg", "limit-profile", []string{"bogus"}, 2},
 		{"limitctl unknown subcommand", "limitctl", []string{"bogus"}, 2},
@@ -94,14 +94,11 @@ func TestExitCodeContract(t *testing.T) {
 		// Exit 2: unknown flags (the flag package's own discipline)
 		// and invalid flag combinations.
 		{"limit-chaos unknown flag", "limit-chaos", []string{"-no-such-flag"}, 2},
-		{"limit-fleet unknown flag", "limit-fleet", []string{"-no-such-flag"}, 2},
 		{"limit-chaos ablate without soak", "limit-chaos", []string{"-ablate-reclaim"}, 2},
 		{"limit-chaos unknown mix", "limit-chaos", []string{"-mix", "bogus"}, 2},
 		{"limit-chaos unknown tenant mix", "limit-chaos", []string{"-tenants", "3", "-mix", "bogus"}, 2},
 		{"limit-chaos unknown soak mix", "limit-chaos", []string{"-soak", "-mix", "bogus"}, 2},
 		{"limit-experiments unmatched only", "limit-experiments", []string{"-only", "Z9"}, 2},
-		{"limit-fleet unknown space", "limit-fleet", []string{"-space", "bogus"}, 2},
-		{"limit-fleet ablate without soak", "limit-fleet", []string{"-ablate-reclaim"}, 2},
 		{"limitctl merge no files", "limitctl", []string{"merge"}, 2},
 		{"limitctl merge unknown format", "limitctl", []string{"merge", "-format", "bogus", "x.jsonl"}, 2},
 		{"limitctl trace stray arg", "limitctl", []string{"trace", "bogus"}, 2},
@@ -120,7 +117,6 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl merge bad histogram bounds", "limitctl", []string{"merge", badBounds, badBounds}, 1},
 		{"limitctl report bad histogram bounds", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-telemetry", badBounds}, 1},
 		{"limit-chaos unwritable report", "limit-chaos", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
-		{"limit-fleet unwritable report", "limit-fleet", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,6 +128,78 @@ func TestExitCodeContract(t *testing.T) {
 				t.Errorf("%s %v panicked:\n%s", tc.bin, tc.args, stderr)
 			}
 		})
+	}
+
+	// Exit 2: a numeric flag outside its domain. The message names the
+	// flag and its range.
+	domains := []struct {
+		name string
+		bin  string
+		args []string
+		says string
+	}{
+		{"limit-chaos negative seeds", "limit-chaos", []string{"-seeds", "-1"}, "-seeds must be >= 1"},
+		{"limit-chaos negative cores", "limit-chaos", []string{"-cores", "-2"}, "-cores must be >= 1"},
+		{"limit-chaos negative threads", "limit-chaos", []string{"-threads", "-2"}, "-threads must be >= 1"},
+		{"limit-chaos width below floor", "limit-chaos", []string{"-width", "5"}, "-width must be in [10, 48]"},
+		{"limit-chaos width above counter", "limit-chaos", []string{"-width", "70"}, "-width must be in [10, 48]"},
+		{"limit-chaos negative parallel", "limit-chaos", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
+		{"limit-chaos negative workers", "limit-chaos", []string{"-workers", "-1"}, "-workers must be >= 0"},
+		{"limit-profile negative top", "limit-profile", []string{"-top", "-1"}, "-top must be >= 1"},
+		{"limit-profile zero scale", "limit-profile", []string{"-scale", "0"}, "-scale must be positive"},
+		{"limit-profile negative scale", "limit-profile", []string{"-scale", "-1"}, "-scale must be positive"},
+		{"limit-profile negative budget", "limit-profile", []string{"-budget", "-1"}, "-budget must be 0 (off) or"},
+		{"limit-profile budget below one", "limit-profile", []string{"-budget", "0.5"}, "-budget must be 0 (off) or"},
+		{"limit-profile negative parallel", "limit-profile", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
+		{"limit-experiments zero scale", "limit-experiments", []string{"-scale", "0"}, "-scale must be positive"},
+		{"limit-experiments negative scale", "limit-experiments", []string{"-scale", "-1"}, "-scale must be positive"},
+		{"limit-experiments negative parallel", "limit-experiments", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
+		{"limitctl zero scale", "limitctl", []string{"-scale", "0"}, "-scale must be positive"},
+		{"limitctl negative scale", "limitctl", []string{"-scale", "-1"}, "-scale must be positive"},
+		{"limitctl negative trace", "limitctl", []string{"-trace", "-5"}, "-trace must be >= 0"},
+		{"limitctl trace negative n", "limitctl", []string{"trace", "-n", "-5"}, "-n must be >= 1"},
+		{"limitctl zero period", "limitctl", []string{"-method", "sample", "-period", "0"}, "-period must be in [1, 2147483647]"},
+		{"limitctl period at write limit", "limitctl", []string{"-method", "sample", "-period", "2147483648"}, "-period must be in [1, 2147483647]"},
+		{"limitctl metrics width over free counters", "limitctl", []string{"metrics", "-width", "8"}, "-width must be in [1, 4] with -counters 6"},
+		{"limitctl metrics counters below group width", "limitctl", []string{"metrics", "-counters", "3"}, "-width must be in [1, 1] with -counters 3"},
+	}
+	for _, tc := range domains {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := run(t, tc.bin, tc.args...)
+			if code != 2 || !strings.Contains(stderr, tc.says) {
+				t.Errorf("%s %v: exit %d, want 2 with %q\nstderr: %s", tc.bin, tc.args, code, tc.says, stderr)
+			}
+		})
+	}
+}
+
+// TestChaosHelpDefaultsFromLibrary pins that limit-chaos keeps no
+// defaults of its own: -h prints chaos.Config's and chaos.SoakConfig's.
+func TestChaosHelpDefaultsFromLibrary(t *testing.T) {
+	code, stderr := run(t, "limit-chaos", "-h")
+	if code != 0 {
+		t.Fatalf("-h exited %d\nstderr: %s", code, stderr)
+	}
+	usage := map[string]string{}
+	for _, chunk := range strings.Split(stderr, "\n  -")[1:] {
+		head, text, _ := strings.Cut(chunk, "\n")
+		name, _, _ := strings.Cut(head, " ")
+		usage[name] = strings.TrimSpace(text)
+	}
+	c, s := chaos.Config{}.WithDefaults(), chaos.SoakConfig{}.WithDefaults()
+	for name, want := range map[string]string{
+		"seeds":   fmt.Sprintf("(soak default %d) (default %d)", s.Seeds, c.Seeds),
+		"threads": fmt.Sprintf("(default %d)", c.Threads),
+		"cores":   fmt.Sprintf("(soak default %d) (default %d)", s.Cores, c.Cores),
+		"iters":   fmt.Sprintf("(soak default %d per worker) (default %d)", s.Iters, c.Iters),
+		"k":       fmt.Sprintf("(soak default %d) (default %d)", s.ComputeK, c.ComputeK),
+		"width":   fmt.Sprintf("(soak default %d) (default %d)", s.WriteWidth, c.WriteWidth),
+		"pool":    fmt.Sprintf("(default %d)", s.Pool),
+		"waves":   fmt.Sprintf("(default %d)", s.Waves),
+	} {
+		if !strings.HasSuffix(usage[name], want) {
+			t.Errorf("-%s usage %q does not end in %q", name, usage[name], want)
+		}
 	}
 }
 
@@ -191,50 +259,49 @@ func TestUnknownMetricListsBuiltins(t *testing.T) {
 	}
 }
 
-// campaignArgs is the shared tiny campaign both engines run for the
+// campaignArgs is the shared tiny campaign both modes run for the
 // byte-identity oracles: small enough for a test, wide enough (5 mixes
 // × 2 seeds = 10 jobs) to shard meaningfully, with telemetry attached
 // so merged metrics cross the process boundary too.
 var campaignArgs = []string{"-seeds", "2", "-threads", "3", "-cores", "2", "-iters", "60", "-metrics"}
 
-// singleProcessReport runs limit-chaos once and returns its report.
-func singleProcessReport(t *testing.T) []byte {
+// tenantArgs is a tenant campaign narrowed to one mix: the tenant
+// layer and -mix both reach the workers through the job space's wire
+// config.
+var tenantArgs = []string{"-tenants", "2", "-mix", "tenant-full-mix", "-seeds", "3", "-threads", "4", "-cores", "2", "-iters", "60", "-metrics"}
+
+// chaosReport runs limit-chaos with args plus extra and returns its
+// report and stderr.
+func chaosReport(t *testing.T, args []string, extra ...string) ([]byte, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "single.txt")
-	args := append(append([]string{}, campaignArgs...), "-parallel", "4", "-report", path)
-	if code, stderr := run(t, "limit-chaos", args...); code != 0 {
-		t.Fatalf("limit-chaos exit %d\nstderr: %s", code, stderr)
+	path := filepath.Join(t.TempDir(), "report.txt")
+	code, stderr := run(t, "limit-chaos", append(append(append([]string{}, args...), extra...), "-report", path)...)
+	if code != 0 {
+		t.Fatalf("limit-chaos %v exit %d\nstderr: %s", extra, code, stderr)
 	}
-	want, err := os.ReadFile(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return want
+	return got, stderr
 }
 
 // TestFleetReportMatchesSingleProcess is the real-process keystone:
-// the limit-fleet report assembled across OS worker processes must be
-// byte-identical to limit-chaos's single-process report at every
-// shard width.
+// a limit-chaos report assembled across OS worker processes must be
+// byte-identical to its in-process report at every shard width, for a
+// tenant campaign too.
 func TestFleetReportMatchesSingleProcess(t *testing.T) {
-	want := singleProcessReport(t)
-	for _, workers := range []string{"1", "4"} {
-		path := filepath.Join(t.TempDir(), "fleet.txt")
-		args := append(append([]string{}, campaignArgs...), "-workers", workers, "-report", path)
-		code, stderr := run(t, "limit-fleet", args...)
-		if code != 0 {
-			t.Fatalf("workers=%s: limit-fleet exit %d\nstderr: %s", workers, code, stderr)
-		}
-		if !strings.Contains(stderr, "fleet summary") {
-			t.Errorf("workers=%s: stderr lacks the fleet summary", workers)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%s: fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
-				workers, got, want)
+	for name, args := range map[string][]string{"campaign": campaignArgs, "tenant": tenantArgs} {
+		want, _ := chaosReport(t, args, "-parallel", "4")
+		for _, workers := range []string{"1", "4"} {
+			got, stderr := chaosReport(t, args, "-workers", workers)
+			if !strings.Contains(stderr, "fleet summary") {
+				t.Errorf("%s workers=%s: stderr lacks the fleet summary", name, workers)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s workers=%s: fleet report differs from in-process report\n--- fleet ---\n%s\n--- in-process ---\n%s",
+					name, workers, got, want)
+			}
 		}
 	}
 }
@@ -245,20 +312,11 @@ func TestFleetReportMatchesSingleProcess(t *testing.T) {
 // contract: exit 0 (complete, audit-clean) and a byte-identical
 // report.
 func TestFleetKillStormRealProcesses(t *testing.T) {
-	want := singleProcessReport(t)
-	path := filepath.Join(t.TempDir(), "storm.txt")
-	args := append(append([]string{}, campaignArgs...),
-		"-workers", "4", "-chaos-workers", "-fleet-seed", "11", "-hb-timeout", "1s", "-report", path)
-	code, stderr := run(t, "limit-fleet", args...)
-	if code != 0 {
-		t.Fatalf("kill-storm limit-fleet exit %d\nstderr: %s", code, stderr)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := chaosReport(t, campaignArgs, "-parallel", "4")
+	got, stderr := chaosReport(t, campaignArgs,
+		"-workers", "4", "-chaos-workers", "-fleet-seed", "11", "-hb-timeout", "1s")
 	if !bytes.Equal(got, want) {
-		t.Errorf("kill-storm fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
+		t.Errorf("kill-storm fleet report differs from in-process report\n--- fleet ---\n%s\n--- in-process ---\n%s",
 			got, want)
 	}
 	if !strings.Contains(stderr, "fleet summary") {

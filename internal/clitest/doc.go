@@ -2,10 +2,11 @@
 // as real OS processes. It pins the uniform exit-code contract every
 // cmd follows — 0 for a successful run, 1 for a runtime failure, 2
 // for a usage error (unknown flags, unexpected positional arguments,
-// invalid flag combinations) — and the fleet end-to-end oracle: a
-// limit-fleet report produced across real worker processes is
-// byte-identical to the single-process limit-chaos report, including
-// under worker self-chaos.
+// invalid flag combinations, a numeric flag outside its domain) — and
+// the fleet end-to-end oracle: a limit-chaos report produced across
+// real worker processes (-workers N) is byte-identical to the
+// in-process report, for tenant campaigns too and under worker
+// self-chaos.
 //
 // The package contains only tests; the binaries are built once per
 // test run into a temp directory (skipped under -short).

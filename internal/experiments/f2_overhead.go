@@ -35,35 +35,34 @@ func f2Kinds() []probe.Kind {
 	return []probe.Kind{probe.KindRdtsc, probe.KindLimit, probe.KindPerf, probe.KindPAPI}
 }
 
-// F2Cell is one independent cell of the Figure 2 sweep: a (density,
+// f2Cell is one independent cell of the Figure 2 sweep: a (density,
 // method) run, or — with KindNull — the density's uninstrumented
-// baseline. Cells are pure functions of their fields, so the grid can
-// fan out across processes and reassemble.
-type F2Cell struct {
-	Work  int64      `json:"work"`
-	Iters int        `json:"iters"`
-	Kind  probe.Kind `json:"kind"`
+// baseline.
+type f2Cell struct {
+	Work  int64
+	Iters int
+	Kind  probe.Kind
 }
 
-// F2Grid enumerates the sweep in canonical order: for each density,
+// f2Grid enumerates the sweep in canonical order: for each density,
 // the uninstrumented baseline followed by every method (stride
-// 1+len(kinds)); AssembleF2 depends on this layout.
-func F2Grid(s Scale) []F2Cell {
-	var grid []F2Cell
+// 1+len(kinds)); assembleF2 depends on this layout.
+func f2Grid(s Scale) []f2Cell {
+	var grid []f2Cell
 	for _, work := range f2Works() {
 		// Keep total work roughly constant across densities.
 		iters := s.iters(int(10_000_000 / work))
-		grid = append(grid, F2Cell{Work: work, Iters: iters, Kind: probe.KindNull})
+		grid = append(grid, f2Cell{Work: work, Iters: iters, Kind: probe.KindNull})
 		for _, kind := range f2Kinds() {
-			grid = append(grid, F2Cell{Work: work, Iters: iters, Kind: kind})
+			grid = append(grid, f2Cell{Work: work, Iters: iters, Kind: kind})
 		}
 	}
 	return grid
 }
 
-// RunF2Cell executes one grid cell on its own single-core machine and
+// runF2Cell executes one grid cell on its own single-core machine and
 // returns the run's cycle count.
-func RunF2Cell(c F2Cell) (uint64, error) {
+func runF2Cell(c f2Cell) (uint64, error) {
 	app := workloads.BuildReadLoop(workloads.ReadLoopConfig{
 		Name: "f2", Threads: 1, Iters: c.Iters, WorkInstrs: c.Work,
 	}, workloads.Instrumentation{Kind: c.Kind})
@@ -74,9 +73,9 @@ func RunF2Cell(c F2Cell) (uint64, error) {
 	return res.Cycles, nil
 }
 
-// AssembleF2 folds the grid's cycle counts (in F2Grid order) into the
+// assembleF2 folds the grid's cycle counts (in f2Grid order) into the
 // figure.
-func AssembleF2(cycles []uint64) (*F2Result, error) {
+func assembleF2(cycles []uint64) (*F2Result, error) {
 	works, kinds := f2Works(), f2Kinds()
 	stride := 1 + len(kinds)
 	if len(cycles) != len(works)*stride {
@@ -101,14 +100,14 @@ func AssembleF2(cycles []uint64) (*F2Result, error) {
 
 // RunFig2 sweeps density for each method.
 func RunFig2(s Scale) (*F2Result, error) {
-	grid := F2Grid(s)
+	grid := f2Grid(s)
 	cycles, err := runPar(len(grid), func(i int) (uint64, error) {
-		return RunF2Cell(grid[i])
+		return runF2Cell(grid[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	return AssembleF2(cycles)
+	return assembleF2(cycles)
 }
 
 // Point returns the (method, work) cell.

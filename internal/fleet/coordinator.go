@@ -45,8 +45,8 @@ type Config struct {
 	// tolerates before degrading to in-process execution (default
 	// 2×Workers).
 	SpawnFailureLimit int
-	// InlineParallel is the runner width used when degraded to
-	// in-process execution (0 = GOMAXPROCS).
+	// InlineParallel is the runner width of in-process execution,
+	// whether chosen (Workers 0) or degraded to (0 = GOMAXPROCS).
 	InlineParallel int
 }
 

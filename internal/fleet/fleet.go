@@ -75,9 +75,9 @@ var (
 )
 
 // Register installs a job-space builder under kind. Adapters (the
-// chaos campaign/soak spaces, experiment grids) register themselves so
-// that worker processes can reconstruct the space from its wire spec.
-// Registering a duplicate kind panics: it is a wiring error.
+// chaos campaign and soak spaces) register themselves so that worker
+// processes can reconstruct the space from its wire spec. Registering
+// a duplicate kind panics: it is a wiring error.
 func Register(kind string, build func(cfg json.RawMessage) (JobSpace, error)) {
 	spaceMu.Lock()
 	defer spaceMu.Unlock()

@@ -5,11 +5,10 @@
 //
 //	"campaign" — the chaos read-path campaign (chaos.Config)
 //	"soak"     — the chaos lifecycle soak campaign (chaos.SoakConfig)
-//	"f2"       — the Figure 2 overhead sweep ({"scale": 0.1})
 //
 // The package exists to break an import cycle: fleet stays generic
-// (it cannot import chaos or experiments, which its workers execute),
-// so the adapters register here and binaries import this glue.
+// (it cannot import chaos, which its workers execute), so the adapters
+// register here and cmd/limit-chaos imports this glue.
 package spaces
 
 import (
@@ -17,14 +16,8 @@ import (
 	"fmt"
 
 	"limitsim/internal/chaos"
-	"limitsim/internal/experiments"
 	"limitsim/internal/fleet"
 )
-
-// F2Config is the wire config of the "f2" space.
-type F2Config struct {
-	Scale float64 `json:"scale"`
-}
 
 func init() {
 	fleet.Register("campaign", func(cfg json.RawMessage) (fleet.JobSpace, error) {
@@ -41,17 +34,6 @@ func init() {
 		}
 		return chaos.NewSoakSpace(c), nil
 	})
-	fleet.Register("f2", func(cfg json.RawMessage) (fleet.JobSpace, error) {
-		var c F2Config
-		if err := decode(cfg, &c); err != nil {
-			return nil, fmt.Errorf("f2 space: %w", err)
-		}
-		s := experiments.Scale(c.Scale)
-		if s <= 0 {
-			s = experiments.Quick
-		}
-		return experiments.NewF2Space(s), nil
-	})
 }
 
 // CampaignSpec builds the wire spec for a campaign config.
@@ -62,11 +44,6 @@ func CampaignSpec(cfg chaos.Config) (fleet.SpaceSpec, error) {
 // SoakSpec builds the wire spec for a soak config.
 func SoakSpec(cfg chaos.SoakConfig) (fleet.SpaceSpec, error) {
 	return spec("soak", cfg)
-}
-
-// F2Spec builds the wire spec for a Figure 2 sweep at the given scale.
-func F2Spec(s experiments.Scale) (fleet.SpaceSpec, error) {
-	return spec("f2", F2Config{Scale: float64(s)})
 }
 
 func spec(kind string, cfg any) (fleet.SpaceSpec, error) {

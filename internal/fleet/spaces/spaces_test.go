@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"limitsim/internal/chaos"
-	"limitsim/internal/experiments"
 	"limitsim/internal/fleet"
 )
 
@@ -150,39 +149,5 @@ func TestSoakFleetMatchesSingleProcess(t *testing.T) {
 			t.Errorf("tenants=%d metrics=%v: soak fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
 				scfg.Tenants, scfg.Metrics, got.String(), want.String())
 		}
-	}
-}
-
-func TestF2FleetMatchesSingleProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("f2 sweep is slow")
-	}
-	single, err := experiments.RunFig2(experiments.Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	single.Render(&want)
-
-	spec, err := F2Spec(experiments.Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fleet.Run(fleetCfg(4), spec, fleet.InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("f2 fleet incomplete: quarantined %v, violations %v", rep.Quarantined, rep.Violations)
-	}
-	res, err := experiments.AssembleF2Payloads(rep.Payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	res.Render(&got)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("f2 fleet report differs from single-process report\n--- fleet ---\n%s\n--- single ---\n%s",
-			got.String(), want.String())
 	}
 }

@@ -63,7 +63,7 @@ var ErrChaosKill = errors.New("fleet: worker killed by self-chaos")
 
 // WorkerMain is the worker side of the protocol: read the config
 // frame, build the job space, then serve job frames until shutdown.
-// It is transport-agnostic — cmd/limit-fleet runs it over the real
+// It is transport-agnostic — limit-chaos -worker runs it over the real
 // process's stdin/stdout, tests run it over in-memory pipes — and all
 // chaos sabotage happens here, so a chaos worker misbehaves
 // identically in both settings.

@@ -229,10 +229,6 @@ func (b *Builder) SigReturn() *Builder { return b.emit(Instr{Op: OpSigReturn}) }
 // Halt emits a thread-exit.
 func (b *Builder) Halt() *Builder { return b.emit(Instr{Op: OpHalt}) }
 
-// Raw appends a pre-formed instruction verbatim. Label fields are not
-// interpreted.
-func (b *Builder) Raw(in Instr) *Builder { return b.emit(in) }
-
 // Build resolves all label references and returns the program. The
 // Builder must not be reused afterwards.
 func (b *Builder) Build() (*Program, error) {

@@ -282,14 +282,19 @@ type groupPlan struct {
 	n     int
 }
 
+// GroupFits is the placement rule: a group of n events loads only
+// when n slots are free, all of its slots or none. A group wider than
+// the slots the pinned counters leave free never loads, so it never
+// counts.
+func GroupFits(n, free int) bool { return n <= free }
+
 // place adds to the plan each group of open that fits whole into the
 // free slots the plan has not used yet, walking open cyclically from
-// rot so successive rotations advance the window. A group takes all
-// its slots or none.
+// rot so successive rotations advance the window.
 func (p *groupPlan) place(open []*EventGroup, rot int, free []int) {
 	for j := range open {
 		g := open[(rot+j)%len(open)]
-		if len(g.Events) > len(free)-p.n {
+		if !GroupFits(len(g.Events), len(free)-p.n) {
 			continue
 		}
 		p.gs = append(p.gs, g)
@@ -368,7 +373,7 @@ func (k *Kernel) groupPark(core *cpu.Core, t *Thread, g *EventGroup) int {
 func (k *Kernel) startGroup(core *cpu.Core, t *Thread, g *EventGroup, free []int) {
 	g.OpenSchedMark = t.Stats.SchedCycles
 	k.groupMark(core, t)
-	if n := len(g.Events); n <= len(free) {
+	if n := len(g.Events); GroupFits(n, len(free)) {
 		k.applyGroupPlan(core, t, groupPlan{gs: []*EventGroup{g}, slots: [][]int{free[:n]}, n: n})
 	}
 }

@@ -593,9 +593,6 @@ func New(cfg Config, cores []*cpu.Core) *Kernel {
 // Config returns the kernel's configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
-// Cores returns the managed cores.
-func (k *Kernel) Cores() []*cpu.Core { return k.cores }
-
 // NewProcess creates a process around a program. space may be nil for
 // a fresh address space; passing one allows programs to embed
 // addresses that were allocated before assembly (counter tables,

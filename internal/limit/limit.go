@@ -226,9 +226,6 @@ func NewEmitter(b *isa.Builder, mode Mode, table ref.Ref) *Emitter {
 // Mode returns the emitter's read-sequence mode.
 func (e *Emitter) Mode() Mode { return e.mode }
 
-// Table returns the virtual counter table reference.
-func (e *Emitter) Table() ref.Ref { return e.table }
-
 // NumCounters returns how many counters have been declared.
 func (e *Emitter) NumCounters() int { return len(e.counters) }
 

@@ -145,6 +145,15 @@ type Features struct {
 	HardwareVirtualization bool
 }
 
+// WriteLimit returns the exclusive upper bound on values a software
+// counter write can represent.
+func (f Features) WriteLimit() uint64 {
+	if f.WriteWidth >= 64 {
+		return ^uint64(0)
+	}
+	return 1 << uint(f.WriteWidth)
+}
+
 // DefaultFeatures matches a 2011-era x86 PMU: 4 programmable 48-bit
 // counters with 31-bit writes and no enhancements.
 func DefaultFeatures() Features {
@@ -356,12 +365,7 @@ func (p *PMU) Write(idx int, v uint64) {
 
 // WriteLimit returns the exclusive upper bound on values Write can
 // represent.
-func (p *PMU) WriteLimit() uint64 {
-	if p.feats.WriteWidth >= 64 {
-		return ^uint64(0)
-	}
-	return 1 << uint(p.feats.WriteWidth)
-}
+func (p *PMU) WriteLimit() uint64 { return p.feats.WriteLimit() }
 
 // AddEvent advances every enabled counter whose event and ring filter
 // match by n, records ground truth, and accumulates pending overflow

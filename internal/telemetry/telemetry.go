@@ -147,9 +147,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []uint64 { return h.bounds }
-
 // BucketCounts returns the per-bucket counts (last entry is the
 // overflow bucket).
 func (h *Histogram) BucketCounts() []uint64 { return h.counts }

@@ -80,6 +80,21 @@ func LimitInstr() Instrumentation {
 	return Instrumentation{Kind: probe.KindLimit, Mode: limit.ModeStock, MeasureRings: true}
 }
 
+// LimitCounters is how many LiMiT counters the instrumentation opens
+// per thread. Each pins a hardware counter for the whole run, so
+// multiplexed groups rotate through the rest.
+func (in Instrumentation) LimitCounters() int {
+	switch {
+	case in.Kind != probe.KindLimit:
+		return 0
+	case in.Profiling():
+		return len(in.Profile.Normalized().Events)
+	case in.MeasureRings:
+		return 2
+	}
+	return 1
+}
+
 // defaultMuxEvents is the flat event list DefaultMuxGroups chunks into
 // groups: the events the built-in derived metrics (metrics.Builtin)
 // read, ordered so narrow widths still pair each rate's numerator with
@@ -320,7 +335,7 @@ func newReader(b *isa.Builder, layout *tls.Layout, space *mem.Space, ins Instrum
 			// cycles (and all-rings cycles, when bundled) double as the
 			// totals counters.
 			pspec := ins.Profile.Normalized()
-			r.le = limit.NewEmitter(b, ins.Mode, layout.Reserve(len(pspec.Events)))
+			r.le = limit.NewEmitter(b, ins.Mode, layout.Reserve(ins.LimitCounters()))
 			if ins.NoFixup {
 				r.le.DisableFixupRegistration()
 			}
@@ -334,11 +349,7 @@ func newReader(b *isa.Builder, layout *tls.Layout, space *mem.Space, ins Instrum
 			}
 			break
 		}
-		n := 1
-		if ins.MeasureRings {
-			n = 2
-		}
-		r.le = limit.NewEmitter(b, ins.Mode, layout.Reserve(n))
+		r.le = limit.NewEmitter(b, ins.Mode, layout.Reserve(ins.LimitCounters()))
 		if ins.NoFixup {
 			r.le.DisableFixupRegistration()
 		}
