@@ -126,14 +126,39 @@ func TestStatsJSONLValid(t *testing.T) {
 	}
 }
 
+// Run mode is a registry entry like the other subcommands, so it runs
+// in process: two same-seed runs print the same bytes.
+func TestRunDeterminism(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-method", "limit", "-hist", "-threads"},
+			[]string{"Kernel statistics", "Synchronization profile", "Per-thread", "Critical-section length histogram"}},
+		{[]string{"-method", "sample"},
+			[]string{"Kernel statistics", "sampled attribution"}},
+	} {
+		args := append([]string{"-app", "mysql", "-scale", "0.3"}, tc.args...)
+		a := run(t, runRun, args...)
+		if b := run(t, runRun, args...); a != b {
+			t.Errorf("%v: two same-seed runs differ", tc.args)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(a, want) {
+				t.Errorf("%v: output lacks %q:\n%s", tc.args, want, a)
+			}
+		}
+	}
+}
+
 func TestHelpNamesEverySubcommand(t *testing.T) {
 	var buf bytes.Buffer
 	usage(&buf, flag.NewFlagSet("limitctl", flag.ContinueOnError))
 	help := buf.String()
-	if len(subcommands) < 4 {
-		t.Fatalf("subcommand registry shrank to %d entries", len(subcommands))
+	if len(subcommands()) < 8 {
+		t.Fatalf("subcommand registry shrank to %d entries", len(subcommands()))
 	}
-	for _, sc := range subcommands {
+	for _, sc := range subcommands() {
 		if !strings.Contains(help, sc.Name) {
 			t.Errorf("help does not name subcommand %q:\n%s", sc.Name, help)
 		}
@@ -147,18 +172,19 @@ func TestHelpNamesEverySubcommand(t *testing.T) {
 }
 
 func TestRegistryRunnersMatchDispatch(t *testing.T) {
-	// Every registry entry with a Run function must be one of the
-	// in-process subcommand bodies the other tests exercise; entries
-	// without one ("run", "list") are handled inline by main.
+	// main is one registry lookup, so every entry, run and list
+	// included, must carry the Run function it dispatches to.
 	byName := map[string]bool{}
-	for _, sc := range subcommands {
-		byName[sc.Name] = sc.Run != nil
+	for _, sc := range subcommands() {
+		if sc.Run == nil {
+			t.Errorf("subcommand %q has no Run function", sc.Name)
+		}
+		byName[sc.Name] = true
 	}
-	if !byName["trace"] || !byName["stats"] {
-		t.Error("trace and stats must carry Run functions")
-	}
-	if byName["run"] || byName["list"] {
-		t.Error("run and list are inline dispatches, not Run functions")
+	for _, name := range []string{"run", "list", "trace", "stats", "merge", "metrics", "report", "profile"} {
+		if !byName[name] {
+			t.Errorf("registry lacks %q", name)
+		}
 	}
 }
 

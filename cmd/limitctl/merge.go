@@ -2,88 +2,65 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"limitsim/internal/telemetry"
 )
 
 // runMerge folds two or more telemetry JSONL files (the stats
 // subcommand's -format jsonl output, or the per-run blocks a fleet
-// worker ships) into one registry and emits it. Merging is the same
-// commutative fold the campaign engines use — counters add, gauges add
-// with peak-max, histograms add bucketwise — so the output is
-// byte-identical regardless of how the inputs were sharded.
-//
-// Schema drift between files is an error, not a best-effort union: a
-// metric present in one file and missing in another, or a histogram
-// whose bucket bounds changed, aborts with the file and metric named.
-// Returns the process exit code.
+// worker ships) into one registry and emits it. Returns the process
+// exit code.
 func runMerge(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("limitctl merge", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	format := fs.String("format", "text", "output format: text, jsonl")
-	fs.Usage = func() {
+	c := newCommand("limitctl merge", stderr, "text", "jsonl")
+	c.positional = true
+	c.Usage = func() {
 		fmt.Fprintln(stderr, "usage: limitctl merge [-format text|jsonl] <file.jsonl> <file.jsonl> [...]")
-		fs.PrintDefaults()
+		c.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	switch *format {
-	case "text", "jsonl":
-	default:
-		fmt.Fprintf(stderr, "limitctl merge: unknown -format %q (text, jsonl)\n", *format)
-		fs.Usage()
-		return 2
-	}
-	if fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "limitctl merge: no input files")
-		fs.Usage()
-		return 2
+	if code, ok := c.parse(args, func() []error {
+		if c.NArg() == 0 {
+			return []error{errors.New("no input files")}
+		}
+		return nil
+	}); !ok {
+		return code
 	}
 
-	var merged *telemetry.Registry
-	var first string
-	for _, path := range fs.Args() {
-		reg, err := parseJSONLFile(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "limitctl merge: %s: %v\n", path, err)
-			return 1
-		}
-		if merged == nil {
-			merged, first = reg, path
-			continue
-		}
-		if err := merged.Merge(reg); err != nil {
-			var se *telemetry.SchemaError
-			if errors.As(err, &se) {
-				fmt.Fprintf(stderr, "limitctl merge: schema drift between %s and %s: %v\n", first, path, se)
-			} else {
-				fmt.Fprintf(stderr, "limitctl merge: merging %s: %v\n", path, err)
-			}
-			return 1
-		}
+	merged, err := fold(c.Args())
+	if err != nil {
+		return c.exitCode(err)
 	}
-
-	if *format == "jsonl" {
-		if err := merged.WriteJSONL(stdout); err != nil {
-			fmt.Fprintf(stderr, "limitctl merge: %v\n", err)
-			return 1
-		}
-		return 0
+	if *c.format == "jsonl" {
+		return c.exitCode(merged.WriteJSONL(stdout))
 	}
 	merged.Render(stdout)
 	return 0
 }
 
-func parseJSONLFile(path string) (*telemetry.Registry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// fold parses each telemetry JSONL file and merges them in order with
+// the campaign engines' commutative fold — counters add, gauges add
+// with peak-max, histograms add bucketwise — so the result is the same
+// however the inputs were sharded. Schema drift between files is an
+// error, not a best-effort union: a metric present in one file and
+// missing in another, or a histogram whose bucket bounds changed,
+// fails naming both files and the metric.
+func fold(paths []string) (*telemetry.Registry, error) {
+	var merged *telemetry.Registry
+	for _, path := range paths {
+		var reg *telemetry.Registry
+		if err := readFile(path, func(r io.Reader) (err error) {
+			reg, err = telemetry.ParseJSONL(r)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		if merged == nil {
+			merged = reg
+		} else if err := merged.Merge(reg); err != nil {
+			return nil, fmt.Errorf("schema drift between %s and %s: %w", paths[0], path, err)
+		}
 	}
-	defer f.Close()
-	return telemetry.ParseJSONL(f)
+	return merged, nil
 }

@@ -17,7 +17,7 @@ var metricsArgs = []string{"-app", "forkjoin", "-scale", "0.3"}
 func TestMetricsSeriesDeterminism(t *testing.T) {
 	for _, format := range []string{"text", "jsonl"} {
 		args := append(append([]string{}, metricsArgs...),
-			"-series", "-window", "100000", "-format", format)
+			"-window", "100000", "-format", format)
 		a := run(t, runMetrics, args...)
 		b := run(t, runMetrics, args...)
 		if a != b {
@@ -31,7 +31,7 @@ func TestMetricsSeriesDeterminism(t *testing.T) {
 
 func TestMetricsSeriesJSONLValid(t *testing.T) {
 	out := run(t, runMetrics, append(append([]string{}, metricsArgs...),
-		"-series", "-window", "100000", "-format", "jsonl")...)
+		"-window", "100000", "-format", "jsonl")...)
 	rows, err := metrics.ParseSeriesJSONL(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +83,11 @@ func TestMetricsFramesTenantField(t *testing.T) {
 
 func TestMetricsWindowValidationExits2(t *testing.T) {
 	cases := [][]string{
-		{"-series"},                 // series without a window
-		{"-series", "-window", "0"}, // explicit zero
-		{"-window", "-100"},         // negative window
-		{"-format", "jsonl"},        // jsonl is a series format
-		{"-split", "bogus"},         // unknown split
-		{"-tenants", "0"},           // no guests
-		{"-series", "-window", "100000", "-metric", "bogus"}, // unknown metric
+		{"-window", "-100"},                       // negative window
+		{"-format", "jsonl"},                      // jsonl is a series format
+		{"-split", "bogus"},                       // unknown split
+		{"-tenants", "0"},                         // no guests
+		{"-window", "100000", "-metric", "bogus"}, // unknown metric
 	}
 	for _, extra := range cases {
 		var out, errb bytes.Buffer
@@ -102,10 +100,10 @@ func TestMetricsWindowValidationExits2(t *testing.T) {
 		}
 	}
 	var out, errb bytes.Buffer
-	if code := runMetrics(append(append([]string{}, metricsArgs...), "-series", "-window", "0"), &out, &errb); code != 2 {
+	if code := runMetrics(append(append([]string{}, metricsArgs...), "-window", "-100"), &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errb.String(), "-window must be positive") || !strings.Contains(errb.String(), "Usage") {
+	if !strings.Contains(errb.String(), "-window must be >= 0 (got -100)") || !strings.Contains(errb.String(), "Usage") {
 		t.Errorf("window error shape: %s", errb.String())
 	}
 }
@@ -121,7 +119,7 @@ func TestReportAssemblesFromFiles(t *testing.T) {
 
 	frames := run(t, runMetrics, append(append([]string{}, metricsArgs...), "-format", "frames")...)
 	series := run(t, runMetrics, append(append([]string{}, metricsArgs...),
-		"-series", "-window", "100000", "-format", "jsonl")...)
+		"-window", "100000", "-format", "jsonl")...)
 	stats := run(t, runStats, "-app", "forkjoin", "-scale", "0.3", "-format", "jsonl")
 	for file, content := range map[string]string{
 		framesFile: frames, seriesFile: series, telemetryFile: stats,

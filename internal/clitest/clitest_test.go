@@ -75,20 +75,40 @@ func TestExitCodeContract(t *testing.T) {
 	if err := os.WriteFile(badBounds, []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	good := filepath.Join(tmp, "good.jsonl")
+	if err := os.WriteFile(good, []byte(`{"type":"counter","name":"c","value":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		bin  string
 		args []string
 		want int
 	}{
-		// Exit 0: cheap successful invocations.
+		// Exit 0: cheap successful invocations. Asking for help is
+		// not a usage error.
 		{"limitctl bare help", "limitctl", nil, 0},
+		{"limitctl help", "limitctl", []string{"-h"}, 0},
+		{"limitctl run help", "limitctl", []string{"run", "-h"}, 0},
+		{"limitctl list help", "limitctl", []string{"list", "-h"}, 0},
+		{"limitctl trace help", "limitctl", []string{"trace", "-h"}, 0},
+		{"limitctl stats help", "limitctl", []string{"stats", "-h"}, 0},
+		{"limitctl merge help", "limitctl", []string{"merge", "-h"}, 0},
+		{"limitctl metrics help", "limitctl", []string{"metrics", "-h"}, 0},
+		{"limitctl report help", "limitctl", []string{"report", "-h"}, 0},
+		{"limitctl profile help", "limitctl", []string{"profile", "-h"}, 0},
+		{"limit-experiments help", "limit-experiments", []string{"-h"}, 0},
 		{"limit-chaos tiny campaign", "limit-chaos", []string{"-seeds", "1", "-threads", "2", "-cores", "2", "-iters", "20"}, 0},
+		// The trace ring grows with the events it records, so the
+		// largest capacity allocates nothing up front.
+		{"limitctl trace max ring", "limitctl", []string{"trace", "-app", "forkjoin", "-scale", "0.1", "-n", "9223372036854775807"}, 0},
 
 		// Exit 2: stray positional arguments, everywhere.
 		{"limit-chaos stray arg", "limit-chaos", []string{"bogus"}, 2},
 		{"limit-experiments stray arg", "limit-experiments", []string{"bogus"}, 2},
-		{"limit-profile stray arg", "limit-profile", []string{"bogus"}, 2},
+		// limitctl profile replaced the limit-profile binary; its rows
+		// keep their names.
+		{"limit-profile stray arg", "limitctl", []string{"profile", "bogus"}, 2},
 		{"limitctl unknown subcommand", "limitctl", []string{"bogus"}, 2},
 
 		// Exit 2: unknown flags (the flag package's own discipline)
@@ -99,6 +119,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-chaos unknown tenant mix", "limit-chaos", []string{"-tenants", "3", "-mix", "bogus"}, 2},
 		{"limit-chaos unknown soak mix", "limit-chaos", []string{"-soak", "-mix", "bogus"}, 2},
 		{"limit-experiments unmatched only", "limit-experiments", []string{"-only", "Z9"}, 2},
+		{"limitctl deleted list alias", "limitctl", []string{"-list"}, 2},
+		{"limitctl metrics deleted series alias", "limitctl", []string{"metrics", "-series"}, 2},
 		{"limitctl merge no files", "limitctl", []string{"merge"}, 2},
 		{"limitctl merge unknown format", "limitctl", []string{"merge", "-format", "bogus", "x.jsonl"}, 2},
 		{"limitctl trace stray arg", "limitctl", []string{"trace", "bogus"}, 2},
@@ -116,6 +138,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},
 		{"limitctl merge bad histogram bounds", "limitctl", []string{"merge", badBounds, badBounds}, 1},
 		{"limitctl report bad histogram bounds", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-telemetry", badBounds}, 1},
+		{"limitctl report unwritable output", "limitctl", []string{"report", "-o", filepath.Join(tmp, "no-such-dir", "r.html"), "-telemetry", good}, 1},
+		{"limitctl report full disk", "limitctl", []string{"report", "-o", "/dev/full", "-telemetry", good}, 1},
 		{"limit-chaos unwritable report", "limit-chaos", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
 	}
 	for _, tc := range cases {
@@ -145,18 +169,21 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-chaos width above counter", "limit-chaos", []string{"-width", "70"}, "-width must be in [10, 48]"},
 		{"limit-chaos negative parallel", "limit-chaos", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
 		{"limit-chaos negative workers", "limit-chaos", []string{"-workers", "-1"}, "-workers must be >= 0"},
-		{"limit-profile negative top", "limit-profile", []string{"-top", "-1"}, "-top must be >= 1"},
-		{"limit-profile zero scale", "limit-profile", []string{"-scale", "0"}, "-scale must be positive"},
-		{"limit-profile negative scale", "limit-profile", []string{"-scale", "-1"}, "-scale must be positive"},
-		{"limit-profile negative budget", "limit-profile", []string{"-budget", "-1"}, "-budget must be 0 (off) or"},
-		{"limit-profile budget below one", "limit-profile", []string{"-budget", "0.5"}, "-budget must be 0 (off) or"},
-		{"limit-profile negative parallel", "limit-profile", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
+		// limitctl profile, under the limit-profile binary's row names.
+		{"limit-profile negative top", "limitctl", []string{"profile", "-top", "-1"}, "-top must be >= 1"},
+		{"limit-profile zero scale", "limitctl", []string{"profile", "-scale", "0"}, "-scale must be positive"},
+		{"limit-profile negative scale", "limitctl", []string{"profile", "-scale", "-1"}, "-scale must be positive"},
+		{"limit-profile negative budget", "limitctl", []string{"profile", "-budget", "-1"}, "-budget must be 0 (off) or"},
+		{"limit-profile budget below one", "limitctl", []string{"profile", "-budget", "0.5"}, "-budget must be 0 (off) or"},
+		{"limit-profile negative parallel", "limitctl", []string{"profile", "-parallel", "-3"}, "-parallel must be >= 0"},
 		{"limit-experiments zero scale", "limit-experiments", []string{"-scale", "0"}, "-scale must be positive"},
 		{"limit-experiments negative scale", "limit-experiments", []string{"-scale", "-1"}, "-scale must be positive"},
 		{"limit-experiments negative parallel", "limit-experiments", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
 		{"limitctl zero scale", "limitctl", []string{"-scale", "0"}, "-scale must be positive"},
 		{"limitctl negative scale", "limitctl", []string{"-scale", "-1"}, "-scale must be positive"},
-		{"limitctl negative trace", "limitctl", []string{"-trace", "-5"}, "-trace must be >= 0"},
+		// The deleted -trace alias stays deleted: trace -n replaces it.
+		{"limitctl negative trace", "limitctl", []string{"-trace", "-5"}, "flag provided but not defined: -trace"},
+		{"limitctl metrics negative window", "limitctl", []string{"metrics", "-window", "-1"}, "-window must be >= 0"},
 		{"limitctl trace negative n", "limitctl", []string{"trace", "-n", "-5"}, "-n must be >= 1"},
 		{"limitctl zero period", "limitctl", []string{"-method", "sample", "-period", "0"}, "-period must be in [1, 2147483647]"},
 		{"limitctl period at write limit", "limitctl", []string{"-method", "sample", "-period", "2147483648"}, "-period must be in [1, 2147483647]"},

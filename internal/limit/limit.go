@@ -43,47 +43,7 @@ import (
 	"limitsim/internal/mem"
 	"limitsim/internal/pmu"
 	"limitsim/internal/ref"
-	"limitsim/internal/telemetry"
 )
-
-// Metrics splits the host-side read-decode path by outcome: values
-// assembled from an exact LiMiT virtual counter versus values flagged
-// as degraded estimates (OpenPolicy fallback, degraded inheritance, or
-// perf multiplexing). The ratio is the reporting-side view of how
-// often graceful degradation actually engaged.
-type Metrics struct {
-	ReadsExact     *telemetry.Counter
-	ReadsEstimated *telemetry.Counter
-}
-
-// NewMetrics registers the limit metric set on reg.
-func NewMetrics(reg *telemetry.Registry) *Metrics {
-	return &Metrics{
-		ReadsExact:     reg.Counter("limit.reads.exact"),
-		ReadsEstimated: reg.Counter("limit.reads.estimated"),
-	}
-}
-
-// metrics is the package-level attachment point. Host-side decodes run
-// outside the simulation (the deterministic event loop never calls
-// them), so a single package-level handle is safe and keeps the decode
-// helpers' signatures unchanged.
-var metrics *Metrics
-
-// SetMetrics attaches a metric set to the decode helpers (nil
-// detaches).
-func SetMetrics(m *Metrics) { metrics = m }
-
-func countRead(estimated bool) {
-	if metrics == nil {
-		return
-	}
-	if estimated {
-		metrics.ReadsEstimated.Inc()
-	} else {
-		metrics.ReadsExact.Inc()
-	}
-}
 
 // Mode selects the read-sequence shape, normally derived from the
 // PMU's feature set via ModeFor.
@@ -447,7 +407,6 @@ func FinalValue(t *kernel.Thread, idx int) (uint64, error) {
 	if tc.Kind != kernel.KindLimit {
 		return 0, fmt.Errorf("limit: thread %d counter %d is %v, not limit", t.ID, idx, tc.Kind)
 	}
-	countRead(tc.Estimated)
 	return t.Proc.Mem.Read64(tc.TableAddr) + tc.Saved, nil
 }
 
@@ -479,7 +438,6 @@ func ThreadValue(t *kernel.Thread, idx int) (v uint64, estimated bool, err error
 	tc := cs[idx]
 	switch tc.Kind {
 	case kernel.KindLimit:
-		countRead(tc.Estimated)
 		return t.Proc.Mem.Read64(tc.TableAddr) + tc.Saved, tc.Estimated, nil
 	case kernel.KindPerf:
 		est := tc.Estimated
@@ -487,7 +445,6 @@ func ThreadValue(t *kernel.Thread, idx int) (v uint64, estimated bool, err error
 			v = g.Estimate(0)
 			est = est || g.Multiplexed()
 		}
-		countRead(est)
 		return v, est, nil
 	default:
 		return 0, false, fmt.Errorf("limit: thread %d counter %d is %v", t.ID, idx, tc.Kind)

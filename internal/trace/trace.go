@@ -82,31 +82,37 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12d core%d tid%-3d %-10s arg=%d", e.Cycle, e.Core, e.TID, e.Kind, e.Arg)
 }
 
-// Buffer is a bounded event ring. The zero value is unusable; call
+// Buffer is a bounded event ring. It grows with the events it records
+// up to its capacity, then evicts the oldest; a large capacity costs
+// memory only as events arrive. The zero value is unusable; call
 // NewBuffer.
 type Buffer struct {
-	events []Event
-	next   int
-	full   bool
-	total  uint64
+	events   []Event
+	capacity int
+	next     int // the oldest retained event once the ring is full
+	total    uint64
 }
 
-// NewBuffer returns a ring holding the last capacity events.
+// NewBuffer returns a ring holding the last capacity events (1024 when
+// capacity is not positive).
 func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Buffer{events: make([]Event, capacity)}
+	return &Buffer{events: make([]Event, 0, min(capacity, 1024)), capacity: capacity}
 }
 
 // Append records one event, evicting the oldest when full.
 func (b *Buffer) Append(e Event) {
-	b.events[b.next] = e
-	b.next = (b.next + 1) % len(b.events)
-	if b.next == 0 {
-		b.full = true
-	}
 	b.total++
+	if len(b.events) < b.capacity {
+		b.events = append(b.events, e)
+		return
+	}
+	b.events[b.next] = e
+	if b.next++; b.next == len(b.events) {
+		b.next = 0
+	}
 }
 
 // Total returns how many events were ever recorded (including
@@ -115,15 +121,9 @@ func (b *Buffer) Total() uint64 { return b.total }
 
 // Events returns the retained events in chronological order.
 func (b *Buffer) Events() []Event {
-	if !b.full {
-		out := make([]Event, b.next)
-		copy(out, b.events[:b.next])
-		return out
-	}
 	out := make([]Event, 0, len(b.events))
 	out = append(out, b.events[b.next:]...)
-	out = append(out, b.events[:b.next]...)
-	return out
+	return append(out, b.events[:b.next]...)
 }
 
 // Dump writes up to max trailing events (0 = all retained) to w.
@@ -141,13 +141,9 @@ func (b *Buffer) Dump(w io.Writer, max int) {
 // irrelevant for counting, so the ring is scanned in place rather than
 // through the copying Events accessor.
 func (b *Buffer) CountKind(k Kind) int {
-	retained := b.events[:b.next]
-	if b.full {
-		retained = b.events
-	}
 	n := 0
-	for i := range retained {
-		if retained[i].Kind == k {
+	for i := range b.events {
+		if b.events[i].Kind == k {
 			n++
 		}
 	}

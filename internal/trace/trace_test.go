@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,6 +27,33 @@ func TestRingRetention(t *testing.T) {
 	}
 	if b.Total() != 10 {
 		t.Errorf("total %d", b.Total())
+	}
+	// After the wrap CountKind sees the retained window only.
+	b.Append(trace.Event{Cycle: 10, Kind: trace.PMI})
+	b.Append(trace.Event{Cycle: 11, Kind: trace.PMI})
+	if n := b.CountKind(trace.PMI); n != 2 {
+		t.Errorf("CountKind(PMI) = %d after the wrap, want 2", n)
+	}
+	if n := b.CountKind(trace.SwitchIn); n != 2 {
+		t.Errorf("CountKind(SwitchIn) = %d after the wrap, want the 2 retained zero-kind events", n)
+	}
+}
+
+// A ring's capacity bounds what it keeps, not what it allocates up
+// front: the largest capacity records and returns events in order.
+func TestHugeCapacityGrows(t *testing.T) {
+	b := trace.NewBuffer(math.MaxInt)
+	for i := 0; i < 3000; i++ {
+		b.Append(trace.Event{Cycle: uint64(i)})
+	}
+	evs := b.Events()
+	if len(evs) != 3000 {
+		t.Fatalf("retained %d, want 3000", len(evs))
+	}
+	for i, e := range evs {
+		if e.Cycle != uint64(i) {
+			t.Fatalf("event %d cycle %d, want %d", i, e.Cycle, i)
+		}
 	}
 }
 

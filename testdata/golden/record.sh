@@ -27,7 +27,7 @@ go run ./cmd/limit-chaos -seeds 4 -iters 150 -metrics -parallel 1 >"$out/campaig
 go run ./cmd/limit-chaos -soak -seeds 2 -metrics -parallel 4 >"$out/soak.txt"
 go run ./cmd/limit-chaos -soak -tenants 2 -seeds 2 -metrics -parallel 4 >"$out/soak-tenants.txt"
 go run ./cmd/limit-chaos -tenants 4 -seeds 2 -metrics -parallel 4 -report "$out/tenant-campaign.txt"
-go run ./cmd/limit-profile -workload mysql -scale 0.3 -budget 1.05 -parallel 4 -html "$out/report-mysql.html" >"$out/profile-mysql.txt"
+go run ./cmd/limitctl profile -app mysql -scale 0.3 -budget 1.05 -parallel 4 -html "$out/report-mysql.html" >"$out/profile-mysql.txt"
 go run ./cmd/limit-experiments -scale 0.1 -parallel 4 >"$out/experiments.txt"
 go run ./cmd/limitctl metrics -app apache -scale 0.3 -format frames >"$out/frames-apache.jsonl"
 
