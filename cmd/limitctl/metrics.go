@@ -24,17 +24,19 @@ import (
 // guest-scheduler layer, deals workload threads round-robin across
 // guests, and stamps every frame with its tenant id; -split
 // tenant|thread keys the series per guest or per worker thread.
-// Unknown metric names and a negative -window are rejected before any
-// simulation runs. Returns the process exit code.
+// Unknown metric names, a negative -window, and flags the chosen
+// output cannot use (-window, -split or -metric with -format frames,
+// -split without -window) are rejected before any simulation runs.
+// Returns the process exit code.
 func runMetrics(args []string, stdout, stderr io.Writer) int {
 	c := newWorkload("limitctl metrics", stderr, "text", "frames", "jsonl")
 	rotation := c.Uint64("rotation", 0, "group rotation quantum in scheduled cycles (0 = kernel default, quantum/6)")
 	width := c.Int("width", 4, "events per multiplexed group")
 	counters := c.Int("counters", 6, "PMU counter slots (2 are pinned by LiMiT; the rest rotate groups)")
 	tenants := c.Int("tenants", 1, "guest VMs; >1 activates the tenant layer and deals threads round-robin")
-	metricList := c.String("metric", "", "comma-separated derived metrics to report (default: all built-ins)")
-	window := c.Int64("window", 0, "series window in cycles: > 0 evaluates metrics per window, 0 over end-of-run totals (jsonl needs > 0)")
-	splitName := c.String("split", "none", "series split: none, tenant, thread")
+	metricList := c.String("metric", "", "comma-separated derived metrics to report (default: all built-ins; not with -format frames)")
+	window := c.Int64("window", 0, "series window in cycles: > 0 evaluates metrics per window, 0 over end-of-run totals (jsonl needs > 0, frames 0)")
+	splitName := c.String("split", "none", "series split: none, tenant, thread (tenant and thread need -window > 0)")
 	ins := workloads.LimitInstr()
 	pinned := ins.LimitCounters()
 	var defs []*metrics.Def
@@ -43,10 +45,17 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		var derr, serr error
 		defs, derr = metricDefs(*metricList)
 		split, serr = splitCheck(*splitName)
+		// Frames are the raw stream: nothing windows, splits or
+		// evaluates them, so a flag that would is a usage error, as
+		// is a split without windows to split.
+		frames := *c.format == "frames"
 		errs := []error{
 			flagcheck.AtLeast("tenants", *tenants, 1),
 			flagcheck.AtLeast("window", int(*window), 0),
 			flagcheck.Check(*c.format != "jsonl" || *window > 0, "window", "positive with -format jsonl", *window),
+			flagcheck.Check(!frames || *window == 0, "window", "0 with -format frames", *window),
+			flagcheck.Check(!frames || *metricList == "", "metric", "unset with -format frames", *metricList),
+			flagcheck.Check(split == metrics.SplitNone || (*window > 0 && !frames), "split", "none with -format frames or -window 0", *splitName),
 			serr, derr,
 		}
 		if err := flagcheck.In("counters", *counters, pinned+1, pmu.MaxCounters); err != nil {

@@ -141,9 +141,9 @@ func (c *cacheLevel) materialize(ci uint64) []uint64 {
 func (c *cacheLevel) access(addr uint64) bool { return c.accessLine(addr >> c.lineShift) }
 
 // accessLine probes the level for line (an address shifted right by
-// lineShift) and installs it on miss. Returns true on hit. It is the
-// level's only LRU routine: loads, stores and bulk kernel walks all
-// come through here.
+// lineShift) and installs it on miss. Returns true on hit. Loads,
+// stores and bulk kernel walks all come through here, except for
+// lines the hierarchy knows are absent, which take install.
 func (c *cacheLevel) accessLine(line uint64) bool {
 	si := line & c.setMask
 	ch := c.chunks[si>>chunkSetBits]
@@ -169,6 +169,22 @@ func (c *cacheLevel) accessLine(line uint64) bool {
 	copy(ws[1:], ws[:len(ws)-1])
 	ws[0] = tag
 	return false
+}
+
+// install is accessLine for a line the caller knows is in no way of
+// its set: the miss path without the scan. It repeats accessLine's set
+// lookup rather than share a helper, which would not inline and would
+// put a call on every load and store.
+func (c *cacheLevel) install(line uint64) {
+	si := line & c.setMask
+	ch := c.chunks[si>>chunkSetBits]
+	if ch == nil {
+		ch = c.materialize(si >> chunkSetBits)
+	}
+	lo := (int(si) & (chunkSets - 1)) * c.ways
+	ws := ch[lo : lo+c.ways : lo+c.ways]
+	copy(ws[1:], ws[:len(ws)-1])
+	ws[0] = (line >> c.tagShift) + 1
 }
 
 // flushLine invalidates the line containing addr if present.
@@ -213,6 +229,14 @@ type Hierarchy struct {
 	lastLine uint64
 	l1Shift  uint
 	l1Lat    uint64
+
+	// fresh is one past the highest line number ever accessed. Lines
+	// enter a level only through an access, so a line at or above it
+	// is in no level: it misses all three, and installing it at MRU
+	// needs no scan of their ways. That holds only when every level
+	// numbers lines alike; otherwise NewHierarchy pins fresh at the
+	// maximum, where no line reaches it.
+	fresh uint64
 }
 
 // HierarchyConfig configures a Hierarchy.
@@ -243,6 +267,9 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 	h.l1Shift = h.l1.lineShift
 	h.l1Lat = h.l1.hitLat
+	if h.l2.lineShift != h.l1Shift || h.llc.lineShift != h.l1Shift {
+		h.fresh = ^uint64(0)
+	}
 	return h
 }
 
@@ -261,7 +288,12 @@ func (h *Hierarchy) Access(addr uint64) Result {
 }
 
 func (h *Hierarchy) accessSlow(addr uint64) Result {
-	h.lastLine = addr>>h.l1Shift + 1
+	line := addr >> h.l1Shift
+	h.lastLine = line + 1
+	if line >= h.fresh {
+		h.installFresh(line)
+		return Result{Cycles: uint64(h.memCycles), MissL1: true, MissL2: true, MissLLC: true}
+	}
 	if h.l1.access(addr) {
 		return Result{Cycles: h.l1.hitLat}
 	}
@@ -288,12 +320,20 @@ func (h *Hierarchy) accessSlow(addr uint64) Result {
 func (h *Hierarchy) AccessLines(base, stride uint64, n int) (cycles, missL1, missL2, missLLC uint64) {
 	addr := base
 	for i := 0; i < n; i, addr = i+1, addr+stride {
-		line := addr>>h.l1Shift + 1
-		if line == h.lastLine {
+		line := addr >> h.l1Shift
+		if line+1 == h.lastLine {
 			cycles += h.l1Lat
 			continue
 		}
-		h.lastLine = line
+		h.lastLine = line + 1
+		if line >= h.fresh {
+			h.installFresh(line)
+			missL1++
+			missL2++
+			missLLC++
+			cycles += uint64(h.memCycles)
+			continue
+		}
 		if h.l1.access(addr) {
 			cycles += h.l1.hitLat
 			continue
@@ -312,6 +352,15 @@ func (h *Hierarchy) AccessLines(base, stride uint64, n int) (cycles, missL1, mis
 		cycles += uint64(h.memCycles)
 	}
 	return cycles, missL1, missL2, missLLC
+}
+
+// installFresh installs line, at or above fresh, in every level and
+// raises fresh past it.
+func (h *Hierarchy) installFresh(line uint64) {
+	h.fresh = line + 1
+	h.l1.install(line)
+	h.l2.install(line)
+	h.llc.install(line)
 }
 
 // FlushLine removes the line containing addr from every level. The

@@ -96,12 +96,15 @@ func sameState(t *testing.T, what string, a, b *Hierarchy) {
 }
 
 // sameProbes runs the walk backwards and then the history's addresses
-// on a and b, requiring identical Results access by access.
-func sameProbes(t *testing.T, what string, a, b *Hierarchy, hist []byte, base, stride uint64, n int) {
+// on a and every b, requiring identical Results access by access.
+func sameProbes(t *testing.T, what string, a *Hierarchy, bs []*Hierarchy, hist []byte, base, stride uint64, n int) {
 	t.Helper()
 	probe := func(addr uint64) {
-		if ra, rb := a.Access(addr), b.Access(addr); ra != rb {
-			t.Fatalf("%s: probe %#x: %+v vs %+v", what, addr, ra, rb)
+		ra := a.Access(addr)
+		for _, b := range bs {
+			if rb := b.Access(addr); ra != rb {
+				t.Fatalf("%s: probe %#x: %+v vs %+v", what, addr, ra, rb)
+			}
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
@@ -114,10 +117,11 @@ func sameProbes(t *testing.T, what string, a, b *Hierarchy, hist []byte, base, s
 	}
 }
 
-// FuzzAccessLines proves the bulk walk equal to the per-access path it
-// replaced, and a flushed hierarchy refilled from recycled chunks equal
-// to a fresh one: same sums, same tag state, same answers to every
-// later probe.
+// FuzzAccessLines proves the bulk walk and the per-access path equal
+// to a scan-only hierarchy, whose high-water mark is pinned at the
+// maximum so that every line scans the ways of every level, and a
+// flushed hierarchy refilled from recycled chunks equal to a fresh
+// one: same sums, same tag state, same answers to every later probe.
 func FuzzAccessLines(f *testing.F) {
 	hist := []byte{
 		2, 0, 0, 6, 1, 0, 7, 2, 0, 3, 4, 0, 9, 0, 1, 0, 0, 0,
@@ -136,14 +140,21 @@ func FuzzAccessLines(f *testing.F) {
 		cfg := fuzzConfigs[int(sel)%len(fuzzConfigs)]
 		lines := int(n % 1024)
 
-		fast, slow := NewHierarchy(cfg), NewHierarchy(cfg)
+		fast, slow, scan := NewHierarchy(cfg), NewHierarchy(cfg), NewHierarchy(cfg)
+		scan.fresh = ^uint64(0)
 		replay(fast, hist, base)
 		replay(slow, hist, base)
-		if got, want := bulk(fast, base, stride, lines), walk(slow, base, stride, lines); got != want {
-			t.Fatalf("AccessLines(%#x, %d, %d) = %v, %d Access calls sum to %v", base, stride, lines, got, lines, want)
+		replay(scan, hist, base)
+		want := walk(scan, base, stride, lines)
+		if got := bulk(fast, base, stride, lines); got != want {
+			t.Fatalf("AccessLines(%#x, %d, %d) = %v, %d scan-only Access calls sum to %v", base, stride, lines, got, lines, want)
 		}
-		sameState(t, "bulk vs per-access", fast, slow)
-		sameProbes(t, "bulk vs per-access", fast, slow, hist, base, stride, lines)
+		if got := walk(slow, base, stride, lines); got != want {
+			t.Fatalf("%d Access calls from %#x by %d sum to %v, scan-only to %v", lines, base, stride, got, want)
+		}
+		sameState(t, "bulk vs scan-only", fast, scan)
+		sameState(t, "per-access vs scan-only", slow, scan)
+		sameProbes(t, "bulk and per-access vs scan-only", scan, []*Hierarchy{fast, slow}, hist, base, stride, lines)
 
 		// fast has materialized chunks; after FlushAll they sit on the
 		// free lists and the refill below reuses them.
@@ -155,7 +166,7 @@ func FuzzAccessLines(f *testing.F) {
 			t.Fatalf("recycled walk %v, fresh walk %v", got, want)
 		}
 		sameState(t, "recycled vs fresh", fast, fresh)
-		sameProbes(t, "recycled vs fresh", fast, fresh, hist, base, stride, lines)
+		sameProbes(t, "recycled vs fresh", fast, []*Hierarchy{fresh}, hist, base, stride, lines)
 	})
 }
 

@@ -189,6 +189,14 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl period at write limit", "limitctl", []string{"-method", "sample", "-period", "2147483648"}, "-period must be in [1, 2147483647]"},
 		{"limitctl metrics width over free counters", "limitctl", []string{"metrics", "-width", "8"}, "-width must be in [1, 4] with -counters 6"},
 		{"limitctl metrics counters below group width", "limitctl", []string{"metrics", "-counters", "3"}, "-width must be in [1, 1] with -counters 3"},
+		// Frames are the raw stream: a flag that windows, splits or
+		// selects metrics has nothing to act on, nor has a split
+		// without windows.
+		{"limitctl metrics frames with window", "limitctl", []string{"metrics", "-format", "frames", "-window", "1000"}, "-window must be 0 with -format frames"},
+		{"limitctl metrics frames with split", "limitctl", []string{"metrics", "-format", "frames", "-split", "thread"}, "-split must be none with -format frames or -window 0"},
+		{"limitctl metrics frames with metric", "limitctl", []string{"metrics", "-format", "frames", "-metric", "ipc"}, "-metric must be unset with -format frames"},
+		{"limitctl metrics split without window", "limitctl", []string{"metrics", "-split", "tenant"}, "-split must be none with -format frames or -window 0"},
+		{"limitctl metrics thread split without window", "limitctl", []string{"metrics", "-split", "thread", "-window", "0"}, "-split must be none with -format frames or -window 0"},
 	}
 	for _, tc := range domains {
 		t.Run(tc.name, func(t *testing.T) {

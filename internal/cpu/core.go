@@ -1,9 +1,10 @@
-// Package cpu implements the simulated processor core: it executes one
-// instruction of a thread Context per Step, charges cycle costs through
+// Package cpu implements the simulated processor core: Run executes a
+// thread Context's instructions until a trap, a pending counter
+// overflow, a stop clock or a step budget, charges cycle costs through
 // the cache and branch-predictor models, and feeds every architectural
 // event into the core's PMU. Traps (syscalls, faults, thread exit) are
-// returned to the caller — the machine loop — which routes them to the
-// kernel; the core itself knows nothing about the OS.
+// returned to the caller — the kernel's burst loop — which routes
+// them; the core itself knows nothing about the OS.
 package cpu
 
 import (
@@ -17,7 +18,7 @@ import (
 	"limitsim/internal/tlb"
 )
 
-// TrapKind classifies why Step stopped normal execution.
+// TrapKind classifies why Run stopped normal execution.
 type TrapKind uint8
 
 // Trap kinds.
@@ -155,17 +156,15 @@ func (c *Core) KernelCachePollution(base uint64, n int) {
 	c.PMU.AddKernel(pmu.EvCycles, cycles)
 }
 
-func fault(format string, args ...any) StepResult {
-	return StepResult{Trap: TrapFault, Fault: fmt.Sprintf(format, args...)}
-}
-
-// Step executes exactly one instruction of ctx on this core. The
-// caller must check for pending interrupts (timer, PMU overflow) around
-// Step; Step itself never switches contexts.
+// Step executes exactly one instruction of ctx on this core: Run with
+// a budget of one. The caller must check for pending interrupts
+// (timer, PMU overflow) around Step; Step itself never switches
+// contexts.
 func (c *Core) Step(ctx *Context) StepResult {
-	var res StepResult
-	res.Instrs, res.Cycles, res.Trap = c.StepInto(ctx, &res)
-	return res
+	var op StepResult
+	start := c.Now
+	_, instrs, trap := c.Run(ctx, &op, 0, 1)
+	return StepResult{Trap: trap, SyscallNum: op.SyscallNum, Fault: op.Fault, Cycles: c.Now - start, Instrs: instrs}
 }
 
 // regIndexMask masks architectural register indices to the file size.
@@ -175,163 +174,181 @@ func (c *Core) Step(ctx *Context) StepResult {
 // a bounds check from nearly every interpreted instruction.
 const regIndexMask = isa.NumRegs - 1
 
-// StepInto is Step writing trap state into a caller-owned result —
-// letting the kernel's per-instruction loop reuse one StepResult —
-// and returning the retired-instruction count, cycle count, and trap
-// kind in registers, where the burst loop consumes them without
-// touching memory. res carries only the trap operands (syscall number,
-// fault text); the counts and the trap kind are NOT stored into it —
-// Step materializes all three for callers that want the struct form.
-func (c *Core) StepInto(ctx *Context, res *StepResult) (instrs, cycles uint64, trap TrapKind) {
-	prog := ctx.Prog
-	if uint(ctx.PC) >= uint(len(prog.Instrs)) {
-		*res = fault("pc %d out of range [0,%d)", ctx.PC, len(prog.Instrs))
-		return 0, 0, TrapFault
-	}
-	in := &prog.Instrs[ctx.PC]
+// Run executes ctx's instructions on this core from ctx.PC. It runs at
+// least one instruction and stops after the first one that traps,
+// leaves a counter overflow pending (the bits stay set for the caller
+// to take), brings the clock to stop or past it, or is the budget-th.
+// It returns the instructions it stepped (a faulting one included),
+// the instructions they retired (Imm for an OpCompute block, 1 for any
+// other completed instruction) and the trap that ended it, or
+// TrapNone. res receives only the trap's operand: the syscall number
+// or the fault text. The cycles the instructions cost are the clock's
+// advance.
+//
+// Run is the simulator's only interpreter loop. The PC and the clock
+// live in locals while it runs and are written back on every exit;
+// nothing the loop calls reads either (OpRdCycle reads the local).
+func (c *Core) Run(ctx *Context, res *StepResult, stop, budget uint64) (steps, instrs uint64, trap TrapKind) {
+	code := ctx.Prog.Instrs
 	cost := &c.Cost
-	nextPC := ctx.PC + 1
-	cycles = cost.ALU
-	instrs = 1
+	pc, now := ctx.PC, c.Now
+	for {
+		if uint(pc) >= uint(len(code)) {
+			res.Fault = fmt.Sprintf("pc %d out of range [0,%d)", pc, len(code))
+			goto fault
+		}
+		in := &code[pc]
+		nextPC := pc + 1
+		cycles, n := cost.ALU, uint64(1)
 
-	switch in.Op {
-	case isa.OpNop:
-		// one ALU cycle
+		switch in.Op {
+		case isa.OpNop:
+			// one ALU cycle
 
-	case isa.OpCompute:
-		cycles = uint64(in.Imm)
-		instrs = uint64(in.Imm)
+		case isa.OpCompute:
+			cycles = uint64(in.Imm)
+			n = uint64(in.Imm)
 
-	case isa.OpMovImm:
-		ctx.Regs[in.Dst&regIndexMask] = uint64(in.Imm)
-	case isa.OpMov:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask]
-	case isa.OpAdd:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] + ctx.Regs[in.Src2&regIndexMask]
-	case isa.OpAddImm:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] + uint64(in.Imm)
-	case isa.OpSub:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] - ctx.Regs[in.Src2&regIndexMask]
-	case isa.OpMul:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] * ctx.Regs[in.Src2&regIndexMask]
-		cycles = cost.Mul
-	case isa.OpAnd:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] & ctx.Regs[in.Src2&regIndexMask]
-	case isa.OpOr:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] | ctx.Regs[in.Src2&regIndexMask]
-	case isa.OpXor:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] ^ ctx.Regs[in.Src2&regIndexMask]
-	case isa.OpShl:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] << (uint64(in.Imm) & 63)
-	case isa.OpShr:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] >> (uint64(in.Imm) & 63)
+		case isa.OpMovImm:
+			ctx.Regs[in.Dst&regIndexMask] = uint64(in.Imm)
+		case isa.OpMov:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask]
+		case isa.OpAdd:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] + ctx.Regs[in.Src2&regIndexMask]
+		case isa.OpAddImm:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] + uint64(in.Imm)
+		case isa.OpSub:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] - ctx.Regs[in.Src2&regIndexMask]
+		case isa.OpMul:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] * ctx.Regs[in.Src2&regIndexMask]
+			cycles = cost.Mul
+		case isa.OpAnd:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] & ctx.Regs[in.Src2&regIndexMask]
+		case isa.OpOr:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] | ctx.Regs[in.Src2&regIndexMask]
+		case isa.OpXor:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] ^ ctx.Regs[in.Src2&regIndexMask]
+		case isa.OpShl:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] << (uint64(in.Imm) & 63)
+		case isa.OpShr:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Regs[in.Src1&regIndexMask] >> (uint64(in.Imm) & 63)
 
-	case isa.OpLoad:
-		addr := ctx.Regs[in.Src1&regIndexMask] + uint64(in.Imm)
-		cycles = cost.MemBase + c.memAccess(addr)
-		ctx.Regs[in.Dst&regIndexMask] = c.load(ctx.Mem, addr)
-		c.PMU.AddUser(pmu.EvLoads, 1)
+		case isa.OpLoad:
+			addr := ctx.Regs[in.Src1&regIndexMask] + uint64(in.Imm)
+			cycles = cost.MemBase + c.memAccess(addr)
+			ctx.Regs[in.Dst&regIndexMask] = c.load(ctx.Mem, addr)
+			c.PMU.AddUser(pmu.EvLoads, 1)
 
-	case isa.OpStore:
-		addr := ctx.Regs[in.Src1&regIndexMask] + uint64(in.Imm)
-		cycles = cost.MemBase + c.memAccess(addr)
-		c.store(ctx.Mem, addr, ctx.Regs[in.Src2&regIndexMask])
-		c.PMU.AddUser(pmu.EvStores, 1)
-
-	case isa.OpCAS:
-		addr := ctx.Regs[in.Src1&regIndexMask]
-		cycles = cost.MemBase + c.memAccess(addr) + cost.AtomicPenalty
-		old := c.load(ctx.Mem, addr)
-		if old == ctx.Regs[in.Src2&regIndexMask] {
-			c.store(ctx.Mem, addr, ctx.Regs[isa.Reg(in.Imm)&regIndexMask])
+		case isa.OpStore:
+			addr := ctx.Regs[in.Src1&regIndexMask] + uint64(in.Imm)
+			cycles = cost.MemBase + c.memAccess(addr)
+			c.store(ctx.Mem, addr, ctx.Regs[in.Src2&regIndexMask])
 			c.PMU.AddUser(pmu.EvStores, 1)
-		}
-		ctx.Regs[in.Dst&regIndexMask] = old
-		c.PMU.AddUser(pmu.EvLoads, 1)
-		c.PMU.AddUser(pmu.EvAtomics, 1)
 
-	case isa.OpXAdd:
-		addr := ctx.Regs[in.Src1&regIndexMask]
-		cycles = cost.MemBase + c.memAccess(addr) + cost.AtomicPenalty
-		old := c.load(ctx.Mem, addr)
-		c.store(ctx.Mem, addr, old+ctx.Regs[in.Src2&regIndexMask])
-		ctx.Regs[in.Dst&regIndexMask] = old
-		c.PMU.AddUser(pmu.EvLoads, 1)
-		c.PMU.AddUser(pmu.EvStores, 1)
-		c.PMU.AddUser(pmu.EvAtomics, 1)
-
-	case isa.OpJmp:
-		nextPC = int(in.Imm)
-		cycles = cost.Branch
-
-	case isa.OpBr:
-		taken := in.Cond.Eval(ctx.Regs[in.Src1&regIndexMask], ctx.Regs[in.Src2&regIndexMask])
-		cycles = c.branchCost(uint64(ctx.PC), taken)
-		if taken {
-			nextPC = int(in.Imm)
-		}
-
-	case isa.OpBrRand:
-		taken := uint8(ctx.Rand()) < uint8(in.Cond)
-		cycles = c.branchCost(uint64(ctx.PC), taken)
-		if taken {
-			nextPC = int(in.Imm)
-		}
-
-	case isa.OpRand:
-		ctx.Regs[in.Dst&regIndexMask] = ctx.Rand()
-		cycles = 6 // inlined xorshift
-
-	case isa.OpRdPMC:
-		if !ctx.AllowRdPMC {
-			*res = fault("rdpmc at pc %d without userspace counter access", ctx.PC)
-			return 0, 0, TrapFault
-		}
-		idx := int(in.Imm)
-		if idx < 0 || idx >= c.PMU.NumCounters() {
-			*res = fault("rdpmc of nonexistent counter %d", idx)
-			return 0, 0, TrapFault
-		}
-		if in.Cond != 0 {
-			if !c.PMU.Features().DestructiveReads {
-				*res = fault("destructive rdpmc without hardware support")
-				return 0, 0, TrapFault
+		case isa.OpCAS:
+			addr := ctx.Regs[in.Src1&regIndexMask]
+			cycles = cost.MemBase + c.memAccess(addr) + cost.AtomicPenalty
+			old := c.load(ctx.Mem, addr)
+			if old == ctx.Regs[in.Src2&regIndexMask] {
+				c.store(ctx.Mem, addr, ctx.Regs[isa.Reg(in.Imm)&regIndexMask])
+				c.PMU.AddUser(pmu.EvStores, 1)
 			}
-			ctx.Regs[in.Dst&regIndexMask] = c.PMU.ReadAndReset(idx)
-		} else {
-			ctx.Regs[in.Dst&regIndexMask] = c.PMU.Read(idx)
+			ctx.Regs[in.Dst&regIndexMask] = old
+			c.PMU.AddUser(pmu.EvLoads, 1)
+			c.PMU.AddUser(pmu.EvAtomics, 1)
+
+		case isa.OpXAdd:
+			addr := ctx.Regs[in.Src1&regIndexMask]
+			cycles = cost.MemBase + c.memAccess(addr) + cost.AtomicPenalty
+			old := c.load(ctx.Mem, addr)
+			c.store(ctx.Mem, addr, old+ctx.Regs[in.Src2&regIndexMask])
+			ctx.Regs[in.Dst&regIndexMask] = old
+			c.PMU.AddUser(pmu.EvLoads, 1)
+			c.PMU.AddUser(pmu.EvStores, 1)
+			c.PMU.AddUser(pmu.EvAtomics, 1)
+
+		case isa.OpJmp:
+			nextPC = int(in.Imm)
+			cycles = cost.Branch
+
+		case isa.OpBr:
+			taken := in.Cond.Eval(ctx.Regs[in.Src1&regIndexMask], ctx.Regs[in.Src2&regIndexMask])
+			cycles = c.branchCost(uint64(pc), taken)
+			if taken {
+				nextPC = int(in.Imm)
+			}
+
+		case isa.OpBrRand:
+			taken := uint8(ctx.Rand()) < uint8(in.Cond)
+			cycles = c.branchCost(uint64(pc), taken)
+			if taken {
+				nextPC = int(in.Imm)
+			}
+
+		case isa.OpRand:
+			ctx.Regs[in.Dst&regIndexMask] = ctx.Rand()
+			cycles = 6 // inlined xorshift
+
+		case isa.OpRdPMC:
+			idx := int(in.Imm)
+			switch {
+			case !ctx.AllowRdPMC:
+				res.Fault = fmt.Sprintf("rdpmc at pc %d without userspace counter access", pc)
+				goto fault
+			case idx < 0 || idx >= c.PMU.NumCounters():
+				res.Fault = fmt.Sprintf("rdpmc of nonexistent counter %d", idx)
+				goto fault
+			case in.Cond == 0:
+				ctx.Regs[in.Dst&regIndexMask] = c.PMU.Read(idx)
+			case !c.PMU.Features().DestructiveReads:
+				res.Fault = "destructive rdpmc without hardware support"
+				goto fault
+			default:
+				ctx.Regs[in.Dst&regIndexMask] = c.PMU.ReadAndReset(idx)
+			}
+			cycles = cost.RdPMC
+
+		case isa.OpRdCycle:
+			ctx.Regs[in.Dst&regIndexMask] = now
+			cycles = cost.RdCycle
+
+		case isa.OpSyscall:
+			trap = TrapSyscall
+			res.SyscallNum = in.Imm
+			cycles = cost.TrapEntry
+			c.PMU.AddUser(pmu.EvSyscalls, 1)
+
+		case isa.OpSigReturn:
+			if ctx.SigDepth == 0 {
+				res.Fault = fmt.Sprintf("sigreturn outside signal handler at pc %d", pc)
+				goto fault
+			}
+			trap = TrapSigReturn
+
+		case isa.OpHalt:
+			trap = TrapHalt
+
+		default:
+			res.Fault = fmt.Sprintf("illegal opcode %d at pc %d", in.Op, pc)
+			goto fault
 		}
-		cycles = cost.RdPMC
 
-	case isa.OpRdCycle:
-		ctx.Regs[in.Dst&regIndexMask] = c.Now
-		cycles = cost.RdCycle
-
-	case isa.OpSyscall:
-		trap = TrapSyscall
-		res.SyscallNum = in.Imm
-		cycles = cost.TrapEntry
-		c.PMU.AddUser(pmu.EvSyscalls, 1)
-
-	case isa.OpSigReturn:
-		if ctx.SigDepth == 0 {
-			*res = fault("sigreturn outside signal handler at pc %d", ctx.PC)
-			return 0, 0, TrapFault
+		pc = nextPC
+		now += cycles
+		c.PMU.AddRetire(n, cycles)
+		steps++
+		instrs += n
+		if trap != TrapNone || now >= stop || steps >= budget || c.PMU.HasPending() {
+			ctx.PC, c.Now = pc, now
+			return steps, instrs, trap
 		}
-		trap = TrapSigReturn
-
-	case isa.OpHalt:
-		trap = TrapHalt
-
-	default:
-		*res = fault("illegal opcode %d at pc %d", in.Op, ctx.PC)
-		return 0, 0, TrapFault
 	}
 
-	ctx.PC = nextPC
-	c.Now += cycles
-	c.PMU.AddRetire(instrs, cycles)
-	return instrs, cycles, trap
+	// A faulting instruction retires nothing and leaves the PC on
+	// itself.
+fault:
+	ctx.PC, c.Now = pc, now
+	return steps + 1, instrs, TrapFault
 }
 
 // memAccess runs addr through the TLB and cache hierarchy, counts miss

@@ -399,15 +399,17 @@ func (t *Thread) loadedGroupSlots() int {
 }
 
 // muxTick fires group rotation once the thread's scheduled time since
-// the last rotation reaches the rotation quantum. Called from RunCore
-// before each instruction of a group-holding thread; the fast path is
-// one add and compare.
-func (k *Kernel) muxTick(coreID int, t *Thread) {
-	core := k.cores[coreID]
-	if t.muxSpent+(core.Now-t.spanStartAt) < k.cfg.MuxQuantum {
-		return
+// the last rotation reaches the rotation quantum, and returns the
+// first clock at which it would fire next: RunCore calls it before
+// each interpreter segment of a group-holding thread and ends the
+// segment there. muxSpent is below the quantum on return (zero after
+// a rotation), so the deadline is the current clock or later; one
+// that wraps, for a quantum near 2^64, only ends segments early.
+func (k *Kernel) muxTick(coreID int, t *Thread) uint64 {
+	if t.muxSpent+(k.cores[coreID].Now-t.spanStartAt) >= k.cfg.MuxQuantum {
+		k.muxRotate(coreID, t)
 	}
-	k.muxRotate(coreID, t)
+	return t.spanStartAt + k.cfg.MuxQuantum - t.muxSpent
 }
 
 // muxRotate advances the SysGroupOpen round-robin cursor and
@@ -421,7 +423,7 @@ func (k *Kernel) muxRotate(coreID int, t *Thread) {
 	open := t.openGroups()
 	if len(open) == 0 {
 		// Every group closed: nothing rotates, but close the span so the
-		// quantum check restarts instead of firing each instruction.
+		// quantum check restarts instead of firing again at once.
 		k.spanClose(core, t)
 		t.muxSpent = 0
 		return

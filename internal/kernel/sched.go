@@ -152,9 +152,10 @@ func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.Ste
 // maxSteps instructions (0 means unbounded), or until a boundary that
 // could influence another core or the sleeper set — a trap, a PMI, a
 // forced clone, a kill or preemption, or a pending signal — at which
-// point it hands control back for a global core re-pick. It is the
-// simulator's only instruction-stepping loop, and where it spends
-// nearly all of its time.
+// point it hands control back for a global core re-pick. Its loop runs
+// the interpreter in cpu.Core.Run segments and does the boundary work
+// between them; it is where the simulator spends nearly all of its
+// time.
 //
 // A burst is observationally identical to one instruction per global
 // pick: while every boundary stays quiet, the running core's state is
@@ -188,15 +189,13 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 	// boundary was quiet, and no other core runs during the burst, so
 	// the current thread, its groups, this core's run-queue length and
 	// both quantum ends cannot change while it runs. Hoisting their
-	// loads out of the loop is therefore exact. each sends every
-	// boundary through the probe and postStep: chaos hooks act at any
-	// of them, a pending signal is delivered at the next, and a single
-	// burst's one instruction ends in it. pre folds group rotation and
-	// the probe's PC capture into one test, so a run with neither pays
-	// nothing per instruction for them. The loop reloads every local it
-	// carries on each iteration, so it carries as few as it can.
-	pre := len(t.groups) != 0 || k.probes != nil
+	// loads out of the loop is therefore exact. each runs one
+	// instruction per segment and sends every boundary through the
+	// probe and postStep: chaos hooks act at any of them, a pending
+	// signal is delivered at the next, and a single burst's one
+	// instruction ends in it.
 	each := single || len(t.pending) > 0 || k.chaos != nil || k.probes != nil
+	budget := uint64(1)
 	var res cpu.StepResult
 	// The loop's stop line folds the horizon, the quantum end (when
 	// other threads wait) and the tenant quantum end into one compare.
@@ -211,36 +210,33 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 	if k.ts != nil && k.ts.quantumEnd[coreID] < stop {
 		stop = k.ts.quantumEnd[coreID]
 	}
-	// Per-thread stats accumulate in locals and flush on every exit
-	// path, always before postStep can observe them.
-	var ui, uc uint64
 	for {
-		var prevPC int
-		if pre {
-			if len(t.groups) != 0 {
-				k.muxTick(coreID, t) // core-local counter rotation
-			}
-			prevPC = t.Ctx.PC
+		// A segment ends at the stop line or, for a group-holding
+		// thread, at the clock where group rotation is next due, so
+		// rotation runs between the same two instructions as a check
+		// before every instruction would run it.
+		seg := stop
+		if len(t.groups) != 0 {
+			seg = min(seg, k.muxTick(coreID, t))
 		}
-		si, sc, tr := core.StepInto(&t.Ctx, &res)
-		ui += si
-		uc += sc
-		steps++
+		if !each {
+			budget = maxSteps - steps
+		}
+		prevPC, start := t.Ctx.PC, core.Now
+		n, ui, tr := core.Run(&t.Ctx, &res, seg, budget)
+		steps += n
+		t.Stats.UserInstructions += ui
+		t.Stats.UserCycles += core.Now - start
 		mask := core.PMU.TakePendingOverflows()
 		if mask != 0 || tr != cpu.TrapNone || each {
 			if p := k.probes; p != nil && p.Step != nil {
 				p.Step(coreID, t, prevPC, t.Ctx.PC)
 			}
-			t.Stats.UserInstructions += ui
-			t.Stats.UserCycles += uc
-			ui, uc = 0, 0
 			if !k.postStep(coreID, t, tr, &res, mask) || single {
 				return steps, core.Now, false
 			}
 		}
 		if steps >= maxSteps || core.Now >= stop {
-			t.Stats.UserInstructions += ui
-			t.Stats.UserCycles += uc
 			return steps, core.Now, true
 		}
 	}

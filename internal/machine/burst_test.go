@@ -276,25 +276,31 @@ func TestBurstMatchesSingleStep(t *testing.T) {
 	cases := []struct {
 		name     string
 		cores    int
-		counters int // PMU counters (0: default)
-		width    int // PMU write width (0: default)
-		tenants  int // guest VMs (0: tenant layer off)
+		counters int    // PMU counters (0: default)
+		width    int    // PMU write width (0: default)
+		tenants  int    // guest VMs (0: tenant layer off)
+		mux      uint64 // group rotation quantum (0: kernel default)
 		launch   launcher
 	}{
-		{"mysql/limit", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
-		{"mysql/mux", 4, 6, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, muxIns) })},
-		{"mysql/6cores", 6, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
-		{"apache/limit", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, workloads.LimitInstr()) })},
-		{"apache/sample", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, sampleIns) })},
-		{"apache/perf", 3, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, perfIns) })},
-		{"firefox/limit", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildFirefox(firefox, workloads.LimitInstr()) })},
-		{"forkjoin/2cores", 2, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildForkJoin(forkjoin, workloads.LimitInstr()) })},
-		{"forkjoin/4cores", 4, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildForkJoin(forkjoin, workloads.LimitInstr()) })},
-		{"sleepers", 4, 0, 0, 0, sleeperLaunch},
-		{"churn/quiet", 4, 0, 10, 0, churnLaunch(1, faultinject.Config{})},
-		{"churn/storm", 4, 0, 10, 0, churnLaunch(1, storm)},
-		{"churn/tenants", 4, 0, 10, 2, churnLaunch(2, faultinject.Config{})},
-		{"churn/tenants-storm", 4, 0, 10, 2, churnLaunch(2, vcpuStorm)},
+		{"mysql/limit", 4, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
+		{"mysql/mux", 4, 6, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, muxIns) })},
+		// A rotation quantum of a few hundred cycles puts most
+		// rotations inside bursts, where the segment deadline must end
+		// each one before the instruction the per-instruction check
+		// would rotate at.
+		{"mysql/mux-short", 4, 6, 0, 0, 300, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, muxIns) })},
+		{"mysql/6cores", 6, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
+		{"apache/limit", 4, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, workloads.LimitInstr()) })},
+		{"apache/sample", 4, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, sampleIns) })},
+		{"apache/perf", 3, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildApache(apache, perfIns) })},
+		{"firefox/limit", 4, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildFirefox(firefox, workloads.LimitInstr()) })},
+		{"forkjoin/2cores", 2, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildForkJoin(forkjoin, workloads.LimitInstr()) })},
+		{"forkjoin/4cores", 4, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildForkJoin(forkjoin, workloads.LimitInstr()) })},
+		{"sleepers", 4, 0, 0, 0, 0, sleeperLaunch},
+		{"churn/quiet", 4, 0, 10, 0, 0, churnLaunch(1, faultinject.Config{})},
+		{"churn/storm", 4, 0, 10, 0, 0, churnLaunch(1, storm)},
+		{"churn/tenants", 4, 0, 10, 2, 0, churnLaunch(2, faultinject.Config{})},
+		{"churn/tenants-storm", 4, 0, 10, 2, 0, churnLaunch(2, vcpuStorm)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -308,6 +314,7 @@ func TestBurstMatchesSingleStep(t *testing.T) {
 				if c.width > 0 {
 					cfg.PMU.WriteWidth = c.width
 				}
+				cfg.Kernel.MuxQuantum = c.mux
 				if c.tenants > 0 {
 					// The chaos harness's tenant shape: short thread and
 					// tenant quanta, residency capped below the core count.

@@ -592,8 +592,10 @@ func (p *PMU) bump(i int, n uint64) {
 }
 
 // TakePendingOverflows returns and clears the bitmask of counters with
-// pending overflow interrupts. The machine loop calls this after every
-// instruction and routes nonzero masks to the kernel's PMI handler.
+// pending overflow interrupts. The kernel's burst loop calls this after
+// every interpreter segment — cpu.Core.Run ends one at the instruction
+// that leaves a bit pending — and routes nonzero masks to the PMI
+// handler.
 func (p *PMU) TakePendingOverflows() uint64 {
 	m := p.pending
 	if m != 0 {
