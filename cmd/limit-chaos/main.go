@@ -15,7 +15,7 @@
 //	            [-k 20] [-cores 4] [-width 10] [-capacity N]
 //	            [-tenants N] [-mix NAME] [-nofixup] [-ablate-reclaim]
 //	            [-metrics] [-parallel N] [-workers N] [-report FILE]
-//	limit-chaos -worker        (internal: serve jobs as a fleet worker)
+//	limit-chaos FLAGS -worker  (internal: serve jobs as a fleet worker)
 //
 // The flag defaults are chaos.Config's and chaos.SoakConfig's
 // (WithDefaults). A flag the soak shares with the read-path campaign
@@ -37,14 +37,18 @@
 // Each (mix, seed) run is one job of a fleet job space
 // (internal/fleet). -workers 0, the default, runs the jobs in-process
 // across -parallel workers (0 uses GOMAXPROCS; 1 selects the serial
-// engine). -workers N instead spawns N copies of this binary with
-// -worker, speaks length-prefixed JSON frames with each over its
-// stdin/stdout, and supervises them: heartbeat silence (-hb-timeout)
-// kills a hung worker, a slow worker's job is speculatively retried
-// elsewhere, failed jobs retry with seeded backoff, and a job that
-// exhausts its attempts is quarantined. The supervision summary goes
-// to stderr. Outcomes merge in (mix, seed) key order, so the report is
-// byte-identical at every -parallel and -workers width.
+// engine). -workers N instead spawns N copies of this binary with its
+// own flags plus -worker. A worker validates the same flags and builds
+// the same job space from them, then serves jobs over stdin/stdout
+// instead of reporting; the coordinator checks each worker's job count
+// in the handshake. It speaks length-prefixed JSON frames with each
+// worker and supervises them: heartbeat silence (-hb-timeout, at least
+// two heartbeat periods) kills a hung worker, a slow worker's job is
+// speculatively retried elsewhere, failed jobs retry with seeded
+// backoff, and a job that exhausts its attempts is quarantined. The
+// supervision summary goes to stderr. Outcomes merge in (mix, seed) key
+// order, so the report is byte-identical at every -parallel and
+// -workers width.
 //
 // -chaos-workers turns the fleet's own fault injection on: workers
 // deterministically SIGKILL themselves mid-job, stall with heartbeats
@@ -92,7 +96,6 @@ import (
 	"limitsim/internal/chaos"
 	"limitsim/internal/flagcheck"
 	"limitsim/internal/fleet"
-	"limitsim/internal/fleet/spaces"
 	"limitsim/internal/pmu"
 	"limitsim/internal/report"
 	"limitsim/internal/telemetry"
@@ -108,6 +111,11 @@ type outcome struct {
 
 // assembler folds a job space's keyed payloads into its outcome.
 type assembler func(payloads [][]byte) (outcome, error)
+
+// minHBTimeout is the shortest -hb-timeout: a healthy busy worker
+// heartbeats every fleet.HeartbeatPeriod, so a shorter silence would
+// kill it as hung.
+const minHBTimeout = 2 * fleet.HeartbeatPeriod
 
 func main() {
 	camp := chaos.Config{}.WithDefaults()
@@ -132,26 +140,16 @@ func main() {
 	metrics := flag.Bool("metrics", false, "attach kernel telemetry to every run and append the merged metrics block")
 	parallel := flag.Int("parallel", 0, "in-process worker count runs fan out across (0 = GOMAXPROCS, 1 = serial)")
 	workers := flag.Int("workers", 0, "supervised worker processes runs shard across (0 = in-process); the report is byte-identical at every width")
-	worker := flag.Bool("worker", false, "serve jobs as a fleet worker over stdin/stdout (internal)")
+	worker := flag.Bool("worker", false, "serve jobs as a fleet worker over stdin/stdout (internal: -workers N re-executes this command with its flags plus -worker)")
 	chaosWorkers := flag.Bool("chaos-workers", false, "self-chaos: crash/stall/truncate/slow workers on early attempts")
 	fleetSeed := flag.Uint64("fleet-seed", 1, "seed for retry jitter and worker self-chaos")
-	hbTimeout := flag.Duration("hb-timeout", 2*time.Second, "heartbeat silence before a busy worker is killed as hung")
+	hbTimeout := flag.Duration("hb-timeout", 2*time.Second, fmt.Sprintf("heartbeat silence before a busy worker is killed as hung (>= %v, two heartbeat periods)", minHBTimeout))
 	reportPath := flag.String("report", "", "write the report to FILE instead of stdout (FILE.html: the HTML artifact); verdict lines stay on stdout/stderr")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "limit-chaos: unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
-	}
-	if *worker {
-		// A self-chaos kill exits 137, the code a real SIGKILL reports,
-		// so the coordinator sees the same thing either way.
-		err := fleet.WorkerMain(os.Stdin, os.Stdout)
-		if errors.Is(err, fleet.ErrChaosKill) {
-			os.Exit(137)
-		}
-		check(err)
-		return
 	}
 	if !flagcheck.OK(os.Stderr, "limit-chaos",
 		flagcheck.AtLeast("seeds", *seeds, 1),
@@ -166,12 +164,12 @@ func main() {
 		flagcheck.AtLeast("tenants", *tenants, 0),
 		flagcheck.AtLeast("parallel", *parallel, 0),
 		flagcheck.AtLeast("workers", *workers, 0),
-		flagcheck.Check(*hbTimeout > 0, "hb-timeout", "positive", *hbTimeout),
+		flagcheck.Check(*hbTimeout >= minHBTimeout, "hb-timeout", fmt.Sprintf(">= %v", minHBTimeout), *hbTimeout),
 	) {
 		os.Exit(2)
 	}
 
-	kind, spec, assemble := "campaign", fleet.SpaceSpec{}, assembler(nil)
+	kind, space, assemble := "campaign", fleet.JobSpace(nil), assembler(nil)
 	if *soak {
 		// Flags shared with the campaign default to its values; one left
 		// unset passes zero, which the soak's WithDefaults fills.
@@ -184,7 +182,7 @@ func main() {
 			return 0
 		}
 		kind = "soak"
-		spec, assemble = soakSpace(chaos.SoakConfig{
+		space, assemble = soakSpace(chaos.SoakConfig{
 			Seeds: shared("seeds", *seeds), Pool: *pool, Waves: *waves,
 			Iters: shared("iters", *iters), ComputeK: shared("k", *k),
 			Cores: shared("cores", *cores), WriteWidth: shared("width", *width),
@@ -196,11 +194,23 @@ func main() {
 			fmt.Fprintln(os.Stderr, "limit-chaos: -ablate-reclaim requires -soak")
 			os.Exit(2)
 		}
-		spec, assemble = campaignSpace(chaos.Config{
+		space, assemble = campaignSpace(chaos.Config{
 			Seeds: *seeds, Threads: *threads, Cores: *cores, Iters: *iters,
 			ComputeK: *k, WriteWidth: *width, NoFixup: *nofixup,
 			Metrics: *metrics, Tenants: *tenants,
 		}, *mixName)
+	}
+	if *worker {
+		// The coordinator re-executed this command with its own flags, so
+		// space is its space. Frames own stdout; -report is not opened.
+		// A self-chaos kill exits 137, the code a real SIGKILL reports,
+		// so the coordinator sees the same thing either way.
+		err := fleet.WorkerMain(os.Stdin, os.Stdout, space)
+		if errors.Is(err, fleet.ErrChaosKill) {
+			os.Exit(137)
+		}
+		check(err)
+		return
 	}
 
 	out, html := io.Writer(os.Stdout), false
@@ -223,8 +233,11 @@ func main() {
 	if err != nil {
 		self = os.Args[0]
 	}
-	rep, err := fleet.Run(fcfg, spec, fleet.ProcSpawner(self, "-worker"))
-	check(err)
+	// Each worker gets the flags this run parsed, then -worker. Taken
+	// from os.Args, a trailing "--" would make -worker an argument.
+	var args []string
+	flag.Visit(func(fl *flag.Flag) { args = append(args, "-"+fl.Name+"="+fl.Value.String()) })
+	rep := fleet.Run(fcfg, space, fleet.ProcSpawner(self, append(args, "-worker")...))
 	if *workers > 0 {
 		rep.RenderSummary(os.Stderr)
 	}
@@ -249,12 +262,10 @@ func main() {
 
 // campaignSpace builds the read-path campaign's job space, narrowed to
 // one mix when mix is set.
-func campaignSpace(cfg chaos.Config, mix string) (fleet.SpaceSpec, assembler) {
+func campaignSpace(cfg chaos.Config, mix string) (fleet.JobSpace, assembler) {
 	cfg = cfg.WithDefaults()
 	cfg.Mixes = only(cfg.Mixes, mix, func(m chaos.Mix) string { return m.Name })
-	spec, err := spaces.CampaignSpec(cfg)
-	check(err)
-	return spec, func(payloads [][]byte) (outcome, error) {
+	return chaos.NewCampaignSpace(cfg), func(payloads [][]byte) (outcome, error) {
 		res, err := chaos.AssembleCampaign(cfg, payloads)
 		if err != nil {
 			return outcome{}, err
@@ -269,12 +280,10 @@ func campaignSpace(cfg chaos.Config, mix string) (fleet.SpaceSpec, assembler) {
 
 // soakSpace builds the lifecycle soak's job space, narrowed to one mix
 // when mix is set.
-func soakSpace(cfg chaos.SoakConfig, mix string) (fleet.SpaceSpec, assembler) {
+func soakSpace(cfg chaos.SoakConfig, mix string) (fleet.JobSpace, assembler) {
 	cfg = cfg.WithDefaults()
 	cfg.Mixes = only(cfg.Mixes, mix, func(m chaos.SoakMix) string { return m.Name })
-	spec, err := spaces.SoakSpec(cfg)
-	check(err)
-	return spec, func(payloads [][]byte) (outcome, error) {
+	return chaos.NewSoakSpace(cfg), func(payloads [][]byte) (outcome, error) {
 		res, err := chaos.AssembleSoak(cfg, payloads)
 		if err != nil {
 			return outcome{}, err

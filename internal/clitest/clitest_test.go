@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -169,6 +170,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-chaos width above counter", "limit-chaos", []string{"-width", "70"}, "-width must be in [10, 48]"},
 		{"limit-chaos negative parallel", "limit-chaos", []string{"-parallel", "-3"}, "-parallel must be >= 0"},
 		{"limit-chaos negative workers", "limit-chaos", []string{"-workers", "-1"}, "-workers must be >= 0"},
+		// Busy workers heartbeat every 100ms; a shorter timeout would
+		// kill healthy ones as hung.
+		{"limit-chaos hb-timeout below two heartbeats", "limit-chaos", []string{"-workers", "2", "-hb-timeout", "20ms"}, "-hb-timeout must be >= 200ms"},
 		// limitctl profile, under the limit-profile binary's row names.
 		{"limit-profile negative top", "limitctl", []string{"profile", "-top", "-1"}, "-top must be >= 1"},
 		{"limit-profile zero scale", "limitctl", []string{"profile", "-scale", "0"}, "-scale must be positive"},
@@ -301,8 +305,8 @@ func TestUnknownMetricListsBuiltins(t *testing.T) {
 var campaignArgs = []string{"-seeds", "2", "-threads", "3", "-cores", "2", "-iters", "60", "-metrics"}
 
 // tenantArgs is a tenant campaign narrowed to one mix: the tenant
-// layer and -mix both reach the workers through the job space's wire
-// config.
+// layer and -mix both reach the workers as their own flags, which each
+// worker process re-parses into the coordinator's job space.
 var tenantArgs = []string{"-tenants", "2", "-mix", "tenant-full-mix", "-seeds", "3", "-threads", "4", "-cores", "2", "-iters", "60", "-metrics"}
 
 // chaosReport runs limit-chaos with args plus extra and returns its
@@ -338,6 +342,18 @@ func TestFleetReportMatchesSingleProcess(t *testing.T) {
 					name, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestFleetWorkersAfterArgTerminator: a trailing "--" ends the
+// coordinator's flags. Workers must still read -worker as a flag; as a
+// stray argument every worker would exit 2 and the run would quietly
+// degrade to in-process execution.
+func TestFleetWorkersAfterArgTerminator(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.txt")
+	code, stderr := run(t, "limit-chaos", append(append([]string{}, campaignArgs...), "-workers", "2", "-report", path, "--")...)
+	if code != 0 || !regexp.MustCompile(`degraded in-process\s+false`).MatchString(stderr) {
+		t.Errorf("exit %d; want 0 and a fleet that did not degrade\nstderr: %s", code, stderr)
 	}
 }
 

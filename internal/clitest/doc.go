@@ -4,7 +4,8 @@
 // for a usage error (unknown flags, unexpected positional arguments,
 // invalid flag combinations, a numeric flag outside its domain) — and
 // the fleet end-to-end oracle: a limit-chaos report produced across
-// real worker processes (-workers N) is byte-identical to the
+// real worker processes (-workers N, each the same binary re-executed
+// with the coordinator's flags plus -worker) is byte-identical to the
 // in-process report, for tenant campaigns too and under worker
 // self-chaos.
 //

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"limitsim/internal/runner"
-	"limitsim/internal/telemetry"
 )
 
 // Config shapes one fleet run's supervision.
@@ -25,7 +24,8 @@ type Config struct {
 	// Seed drives retry jitter (and nothing else): the retry schedule
 	// of every job is a pure function of (Seed, job, attempt).
 	Seed uint64
-	// HeartbeatEvery is the worker heartbeat period (default 100ms).
+	// HeartbeatEvery is the worker heartbeat period (default
+	// HeartbeatPeriod).
 	HeartbeatEvery time.Duration
 	// HeartbeatTimeout is how long a busy worker may go silent before
 	// it is declared hung and killed (default 20×HeartbeatEvery).
@@ -41,10 +41,6 @@ type Config struct {
 	BackoffCap  time.Duration
 	// Chaos enables worker self-sabotage (the -chaos-workers mode).
 	Chaos ChaosConfig
-	// SpawnFailureLimit is how many failed spawns the coordinator
-	// tolerates before degrading to in-process execution (default
-	// 2×Workers).
-	SpawnFailureLimit int
 	// InlineParallel is the runner width of in-process execution,
 	// whether chosen (Workers 0) or degraded to (0 = GOMAXPROCS).
 	InlineParallel int
@@ -55,7 +51,7 @@ func (c Config) withDefaults() Config {
 		c.MaxAttempts = 5
 	}
 	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 100 * time.Millisecond
+		c.HeartbeatEvery = HeartbeatPeriod
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 20 * c.HeartbeatEvery
@@ -68,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 2 * time.Second
-	}
-	if c.SpawnFailureLimit <= 0 {
-		c.SpawnFailureLimit = 2*c.Workers + 2
 	}
 	return c
 }
@@ -116,16 +109,12 @@ type event struct {
 	err    error
 }
 
-// Run executes the job space named by spec across a supervised fleet
-// of workers and returns the keyed results. The returned Report is
-// always non-nil when err is nil; callers must check
+// Run executes space across a supervised fleet of workers from spawn
+// and returns the keyed results; the coordinator runs space itself
+// only when it degrades to in-process execution. Callers must check
 // Report.Quarantined and Report.Violations before trusting Payloads.
-func Run(cfg Config, spec SpaceSpec, spawn Spawner) (*Report, error) {
+func Run(cfg Config, space JobSpace, spawn Spawner) *Report {
 	cfg = cfg.withDefaults()
-	space, err := BuildSpace(spec)
-	if err != nil {
-		return nil, err
-	}
 	n := space.NumJobs()
 	rep := &Report{
 		Jobs:     n,
@@ -133,12 +122,11 @@ func Run(cfg Config, spec SpaceSpec, spawn Spawner) (*Report, error) {
 		Done:     make([]bool, n),
 	}
 	if n == 0 {
-		return rep, nil
+		return rep
 	}
 
 	c := &coordinator{
 		cfg:     cfg,
-		spec:    spec,
 		space:   space,
 		rep:     rep,
 		jobs:    make([]jobState, n),
@@ -149,12 +137,11 @@ func Run(cfg Config, spec SpaceSpec, spawn Spawner) (*Report, error) {
 	}
 	c.run()
 	rep.finish()
-	return rep, nil
+	return rep
 }
 
 type coordinator struct {
 	cfg           Config
-	spec          SpaceSpec
 	space         JobSpace
 	rep           *Report
 	jobs          []jobState
@@ -182,7 +169,7 @@ func (c *coordinator) run() {
 			// The whole fleet is down. Try to rebuild one worker; if the
 			// spawn budget is spent or spawning keeps failing, degrade to
 			// in-process execution for whatever is left.
-			if c.spawnFailures > c.cfg.SpawnFailureLimit || !c.spawnOne() {
+			if !c.canSpawn() || !c.spawnOne() {
 				c.runInline()
 				return
 			}
@@ -207,7 +194,7 @@ func (c *coordinator) teardown() {
 		wg.Add(1)
 		go func(tr Transport) {
 			defer wg.Done()
-			telemetry.WriteFrame(tr, "shutdown", nil) // best-effort; racing Kill is fine
+			WriteFrame(tr, "shutdown", nil) // best-effort; racing Kill is fine
 		}(w.tr)
 	}
 	for _, w := range c.workers {
@@ -238,9 +225,17 @@ func (c *coordinator) liveWorkers() int {
 	return n
 }
 
+// canSpawn reports whether the spawn budget has room. The coordinator
+// tolerates 2×Workers+2 failed spawns — spawn errors, and workers that
+// die or fail the handshake before ready — before it stops replacing
+// workers and degrades to in-process execution.
+func (c *coordinator) canSpawn() bool {
+	return c.spawnFailures <= 2*c.cfg.Workers+2
+}
+
 // spawnOne starts one worker: transport, config frame, reader
 // goroutine. Returns false (and counts a spawn failure) if the spawn
-// or the handshake write fails.
+// or the config write fails.
 func (c *coordinator) spawnOne() bool {
 	id := c.nextID
 	c.nextID++
@@ -251,8 +246,7 @@ func (c *coordinator) spawnOne() bool {
 		return false
 	}
 	w := &workerState{id: id, tr: tr, busy: -1, lastBeat: time.Now()}
-	if err := telemetry.WriteFrame(tr, "config", configPayload{
-		Space:       c.spec,
+	if err := WriteFrame(tr, "config", configPayload{
 		HeartbeatMs: int(c.cfg.HeartbeatEvery / time.Millisecond),
 		Chaos:       c.cfg.Chaos,
 	}); err != nil {
@@ -274,7 +268,7 @@ func (c *coordinator) spawnOne() bool {
 func (c *coordinator) read(w *workerState) {
 	br := bufio.NewReader(w.tr)
 	for {
-		typ, data, err := telemetry.ReadFrame(br)
+		typ, data, err := ReadFrame(br)
 		ev := event{worker: w.id, typ: typ, data: data, err: err}
 		if err != nil {
 			ev.typ = "down"
@@ -360,7 +354,7 @@ func (c *coordinator) sendJob(w *workerState, k int) {
 	w.started = time.Now()
 	w.lastBeat = w.started
 	c.rep.Stats.JobsDispatched++
-	if err := telemetry.WriteFrame(w.tr, "job", jobPayload{Key: k, Attempt: attempt}); err != nil {
+	if err := WriteFrame(w.tr, "job", jobPayload{Key: k, Attempt: attempt}); err != nil {
 		// The pipe died under the write; the reader will deliver a down
 		// event that requeues this copy. Nothing else to do here.
 		return
@@ -442,7 +436,7 @@ func (c *coordinator) failWorker(w *workerState, reason string) {
 		c.retryOrQuarantine(k)
 	}
 	// Keep the fleet at strength while unsettled jobs remain.
-	if !c.settled() && c.liveWorkers() < c.cfg.Workers && c.spawnFailures <= c.cfg.SpawnFailureLimit {
+	if !c.settled() && c.liveWorkers() < c.cfg.Workers && c.canSpawn() {
 		c.spawnOne()
 	}
 }
@@ -475,6 +469,13 @@ func (c *coordinator) handle(ev event) {
 	}
 	switch ev.typ {
 	case "ready":
+		// A worker that built another space than ours must never run a
+		// job: its payloads would merge under our keys.
+		var rdy readyPayload
+		if err := json.Unmarshal(ev.data, &rdy); err != nil || rdy.Jobs != len(c.jobs) {
+			c.badFrame(w, fmt.Sprintf("ready frame %s does not match the %d-job space", ev.data, len(c.jobs)))
+			return
+		}
 		w.ready = true
 		w.lastBeat = time.Now()
 	case "heartbeat":
@@ -482,9 +483,7 @@ func (c *coordinator) handle(ev event) {
 	case "result":
 		var res resultPayload
 		if err := json.Unmarshal(ev.data, &res); err != nil {
-			c.rep.Stats.BadFrames++
-			c.failWorker(w, fmt.Sprintf("undecodable result frame: %v", err))
-			w.tr.Kill()
+			c.badFrame(w, fmt.Sprintf("undecodable result frame: %v", err))
 			return
 		}
 		w.lastBeat = time.Now()
@@ -492,9 +491,7 @@ func (c *coordinator) handle(ev event) {
 	case "joberr":
 		var je jobErrPayload
 		if err := json.Unmarshal(ev.data, &je); err != nil {
-			c.rep.Stats.BadFrames++
-			c.failWorker(w, fmt.Sprintf("undecodable joberr frame: %v", err))
-			w.tr.Kill()
+			c.badFrame(w, fmt.Sprintf("undecodable joberr frame: %v", err))
 			return
 		}
 		w.lastBeat = time.Now()
@@ -513,17 +510,24 @@ func (c *coordinator) handle(ev event) {
 			if ev.err != nil && ev.err.Error() != "EOF" {
 				reason = ev.err.Error()
 			}
-			if _, torn := ev.err.(*telemetry.WireError); torn {
+			if _, torn := ev.err.(*WireError); torn {
 				c.rep.Stats.BadFrames++
 			}
 			c.failWorker(w, reason)
 		}
 		w.tr.Kill()
 	default:
-		c.rep.Stats.BadFrames++
-		c.failWorker(w, fmt.Sprintf("unexpected frame %q", ev.typ))
-		w.tr.Kill()
+		c.badFrame(w, fmt.Sprintf("unexpected frame %q", ev.typ))
 	}
+}
+
+// badFrame fails and kills a worker over a frame that broke the
+// protocol. Before ready that counts against the spawn budget, like
+// any worker that dies in its handshake.
+func (c *coordinator) badFrame(w *workerState, reason string) {
+	c.rep.Stats.BadFrames++
+	c.failWorker(w, reason)
+	w.tr.Kill()
 }
 
 // completeJob merges a result into its keyed slot, or deduplicates it
@@ -536,9 +540,7 @@ func (c *coordinator) completeJob(w *workerState, k int, payload []byte) {
 		w.busy = -1
 	}
 	if k < 0 || k >= len(c.jobs) {
-		c.rep.Stats.BadFrames++
-		c.failWorker(w, fmt.Sprintf("result for job %d outside space [0,%d)", k, len(c.jobs)))
-		w.tr.Kill()
+		c.badFrame(w, fmt.Sprintf("result for job %d outside space [0,%d)", k, len(c.jobs)))
 		return
 	}
 	c.rep.Stats.ResultsReceived++

@@ -6,11 +6,18 @@
 // same canonical merge order — with a supervision layer between the
 // claim and the result:
 //
+//   - Nothing describes the job space on the wire. The coordinator and
+//     every worker build their own instance: a worker process is the
+//     same command re-executed with the coordinator's own flags plus a
+//     worker flag (see ProcSpawner), an in-process worker calls
+//     InProcSpawner's constructor. The handshake checks that they
+//     agree: each worker's ready frame reports its job count, and a
+//     worker whose count differs from the coordinator's is failed
+//     before it is handed a job.
 //   - The coordinator speaks length-prefixed, versioned JSON frames
-//     (telemetry.WriteFrame/ReadFrame) with each worker over its
-//     stdin/stdout. A torn, oversized, or version-skewed frame is a
-//     typed *telemetry.WireError and counts as a worker failure — it
-//     never merges.
+//     (WriteFrame/ReadFrame) with each worker over its stdin/stdout.
+//     A torn, oversized, or version-skewed frame is a typed *WireError
+//     and counts as a worker failure — it never merges.
 //   - Every busy worker heartbeats; silence past the heartbeat timeout
 //     means the worker is hung and it is killed. A worker that still
 //     heartbeats but exceeds the per-job deadline is merely slow: the
@@ -37,20 +44,16 @@
 // analogue of internal/invariant's oracles.
 package fleet
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
+import "io"
 
 // JobSpace is a shardable campaign: a fixed number of independent
 // jobs, each a pure function of (space config, key) producing a
 // wire-encodable payload. The worker index has the same meaning as in
 // internal/runner — a stable slot identity that implementations may
 // use to pool expensive per-run artifacts; a given worker index never
-// runs two jobs concurrently.
+// runs two jobs concurrently. Every fleet worker runs its jobs one at a
+// time as worker index 0, so fleet workers must not share an instance:
+// each builds its own.
 type JobSpace interface {
 	// NumJobs is the job-space size; keys are 0..NumJobs-1.
 	NumJobs() int
@@ -58,56 +61,6 @@ type JobSpace interface {
 	// deterministic: any two executions of the same key return the same
 	// bytes, which is what makes retry, speculation, and dedup safe.
 	Run(job, worker int) ([]byte, error)
-}
-
-// SpaceSpec names a job space on the wire: a registered kind plus its
-// JSON config. The coordinator and every worker build their own
-// instance from the same spec, so they cannot disagree about the job
-// space's shape.
-type SpaceSpec struct {
-	Kind   string          `json:"kind"`
-	Config json.RawMessage `json:"config"`
-}
-
-var (
-	spaceMu       sync.Mutex
-	spaceBuilders = map[string]func(cfg json.RawMessage) (JobSpace, error){}
-)
-
-// Register installs a job-space builder under kind. Adapters (the
-// chaos campaign and soak spaces) register themselves so that worker
-// processes can reconstruct the space from its wire spec. Registering
-// a duplicate kind panics: it is a wiring error.
-func Register(kind string, build func(cfg json.RawMessage) (JobSpace, error)) {
-	spaceMu.Lock()
-	defer spaceMu.Unlock()
-	if _, dup := spaceBuilders[kind]; dup {
-		panic("fleet: duplicate job-space kind " + kind)
-	}
-	spaceBuilders[kind] = build
-}
-
-// Kinds returns the registered job-space kinds, sorted.
-func Kinds() []string {
-	spaceMu.Lock()
-	defer spaceMu.Unlock()
-	out := make([]string, 0, len(spaceBuilders))
-	for k := range spaceBuilders {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BuildSpace constructs the job space a spec names.
-func BuildSpace(spec SpaceSpec) (JobSpace, error) {
-	spaceMu.Lock()
-	build := spaceBuilders[spec.Kind]
-	spaceMu.Unlock()
-	if build == nil {
-		return nil, fmt.Errorf("fleet: unknown job-space kind %q (registered: %v)", spec.Kind, Kinds())
-	}
-	return build(spec.Config)
 }
 
 // Transport is one spawned worker's connection: frames are read from

@@ -2,29 +2,27 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
-
-	"limitsim/internal/telemetry"
 )
 
 // sqSpace is the test job space: payload is a pure function of the
-// key, with designated poison and panic keys.
+// key, with designated poison and panic keys. It keeps no state, so
+// every in-process worker may serve the same instance.
 type sqSpace struct {
-	N         int   `json:"n"`
-	FailKeys  []int `json:"fail_keys,omitempty"`
-	PanicKeys []int `json:"panic_keys,omitempty"`
+	N         int
+	FailKeys  []int
+	PanicKeys []int
 	// Sleeps makes designated keys slow (every attempt, deterministic
 	// payload) — the raw material for speculative-retry tests.
-	Sleeps []jobSleep `json:"sleeps,omitempty"`
+	Sleeps []jobSleep
 }
 
 type jobSleep struct {
-	Key int `json:"key"`
-	Ms  int `json:"ms"`
+	Key int
+	Ms  int
 }
 
 func (s *sqSpace) NumJobs() int { return s.N }
@@ -48,23 +46,9 @@ func (s *sqSpace) Run(job, worker int) ([]byte, error) {
 	return []byte(fmt.Sprintf(`{"sq":%d}`, job*job)), nil
 }
 
-func init() {
-	Register("sq", func(cfg json.RawMessage) (JobSpace, error) {
-		s := &sqSpace{}
-		if err := json.Unmarshal(cfg, s); err != nil {
-			return nil, err
-		}
-		return s, nil
-	})
-}
-
-func sqSpec(t *testing.T, s sqSpace) SpaceSpec {
-	t.Helper()
-	cfg, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return SpaceSpec{Kind: "sq", Config: cfg}
+// runSq runs s across in-process workers that all serve s.
+func runSq(cfg Config, s sqSpace) *Report {
+	return Run(cfg, &s, InProcSpawner(func() JobSpace { return &s }))
 }
 
 // fastCfg returns supervision timings tight enough for unit tests.
@@ -138,10 +122,7 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 
 func TestFleetCleanRun(t *testing.T) {
 	const n = 20
-	rep, err := Run(fastCfg(4), sqSpec(t, sqSpace{N: n}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(fastCfg(4), sqSpace{N: n})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if !rep.Complete() {
@@ -156,10 +137,7 @@ func TestFleetCrashStormCompletesViaRetry(t *testing.T) {
 	const n = 8
 	cfg := fastCfg(4)
 	cfg.Chaos = ChaosConfig{Seed: 1, CrashPct: 100, MaxAttempt: 1}
-	rep, err := Run(cfg, sqSpec(t, sqSpace{N: n}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(cfg, sqSpace{N: n})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.WorkerCrashes < n {
@@ -174,10 +152,7 @@ func TestFleetStallDetectedAsHang(t *testing.T) {
 	const n = 4
 	cfg := fastCfg(2)
 	cfg.Chaos = ChaosConfig{Seed: 2, StallPct: 100, MaxAttempt: 1, StallMs: 400}
-	rep, err := Run(cfg, sqSpec(t, sqSpace{N: n}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(cfg, sqSpace{N: n})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.WorkersKilledHung < 1 {
@@ -189,10 +164,7 @@ func TestFleetTornFrameFailsLoudly(t *testing.T) {
 	const n = 4
 	cfg := fastCfg(2)
 	cfg.Chaos = ChaosConfig{Seed: 3, TruncPct: 100, MaxAttempt: 1}
-	rep, err := Run(cfg, sqSpec(t, sqSpace{N: n}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(cfg, sqSpace{N: n})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.BadFrames < 1 {
@@ -209,13 +181,10 @@ func TestFleetSlowJobSpeculatedAndDeduplicated(t *testing.T) {
 	cfg := fastCfg(4)
 	cfg.JobTimeout = 50 * time.Millisecond
 	cfg.HeartbeatTimeout = 5 * time.Second // slow, not hung: never kill
-	rep, err := Run(cfg, sqSpec(t, sqSpace{
+	rep := runSq(cfg, sqSpace{
 		N:      n,
 		Sleeps: []jobSleep{{Key: 0, Ms: 150}, {Key: 1, Ms: 700}},
-	}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.SpeculativeRetries < 1 {
@@ -233,10 +202,7 @@ func TestFleetPoisonJobQuarantined(t *testing.T) {
 	const n = 6
 	cfg := fastCfg(2)
 	cfg.MaxAttempts = 3
-	rep, err := Run(cfg, sqSpec(t, sqSpace{N: n, FailKeys: []int{3}}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(cfg, sqSpace{N: n, FailKeys: []int{3}})
 	mustClean(t, rep)
 	if rep.Complete() {
 		t.Fatal("run with a poison job must not be Complete")
@@ -264,10 +230,7 @@ func TestFleetPoisonJobQuarantined(t *testing.T) {
 func TestFleetPanicJobQuarantinedWithStack(t *testing.T) {
 	cfg := fastCfg(2)
 	cfg.MaxAttempts = 2
-	rep, err := Run(cfg, sqSpec(t, sqSpace{N: 3, PanicKeys: []int{1}}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(cfg, sqSpace{N: 3, PanicKeys: []int{1}})
 	mustClean(t, rep)
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Key != 1 {
 		t.Fatalf("Quarantined = %v, want job 1", rep.Quarantined)
@@ -285,10 +248,7 @@ func TestFleetMixedChaosExactOnceAccounting(t *testing.T) {
 		Seed: 99, CrashPct: 30, StallPct: 10, TruncPct: 10, SlowPct: 10,
 		MaxAttempt: 2, StallMs: 300, SlowMs: 30,
 	}
-	rep, err := Run(cfg, sqSpec(t, sqSpace{N: n}), InProcSpawner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSq(cfg, sqSpace{N: n})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if !rep.Complete() {
@@ -299,10 +259,7 @@ func TestFleetMixedChaosExactOnceAccounting(t *testing.T) {
 func TestFleetDegradesInProcessWhenSpawnsFail(t *testing.T) {
 	const n = 10
 	badSpawn := func(id int) (Transport, error) { return nil, fmt.Errorf("no fork for you") }
-	rep, err := Run(fastCfg(3), sqSpec(t, sqSpace{N: n}), badSpawn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Run(fastCfg(3), &sqSpace{N: n}, badSpawn)
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if !rep.Stats.Degraded {
@@ -313,12 +270,33 @@ func TestFleetDegradesInProcessWhenSpawnsFail(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsWorkerWithOtherSpace: a worker whose space has a
+// different job count than the coordinator's fails its handshake. No
+// job reaches it, so none of its results can merge; the failed
+// handshakes spend the spawn budget and the coordinator finishes the
+// space in-process.
+func TestFleetRejectsWorkerWithOtherSpace(t *testing.T) {
+	const n = 6
+	for _, workerJobs := range []int{n - 1, n + 1} {
+		rep := Run(fastCfg(2), &sqSpace{N: n}, InProcSpawner(func() JobSpace { return &sqSpace{N: workerJobs} }))
+		checkAllSquares(t, rep, n)
+		mustClean(t, rep)
+		s := rep.Stats
+		if s.ResultsReceived != 0 || s.ResultsMerged != 0 || s.JobsDispatched != 0 {
+			t.Errorf("worker jobs %d: a mismatched worker was handed jobs: %+v", workerJobs, s)
+		}
+		if !s.Degraded || s.InlineMerged != n {
+			t.Errorf("worker jobs %d: want every job merged in-process after degrading: %+v", workerJobs, s)
+		}
+		if s.BadFrames != s.WorkersSpawned || s.BadFrames == 0 {
+			t.Errorf("worker jobs %d: %d bad frames for %d workers spawned, want one each", workerJobs, s.BadFrames, s.WorkersSpawned)
+		}
+	}
+}
+
 func TestFleetWorkersZeroRunsInline(t *testing.T) {
 	const n = 7
-	rep, err := Run(Config{Workers: 0}, sqSpec(t, sqSpace{N: n, FailKeys: []int{2}}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Run(Config{Workers: 0}, &sqSpace{N: n, FailKeys: []int{2}}, nil)
 	mustClean(t, rep)
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Key != 2 {
 		t.Fatalf("Quarantined = %v, want job 2", rep.Quarantined)
@@ -333,25 +311,10 @@ func TestFleetWorkersZeroRunsInline(t *testing.T) {
 func TestWorkerMainRejectsBadHandshake(t *testing.T) {
 	// First frame must be config.
 	var in, out bytes.Buffer
-	if err := telemetry.WriteFrame(&in, "job", jobPayload{Key: 0}); err != nil {
+	if err := WriteFrame(&in, "job", jobPayload{Key: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WorkerMain(&in, &out); err == nil || !strings.Contains(err.Error(), "want config") {
+	if err := WorkerMain(&in, &out, &sqSpace{N: 1}); err == nil || !strings.Contains(err.Error(), "want config") {
 		t.Fatalf("err = %v, want handshake rejection", err)
-	}
-
-	// Unknown space kind fails before ready.
-	in.Reset()
-	if err := telemetry.WriteFrame(&in, "config", configPayload{Space: SpaceSpec{Kind: "no-such-kind"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WorkerMain(&in, &out); err == nil || !strings.Contains(err.Error(), "no-such-kind") {
-		t.Fatalf("err = %v, want unknown-kind error", err)
-	}
-}
-
-func TestUnknownSpaceKind(t *testing.T) {
-	if _, err := Run(fastCfg(1), SpaceSpec{Kind: "nope"}, InProcSpawner()); err == nil {
-		t.Fatal("unknown kind must error")
 	}
 }

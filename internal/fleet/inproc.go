@@ -34,19 +34,22 @@ func (t *pipeTransport) Kill() {
 func (t *pipeTransport) Wait() error { return <-t.done }
 
 // InProcSpawner returns a Spawner whose workers are WorkerMain
-// goroutines over in-memory pipes instead of OS processes. The full
-// wire protocol, supervision, and self-chaos machinery runs unchanged
-// — a chaos worker "crashes" by returning ErrChaosKill, which snaps
-// its pipes just as a SIGKILL would. This is the transport the race-
-// detector tests drive, and a way to exercise fleet supervision where
-// spawning processes is unavailable.
-func InProcSpawner() Spawner {
+// goroutines over in-memory pipes instead of OS processes. Each worker
+// serves its own space from newSpace, as a worker process builds its
+// own from its flags. The full wire protocol, supervision, and
+// self-chaos machinery runs unchanged — a chaos worker "crashes" by
+// returning ErrChaosKill, which snaps its pipes just as a SIGKILL
+// would. This is the transport the race-detector tests drive, and a
+// way to exercise fleet supervision where spawning processes is
+// unavailable.
+func InProcSpawner(newSpace func() JobSpace) Spawner {
 	return func(id int) (Transport, error) {
 		inR, inW := io.Pipe()
 		outR, outW := io.Pipe()
 		tr := &pipeTransport{outR: outR, inW: inW, inR: inR, outW: outW, done: make(chan error, 1)}
+		space := newSpace()
 		go func() {
-			err := WorkerMain(inR, outW)
+			err := WorkerMain(inR, outW, space)
 			outW.Close()
 			inR.Close()
 			tr.done <- err

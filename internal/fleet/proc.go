@@ -35,9 +35,11 @@ func (t *procTransport) Kill() {
 func (t *procTransport) Wait() error { return t.cmd.Wait() }
 
 // ProcSpawner returns a Spawner that starts each worker by executing
-// argv0 with args — typically this binary's own path with a -worker
-// flag. The child's stderr passes through to the parent's, so worker
-// diagnostics stay visible; the frame protocol owns stdin/stdout.
+// argv0 with args — typically this binary's own path and the flags it
+// parsed plus a worker flag, so the worker builds the coordinator's
+// job space from the same flags. The child's stderr passes through to
+// the parent's, so worker diagnostics stay visible; the frame protocol
+// owns stdin/stdout.
 func ProcSpawner(argv0 string, args ...string) Spawner {
 	return func(id int) (Transport, error) {
 		inR, inW, err := os.Pipe()

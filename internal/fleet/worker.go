@@ -7,28 +7,29 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"limitsim/internal/telemetry"
 )
 
+// HeartbeatPeriod is how often a busy worker heartbeats unless the
+// coordinator's Config.HeartbeatEvery says otherwise.
+const HeartbeatPeriod = 100 * time.Millisecond
+
 // Frame payload shapes. Every frame crossing the pipe is validated by
-// telemetry.ReadFrame (length, version, type) before these decode; a
-// payload that then fails to decode is a protocol error, handled as a
+// ReadFrame (length, version, type) before these decode; a payload
+// that then fails to decode is a protocol error, handled as a
 // worker/coordinator failure, never a silent skip.
 type configPayload struct {
-	Space SpaceSpec `json:"space"`
 	// HeartbeatMs is how often a busy worker must heartbeat.
 	HeartbeatMs int `json:"heartbeat_ms"`
 	// Chaos is the worker self-sabotage config (zero = disabled).
 	Chaos ChaosConfig `json:"chaos"`
 }
 
+// readyPayload is the worker's half of the handshake: the size of the
+// space it built, which the coordinator checks against its own.
 type readyPayload struct {
-	Pid  int `json:"pid"`
 	Jobs int `json:"jobs"`
 }
 
@@ -62,16 +63,16 @@ type heartbeatPayload struct {
 var ErrChaosKill = errors.New("fleet: worker killed by self-chaos")
 
 // WorkerMain is the worker side of the protocol: read the config
-// frame, build the job space, then serve job frames until shutdown.
+// frame, report space's size, then serve space's jobs until shutdown.
 // It is transport-agnostic — limit-chaos -worker runs it over the real
 // process's stdin/stdout, tests run it over in-memory pipes — and all
 // chaos sabotage happens here, so a chaos worker misbehaves
 // identically in both settings.
-func WorkerMain(r io.Reader, w io.Writer) error {
+func WorkerMain(r io.Reader, w io.Writer, space JobSpace) error {
 	br := bufio.NewReader(r)
 	out := &frameWriter{w: w}
 
-	typ, data, err := telemetry.ReadFrame(br)
+	typ, data, err := ReadFrame(br)
 	if err != nil {
 		return fmt.Errorf("fleet worker: reading config frame: %w", err)
 	}
@@ -82,11 +83,7 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return fmt.Errorf("fleet worker: config frame: %w", err)
 	}
-	space, err := BuildSpace(cfg.Space)
-	if err != nil {
-		return fmt.Errorf("fleet worker: %w", err)
-	}
-	if err := out.write("ready", readyPayload{Pid: os.Getpid(), Jobs: space.NumJobs()}); err != nil {
+	if err := out.write("ready", readyPayload{Jobs: space.NumJobs()}); err != nil {
 		return err
 	}
 
@@ -94,7 +91,7 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 	defer hb.stop()
 
 	for {
-		typ, data, err := telemetry.ReadFrame(br)
+		typ, data, err := ReadFrame(br)
 		if err != nil {
 			if err == io.EOF {
 				return nil // coordinator hung up; a clean end of service
@@ -145,7 +142,7 @@ func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWrite
 			return ErrChaosKill
 		}
 		var buf bytes.Buffer
-		if err := telemetry.WriteFrame(&buf, "result", resultPayload{
+		if err := WriteFrame(&buf, "result", resultPayload{
 			Key: job.Key, Attempt: job.Attempt, Payload: payload,
 		}); err != nil {
 			return err
@@ -188,7 +185,7 @@ type frameWriter struct {
 func (fw *frameWriter) write(typ string, data any) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	return telemetry.WriteFrame(fw.w, typ, data)
+	return WriteFrame(fw.w, typ, data)
 }
 
 // writeRaw emits pre-marshalled (possibly deliberately torn) bytes.
@@ -214,7 +211,7 @@ type heartbeater struct {
 
 func newHeartbeater(out *frameWriter, every time.Duration) *heartbeater {
 	if every <= 0 {
-		every = 100 * time.Millisecond
+		every = HeartbeatPeriod
 	}
 	hb := &heartbeater{out: out, every: every, key: -1, doneCh: make(chan struct{})}
 	go hb.loop()

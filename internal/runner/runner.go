@@ -62,31 +62,23 @@ func (c Config) Workers() int {
 	return p
 }
 
-// Claimer hands out job keys to workers. Claim returns the next job
-// key and true, or false when the job space is exhausted. The runner's
-// own claimer is Sequence; it is an interface so engines layered on
-// the pool (the fleet coordinator's retry queue, most notably) can
-// substitute richer claim policies while reusing the worker shape.
-type Claimer interface {
-	Claim() (job int, ok bool)
-}
-
-// Sequence is the runner's claim source: job keys 0..n-1 handed out in
+// sequence is the pool's claim source: job keys 0..n-1 handed out in
 // ascending order from a shared atomic counter. Safe for concurrent
 // claims; the ascending order is what makes the pool's lowest-keyed
 // error match the serial engine's first failure.
-type Sequence struct {
+type sequence struct {
 	next atomic.Int64
 	n    int64
 }
 
-// NewSequence returns a claimer over keys 0..n-1.
-func NewSequence(n int) *Sequence {
-	return &Sequence{n: int64(n)}
+// newSequence returns a sequence over keys 0..n-1.
+func newSequence(n int) *sequence {
+	return &sequence{n: int64(n)}
 }
 
-// Claim returns the next unclaimed key in ascending order.
-func (s *Sequence) Claim() (int, bool) {
+// claim returns the next unclaimed key in ascending order, or false
+// when every key is claimed.
+func (s *sequence) claim() (int, bool) {
 	j := s.next.Add(1) - 1
 	if j >= s.n {
 		return 0, false
@@ -148,7 +140,7 @@ func Run(cfg Config, fn func(job, worker int) error) error {
 		stop atomic.Bool
 		wg   sync.WaitGroup
 	)
-	claims := NewSequence(n)
+	claims := newSequence(n)
 	// One slot per job: workers write disjoint elements, no locking.
 	errs := make([]error, n)
 	for w := 0; w < cfg.Workers(); w++ {
@@ -156,7 +148,7 @@ func Run(cfg Config, fn func(job, worker int) error) error {
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				j, ok := claims.Claim()
+				j, ok := claims.claim()
 				if !ok || stop.Load() {
 					return
 				}

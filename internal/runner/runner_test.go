@@ -192,18 +192,18 @@ func TestPanicLowestKeyedVsError(t *testing.T) {
 	}
 }
 
-// TestSequenceClaimsAscendingOnce: the extracted claimer hands out each
-// key exactly once, in ascending order from a single goroutine.
+// TestSequenceClaimsAscendingOnce: the pool's claim source hands out
+// each key exactly once, in ascending order from a single goroutine.
 func TestSequenceClaimsAscendingOnce(t *testing.T) {
-	s := NewSequence(5)
+	s := newSequence(5)
 	for want := 0; want < 5; want++ {
-		j, ok := s.Claim()
+		j, ok := s.claim()
 		if !ok || j != want {
-			t.Fatalf("Claim() = %d,%v, want %d,true", j, ok, want)
+			t.Fatalf("claim() = %d,%v, want %d,true", j, ok, want)
 		}
 	}
-	if _, ok := s.Claim(); ok {
-		t.Error("Claim() after exhaustion returned ok")
+	if _, ok := s.claim(); ok {
+		t.Error("claim() after exhaustion returned ok")
 	}
 }
 

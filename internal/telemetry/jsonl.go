@@ -1,11 +1,13 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
+
+	"limitsim/internal/jsonl"
 )
 
 // jsonlMetric is the parse shape for one WriteJSONL line. Pointer
@@ -39,74 +41,69 @@ type jsonlMetric struct {
 // line; nothing is ever silently skipped or defaulted.
 func ParseJSONL(r io.Reader) (*Registry, error) {
 	reg := NewRegistry()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxFrameLen)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
+	n := 0 // the line being parsed, or the last one when reading fails
+	err := jsonl.ReadLines(r, func(line int, raw []byte) error {
+		n = line
 		var m jsonlMetric
 		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: %w", line, err)
+			return err
 		}
 		if m.Name == "" {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: missing metric name", line)
+			return errors.New("missing metric name")
 		}
 		if _, dup := reg.index[m.Name]; dup {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: duplicate metric %q", line, m.Name)
+			return fmt.Errorf("duplicate metric %q", m.Name)
 		}
 		switch m.Type {
 		case "counter":
 			if m.Value == nil {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: counter %q missing value", line, m.Name)
+				return fmt.Errorf("counter %q missing value", m.Name)
 			}
 			v, err := strconv.ParseUint(m.Value.String(), 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: counter %q value: %w", line, m.Name, err)
+				return fmt.Errorf("counter %q value: %w", m.Name, err)
 			}
 			reg.Counter(m.Name).v = v
 		case "gauge":
 			if m.Value == nil || m.Peak == nil {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: gauge %q missing value/peak", line, m.Name)
+				return fmt.Errorf("gauge %q missing value/peak", m.Name)
 			}
 			v, err := m.Value.Int64()
 			if err != nil {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: gauge %q value: %w", line, m.Name, err)
+				return fmt.Errorf("gauge %q value: %w", m.Name, err)
 			}
 			g := reg.Gauge(m.Name)
 			g.v = v
 			g.peak = *m.Peak
 		case "histogram":
 			if m.Count == nil || m.Sum == nil || m.Min == nil || m.Max == nil {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: histogram %q missing count/sum/min/max", line, m.Name)
+				return fmt.Errorf("histogram %q missing count/sum/min/max", m.Name)
 			}
 			if len(m.Bounds) == 0 || len(m.Counts) != len(m.Bounds)+1 {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: histogram %q has %d counts for %d bounds (want bounds+1)",
-					line, m.Name, len(m.Counts), len(m.Bounds))
+				return fmt.Errorf("histogram %q has %d counts for %d bounds (want bounds+1)",
+					m.Name, len(m.Counts), len(m.Bounds))
 			}
 			if i := notAscending(m.Bounds); i > 0 {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: histogram %q bounds not ascending at %d", line, m.Name, i)
+				return fmt.Errorf("histogram %q bounds not ascending at %d", m.Name, i)
 			}
 			var total uint64
 			for _, c := range m.Counts {
 				total += c
 			}
 			if total != *m.Count {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: histogram %q bucket counts sum to %d, count says %d",
-					line, m.Name, total, *m.Count)
+				return fmt.Errorf("histogram %q bucket counts sum to %d, count says %d",
+					m.Name, total, *m.Count)
 			}
 			h := reg.Histogram(m.Name, m.Bounds)
 			copy(h.counts, m.Counts)
 			h.n, h.sum, h.min, h.max = *m.Count, *m.Sum, *m.Min, *m.Max
 		default:
-			return nil, fmt.Errorf("telemetry: jsonl line %d: unknown metric type %q", line, m.Type)
+			return fmt.Errorf("unknown metric type %q", m.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: jsonl line %d: %w", line, err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: jsonl line %d: %w", n, err)
 	}
 	return reg, nil
 }
