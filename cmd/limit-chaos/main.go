@@ -42,19 +42,21 @@
 // the same job space from them, then serves jobs over stdin/stdout
 // instead of reporting; the coordinator checks each worker's job count
 // in the handshake. It speaks length-prefixed JSON frames with each
-// worker and supervises them: heartbeat silence (-hb-timeout, at least
-// two heartbeat periods) kills a hung worker, a slow worker's job is
-// speculatively retried elsewhere, failed jobs retry with seeded
-// backoff, and a job that exhausts its attempts is quarantined. The
-// supervision summary goes to stderr. Outcomes merge in (mix, seed) key
-// order, so the report is byte-identical at every -parallel and
-// -workers width.
+// worker and supervises them: each job runs on one worker at a time,
+// silence past -hb-timeout (at least two heartbeat periods) kills a
+// worker that has not sent its ready frame or stops heartbeating
+// mid-job, failed jobs retry with seeded backoff, and a job that
+// exhausts its attempts is quarantined. The supervision summary goes to
+// stderr. Outcomes merge in (mix, seed) key order, so the report is
+// byte-identical at every -parallel and -workers width.
 //
 // -chaos-workers turns the fleet's own fault injection on: workers
 // deterministically SIGKILL themselves mid-job, stall with heartbeats
-// suppressed, truncate result frames, and run slow, all confined to
-// early attempts (seeded by -fleet-seed) so the retry budget still
-// completes every job. The report must come out byte-identical anyway.
+// suppressed, and truncate result frames, all confined to early
+// attempts so the retry budget still completes every job. Each worker
+// reads -chaos-workers and -fleet-seed from its own flags; the fates
+// are a pure function of (-fleet-seed, job, attempt). The report must
+// come out byte-identical anyway.
 //
 // -metrics attaches the kernel telemetry layer to every run and
 // appends the campaign-wide merged metrics block (context-switch and
@@ -141,7 +143,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "in-process worker count runs fan out across (0 = GOMAXPROCS, 1 = serial)")
 	workers := flag.Int("workers", 0, "supervised worker processes runs shard across (0 = in-process); the report is byte-identical at every width")
 	worker := flag.Bool("worker", false, "serve jobs as a fleet worker over stdin/stdout (internal: -workers N re-executes this command with its flags plus -worker)")
-	chaosWorkers := flag.Bool("chaos-workers", false, "self-chaos: crash/stall/truncate/slow workers on early attempts")
+	chaosWorkers := flag.Bool("chaos-workers", false, "self-chaos: crash/stall/truncate workers on early attempts")
 	fleetSeed := flag.Uint64("fleet-seed", 1, "seed for retry jitter and worker self-chaos")
 	hbTimeout := flag.Duration("hb-timeout", 2*time.Second, fmt.Sprintf("heartbeat silence before a busy worker is killed as hung (>= %v, two heartbeat periods)", minHBTimeout))
 	reportPath := flag.String("report", "", "write the report to FILE instead of stdout (FILE.html: the HTML artifact); verdict lines stay on stdout/stderr")
@@ -202,10 +204,15 @@ func main() {
 	}
 	if *worker {
 		// The coordinator re-executed this command with its own flags, so
-		// space is its space. Frames own stdout; -report is not opened.
-		// A self-chaos kill exits 137, the code a real SIGKILL reports,
-		// so the coordinator sees the same thing either way.
-		err := fleet.WorkerMain(os.Stdin, os.Stdout, space)
+		// space is its space and -chaos-workers its self-chaos. Frames
+		// own stdout; -report is not opened. A self-chaos kill exits 137,
+		// the code a real SIGKILL reports, so the coordinator sees the
+		// same thing either way.
+		var storm fleet.ChaosConfig
+		if *chaosWorkers {
+			storm = fleet.KillStorm(*fleetSeed)
+		}
+		err := fleet.WorkerMain(os.Stdin, os.Stdout, space, storm)
 		if errors.Is(err, fleet.ErrChaosKill) {
 			os.Exit(137)
 		}
@@ -223,9 +230,6 @@ func main() {
 	}
 
 	fcfg := fleet.Config{Workers: *workers, Seed: *fleetSeed, HeartbeatTimeout: *hbTimeout, InlineParallel: *parallel}
-	if *chaosWorkers {
-		fcfg.Chaos = fleet.KillStorm(*fleetSeed)
-	}
 	// Workers re-execute this binary. If its path cannot be resolved,
 	// argv[0] stands in: failed spawns count against the budget and the
 	// coordinator degrades to in-process execution.

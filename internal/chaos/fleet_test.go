@@ -27,7 +27,6 @@ func tinyCampaign() chaos.Config {
 func fleetCfg(workers int) fleet.Config {
 	return fleet.Config{
 		Workers:          workers,
-		HeartbeatEvery:   10 * time.Millisecond,
 		HeartbeatTimeout: 2 * time.Second,
 		BackoffBase:      2 * time.Millisecond,
 		BackoffCap:       10 * time.Millisecond,
@@ -35,11 +34,12 @@ func fleetCfg(workers int) fleet.Config {
 }
 
 // campaignWorkers spawns in-process fleet workers that each build
-// their own space over cfg, as worker processes do from their flags.
-// They cannot share one: every worker runs as worker index 0, and the
-// space pools its artifacts per index.
-func campaignWorkers(cfg chaos.Config) fleet.Spawner {
-	return fleet.InProcSpawner(func() fleet.JobSpace { return chaos.NewCampaignSpace(cfg) })
+// their own space over cfg and sabotage themselves as storm says, as
+// worker processes do from their flags. They cannot share one space:
+// every worker runs as worker index 0, and the space pools its
+// artifacts per index.
+func campaignWorkers(cfg chaos.Config, storm fleet.ChaosConfig) fleet.Spawner {
+	return fleet.InProcSpawner(func() fleet.JobSpace { return chaos.NewCampaignSpace(cfg) }, storm)
 }
 
 func renderCampaign(t *testing.T, r *chaos.Result) []byte {
@@ -53,7 +53,7 @@ func renderCampaign(t *testing.T, r *chaos.Result) []byte {
 // the fleet-assembled campaign report must be byte-identical to the
 // single-process engine's at every shard width — and stay so when the
 // workers themselves are being crashed, stalled, and truncated, because
-// retried and speculated jobs are pure functions of their keys. The
+// retried jobs are pure functions of their keys. The
 // tenant configs pin that the tenant table and per-tenant telemetry
 // survive the payload, with and without Metrics.
 func TestCampaignFleetMatchesSingleProcess(t *testing.T) {
@@ -67,7 +67,7 @@ func TestCampaignFleetMatchesSingleProcess(t *testing.T) {
 		want := renderCampaign(t, chaos.Run(ccfg))
 		for _, workers := range []int{1, 2, 4} {
 			fcfg := fleetCfg(workers)
-			rep := fleet.Run(fcfg, chaos.NewCampaignSpace(ccfg), campaignWorkers(ccfg))
+			rep := fleet.Run(fcfg, chaos.NewCampaignSpace(ccfg), campaignWorkers(ccfg, fleet.ChaosConfig{}))
 			if !rep.Complete() {
 				t.Fatalf("tenants=%d metrics=%v workers=%d: incomplete: quarantined %v, violations %v",
 					ccfg.Tenants, ccfg.Metrics, workers, rep.Quarantined, rep.Violations)
@@ -90,12 +90,12 @@ func TestCampaignFleetByteIdenticalUnderKillStorm(t *testing.T) {
 
 	fcfg := fleetCfg(3)
 	fcfg.MaxAttempts = 5
-	fcfg.HeartbeatTimeout = 150 * time.Millisecond
-	fcfg.Chaos = fleet.ChaosConfig{
+	fcfg.HeartbeatTimeout = 3 * fleet.HeartbeatPeriod
+	storm := fleet.ChaosConfig{
 		Seed: 7, CrashPct: 30, StallPct: 10, TruncPct: 10,
-		MaxAttempt: 2, StallMs: 400,
+		MaxAttempt: 2, StallMs: 600,
 	}
-	rep := fleet.Run(fcfg, chaos.NewCampaignSpace(ccfg), campaignWorkers(ccfg))
+	rep := fleet.Run(fcfg, chaos.NewCampaignSpace(ccfg), campaignWorkers(ccfg, storm))
 	if !rep.Complete() {
 		t.Fatalf("kill-storm campaign incomplete: quarantined %v, violations %v",
 			rep.Quarantined, rep.Violations)
@@ -127,7 +127,7 @@ func TestSoakFleetMatchesSingleProcess(t *testing.T) {
 		chaos.RunSoak(scfg).Render(&want)
 
 		rep := fleet.Run(fleetCfg(2), chaos.NewSoakSpace(scfg),
-			fleet.InProcSpawner(func() fleet.JobSpace { return chaos.NewSoakSpace(scfg) }))
+			fleet.InProcSpawner(func() fleet.JobSpace { return chaos.NewSoakSpace(scfg) }, fleet.ChaosConfig{}))
 		if !rep.Complete() {
 			t.Fatalf("tenants=%d metrics=%v: soak fleet incomplete: quarantined %v, violations %v",
 				scfg.Tenants, scfg.Metrics, rep.Quarantined, rep.Violations)

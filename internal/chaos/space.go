@@ -14,8 +14,8 @@ import (
 // and the only way either runs. A job is one seeded run — a pure
 // function of (defaulted config, key) — whose outcome struct is folded
 // directly by Run/RunSoak, or JSON-encoded as a payload so the run can
-// execute on any fleet worker process, be retried or speculatively
-// duplicated, and still assemble through the same fold into a result
+// execute on any fleet worker process, be retried, and still assemble
+// through the same fold into a result
 // byte-identical to the in-process one. Each run's telemetry rides
 // along as a JSONL block and merges into the campaign registry in key
 // order.

@@ -361,7 +361,9 @@ func TestFleetWorkersAfterArgTerminator(t *testing.T) {
 // real worker processes — SIGKILLed mid-job, stalled past the
 // heartbeat deadline, frames truncated — and requires the same
 // contract: exit 0 (complete, audit-clean) and a byte-identical
-// report.
+// report. Each worker reads -chaos-workers from its own flags, so the
+// summary must also count crashes and hung kills: a storm that never
+// reached the workers would pass the byte check vacuously.
 func TestFleetKillStormRealProcesses(t *testing.T) {
 	want, _ := chaosReport(t, campaignArgs, "-parallel", "4")
 	got, stderr := chaosReport(t, campaignArgs,
@@ -370,7 +372,9 @@ func TestFleetKillStormRealProcesses(t *testing.T) {
 		t.Errorf("kill-storm fleet report differs from in-process report\n--- fleet ---\n%s\n--- in-process ---\n%s",
 			got, want)
 	}
-	if !strings.Contains(stderr, "fleet summary") {
-		t.Errorf("stderr lacks the fleet summary:\n%s", stderr)
+	for _, row := range []string{"worker crashes", "workers killed hung"} {
+		if !regexp.MustCompile(`(?m)^\s*` + row + `\s+[1-9]`).MatchString(stderr) {
+			t.Errorf("fleet summary lacks a nonzero %q count:\n%s", row, stderr)
+		}
 	}
 }

@@ -47,13 +47,3 @@ func RetryDelay(seed uint64, job, attempt int, base, max time.Duration) time.Dur
 	}
 	return d - half + jitter // in [d/2, d/2+half] = [d/2, d]
 }
-
-// RetrySchedule returns the first n retry delays for a job — the
-// deterministic attempt timeline tests assert against.
-func RetrySchedule(seed uint64, job, n int, base, max time.Duration) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = RetryDelay(seed, job, i+1, base, max)
-	}
-	return out
-}

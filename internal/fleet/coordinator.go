@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -17,30 +16,22 @@ type Config struct {
 	// spawning entirely and runs the whole space in-process — the same
 	// degradation path taken when every spawn fails.
 	Workers int
-	// MaxAttempts bounds dispatches per job (first try + retries +
-	// speculative copies); a job that fails them all is quarantined.
-	// Default 5.
+	// MaxAttempts bounds dispatches per job (first try + retries); a
+	// job that fails them all is quarantined. Default 5.
 	MaxAttempts int
 	// Seed drives retry jitter (and nothing else): the retry schedule
 	// of every job is a pure function of (Seed, job, attempt).
 	Seed uint64
-	// HeartbeatEvery is the worker heartbeat period (default
-	// HeartbeatPeriod).
-	HeartbeatEvery time.Duration
-	// HeartbeatTimeout is how long a busy worker may go silent before
-	// it is declared hung and killed (default 20×HeartbeatEvery).
+	// HeartbeatTimeout is how long a busy worker may go silent, and how
+	// long a new one may take to send its ready frame, before it is
+	// declared hung and killed (default 20×HeartbeatPeriod). Busy
+	// workers beat every HeartbeatPeriod, so it must be at least twice
+	// that.
 	HeartbeatTimeout time.Duration
-	// JobTimeout is the speculative-retry threshold: a job past it
-	// whose worker still heartbeats is retried on another worker while
-	// the original keeps running (default 60s; the duplicate result is
-	// deduplicated by key).
-	JobTimeout time.Duration
 	// BackoffBase/BackoffCap bound the retry backoff window
 	// (defaults 25ms / 2s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Chaos enables worker self-sabotage (the -chaos-workers mode).
-	Chaos ChaosConfig
 	// InlineParallel is the runner width of in-process execution,
 	// whether chosen (Workers 0) or degraded to (0 = GOMAXPROCS).
 	InlineParallel int
@@ -50,14 +41,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 5
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = HeartbeatPeriod
-	}
 	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 20 * c.HeartbeatEvery
-	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 60 * time.Second
+		c.HeartbeatTimeout = 20 * HeartbeatPeriod
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 25 * time.Millisecond
@@ -77,14 +62,14 @@ const (
 	jobQuarantined
 )
 
+// jobState is one job's supervision record. At most one copy of a job
+// is in flight: a job is dispatched only while pending, and it is
+// pending again only after its worker replied or failed.
 type jobState struct {
-	status     int
-	attempts   int // dispatches so far (includes speculative copies)
-	inflight   int // copies currently running on workers
-	notBefore  time.Time
-	speculated bool // a speculative copy was already issued
-	errs       []string
-	payload    []byte
+	status    int
+	attempts  int // dispatches so far
+	notBefore time.Time
+	errs      []string
 }
 
 type workerState struct {
@@ -94,9 +79,8 @@ type workerState struct {
 	dead    bool
 	busy    int // job key, -1 when idle
 	attempt int
-	started time.Time
-	// lastBeat is the liveness clock: set at ready, refreshed by every
-	// heartbeat and result.
+	// lastBeat is the liveness clock: set at spawn, refreshed by the
+	// ready frame, every dispatch and every heartbeat.
 	lastBeat time.Time
 }
 
@@ -227,15 +211,15 @@ func (c *coordinator) liveWorkers() int {
 
 // canSpawn reports whether the spawn budget has room. The coordinator
 // tolerates 2×Workers+2 failed spawns — spawn errors, and workers that
-// die or fail the handshake before ready — before it stops replacing
-// workers and degrades to in-process execution.
+// die, time out or fail the handshake before ready — before it stops
+// replacing workers and degrades to in-process execution.
 func (c *coordinator) canSpawn() bool {
 	return c.spawnFailures <= 2*c.cfg.Workers+2
 }
 
-// spawnOne starts one worker: transport, config frame, reader
-// goroutine. Returns false (and counts a spawn failure) if the spawn
-// or the config write fails.
+// spawnOne starts one worker and its reader goroutine; the worker
+// speaks first, with its ready frame. Returns false (and counts a spawn
+// failure) if the spawn fails.
 func (c *coordinator) spawnOne() bool {
 	id := c.nextID
 	c.nextID++
@@ -246,16 +230,6 @@ func (c *coordinator) spawnOne() bool {
 		return false
 	}
 	w := &workerState{id: id, tr: tr, busy: -1, lastBeat: time.Now()}
-	if err := WriteFrame(tr, "config", configPayload{
-		HeartbeatMs: int(c.cfg.HeartbeatEvery / time.Millisecond),
-		Chaos:       c.cfg.Chaos,
-	}); err != nil {
-		tr.Kill()
-		tr.Wait()
-		c.spawnFailures++
-		c.rep.Stats.SpawnFailures++
-		return false
-	}
 	c.workers[id] = w
 	c.rep.Stats.WorkersSpawned++
 	go c.read(w)
@@ -284,21 +258,12 @@ func (c *coordinator) read(w *workerState) {
 	}
 }
 
-// dispatch hands eligible jobs to idle ready workers: pending jobs
-// past their backoff first (lowest key), then — if a worker is still
-// idle — a speculative copy of the lowest-keyed job that has exceeded
-// JobTimeout on a still-heartbeating worker.
+// dispatch hands pending jobs past their backoff, lowest key first,
+// to idle ready workers.
 func (c *coordinator) dispatch() {
 	now := time.Now()
 	for _, w := range c.idleWorkers() {
 		k, ok := c.nextPending(now)
-		if !ok {
-			k, ok = c.nextSpeculative(now)
-			if ok {
-				c.rep.Stats.SpeculativeRetries++
-				c.jobs[k].speculated = true
-			}
-		}
 		if !ok {
 			return
 		}
@@ -328,37 +293,16 @@ func (c *coordinator) nextPending(now time.Time) (int, bool) {
 	return 0, false
 }
 
-func (c *coordinator) nextSpeculative(now time.Time) (int, bool) {
-	for k := range c.jobs {
-		j := &c.jobs[k]
-		if j.status != jobRunning || j.speculated || j.attempts >= c.cfg.MaxAttempts {
-			continue
-		}
-		for _, w := range c.workers {
-			if !w.dead && w.busy == k && now.Sub(w.started) > c.cfg.JobTimeout {
-				return k, true
-			}
-		}
-	}
-	return 0, false
-}
-
 func (c *coordinator) sendJob(w *workerState, k int) {
 	j := &c.jobs[k]
-	attempt := j.attempts
+	w.busy, w.attempt = k, j.attempts
+	w.lastBeat = time.Now()
 	j.attempts++
-	j.inflight++
 	j.status = jobRunning
-	w.busy = k
-	w.attempt = attempt
-	w.started = time.Now()
-	w.lastBeat = w.started
 	c.rep.Stats.JobsDispatched++
-	if err := WriteFrame(w.tr, "job", jobPayload{Key: k, Attempt: attempt}); err != nil {
-		// The pipe died under the write; the reader will deliver a down
-		// event that requeues this copy. Nothing else to do here.
-		return
-	}
+	// A write error means the pipe died under the write; the reader will
+	// deliver a down event that requeues the job.
+	WriteFrame(w.tr, "job", jobPayload{Key: k, Attempt: w.attempt})
 }
 
 // waitEvent blocks for the next event or supervision deadline.
@@ -372,8 +316,8 @@ func (c *coordinator) waitEvent() {
 	c.checkTimeouts()
 }
 
-// nextDeadline bounds the wait: the earliest backoff expiry, heartbeat
-// deadline, or speculation deadline, clamped to a coarse tick.
+// nextDeadline bounds the wait: the earliest backoff expiry or
+// heartbeat deadline, clamped to a coarse tick.
 func (c *coordinator) nextDeadline() time.Duration {
 	now := time.Now()
 	wait := 250 * time.Millisecond
@@ -391,32 +335,38 @@ func (c *coordinator) nextDeadline() time.Duration {
 		}
 	}
 	for _, w := range c.workers {
-		if !w.dead && w.busy >= 0 {
+		if w.watched() {
 			upd(w.lastBeat.Add(c.cfg.HeartbeatTimeout))
-			upd(w.started.Add(c.cfg.JobTimeout))
 		}
 	}
 	return wait
 }
 
-// checkTimeouts kills hung workers: busy, and silent past the
-// heartbeat timeout. (Slow-but-beating workers are handled by
-// speculative dispatch, not killed.)
+// watched reports whether w owes the coordinator a frame: its ready
+// frame, or heartbeats while it runs a job.
+func (w *workerState) watched() bool {
+	return !w.dead && (!w.ready || w.busy >= 0)
+}
+
+// checkTimeouts kills hung workers: watched, and silent past the
+// heartbeat timeout. A worker that never becomes ready dies here too,
+// before ready, so it counts against the spawn budget.
 func (c *coordinator) checkTimeouts() {
 	now := time.Now()
 	for _, w := range c.workers {
-		if w.dead || w.busy < 0 {
-			continue
-		}
-		if now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
+		if w.watched() && now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
+			silent := "no heartbeat"
+			if !w.ready {
+				silent = "no ready frame"
+			}
 			c.rep.Stats.WorkersKilledHung++
-			c.failWorker(w, fmt.Sprintf("hung: no heartbeat for %v", now.Sub(w.lastBeat).Round(time.Millisecond)))
+			c.failWorker(w, fmt.Sprintf("hung: %s for %v", silent, now.Sub(w.lastBeat).Round(time.Millisecond)))
 			w.tr.Kill()
 		}
 	}
 }
 
-// failWorker marks a worker dead and requeues its in-flight job copy.
+// failWorker marks a worker dead and requeues its job, if it had one.
 func (c *coordinator) failWorker(w *workerState, reason string) {
 	if w.dead {
 		return
@@ -428,12 +378,8 @@ func (c *coordinator) failWorker(w *workerState, reason string) {
 		// startup degrades to in-process instead of respawning forever.
 		c.spawnFailures++
 	}
-	if k := w.busy; k >= 0 {
-		w.busy = -1
-		j := &c.jobs[k]
-		j.inflight--
-		j.errs = append(j.errs, fmt.Sprintf("attempt %d on worker %d: %s", w.attempt, w.id, reason))
-		c.retryOrQuarantine(k)
+	if w.busy >= 0 {
+		c.requeue(w, reason)
 	}
 	// Keep the fleet at strength while unsettled jobs remain.
 	if !c.settled() && c.liveWorkers() < c.cfg.Workers && c.canSpawn() {
@@ -441,15 +387,14 @@ func (c *coordinator) failWorker(w *workerState, reason string) {
 	}
 }
 
-func (c *coordinator) retryOrQuarantine(k int) {
+// requeue records why w's job failed, frees w, and schedules the job's
+// retry after its backoff — or quarantines it once its attempts are
+// spent.
+func (c *coordinator) requeue(w *workerState, reason string) {
+	k := w.busy
+	w.busy = -1
 	j := &c.jobs[k]
-	if j.status == jobDone || j.status == jobQuarantined {
-		return
-	}
-	if j.inflight > 0 {
-		// A sibling copy (speculation) is still running; let it decide.
-		return
-	}
+	j.errs = append(j.errs, fmt.Sprintf("attempt %d on worker %d: %s", w.attempt, w.id, reason))
 	if j.attempts >= c.cfg.MaxAttempts {
 		j.status = jobQuarantined
 		c.rep.Quarantined = append(c.rep.Quarantined, Quarantine{
@@ -479,29 +424,30 @@ func (c *coordinator) handle(ev event) {
 		w.ready = true
 		w.lastBeat = time.Now()
 	case "heartbeat":
-		w.lastBeat = time.Now()
-	case "result":
-		var res resultPayload
-		if err := json.Unmarshal(ev.data, &res); err != nil {
-			c.badFrame(w, fmt.Sprintf("undecodable result frame: %v", err))
+		// The ready frame comes first: beats must not stretch a new
+		// worker's deadline for it.
+		if !w.ready {
+			c.badFrame(w, "heartbeat before the ready frame")
 			return
 		}
 		w.lastBeat = time.Now()
-		c.completeJob(w, res.Key, []byte(res.Payload))
-	case "joberr":
-		var je jobErrPayload
-		if err := json.Unmarshal(ev.data, &je); err != nil {
-			c.badFrame(w, fmt.Sprintf("undecodable joberr frame: %v", err))
+	case "result", "joberr":
+		// A reply must be for the one job this worker runs; no other copy
+		// of any job is in flight, so another key is a protocol fault.
+		var r replyPayload
+		if err := json.Unmarshal(ev.data, &r); err != nil {
+			c.badFrame(w, fmt.Sprintf("undecodable %s frame: %v", ev.typ, err))
 			return
 		}
-		w.lastBeat = time.Now()
-		if w.busy == je.Key {
-			w.busy = -1
+		if w.busy < 0 || r.Key != w.busy {
+			c.badFrame(w, fmt.Sprintf("%s frame for job %d from a worker running job %d", ev.typ, r.Key, w.busy))
+			return
 		}
-		j := &c.jobs[je.Key]
-		j.inflight--
-		j.errs = append(j.errs, fmt.Sprintf("attempt %d on worker %d: %s", je.Attempt, w.id, je.Error))
-		c.retryOrQuarantine(je.Key)
+		if ev.typ == "joberr" {
+			c.requeue(w, r.Error)
+			return
+		}
+		c.completeJob(w, r.Payload)
 	case "down":
 		wasDead := w.dead
 		if !wasDead {
@@ -530,41 +476,16 @@ func (c *coordinator) badFrame(w *workerState, reason string) {
 	w.tr.Kill()
 }
 
-// completeJob merges a result into its keyed slot, or deduplicates it
-// if the key already settled (the speculative race / retried-job
-// race). Duplicates are byte-compared against the winner: payloads are
-// pure functions of the key, so a mismatch is a determinism violation
-// the audit must surface.
-func (c *coordinator) completeJob(w *workerState, k int, payload []byte) {
-	if w.busy == k {
-		w.busy = -1
-	}
-	if k < 0 || k >= len(c.jobs) {
-		c.badFrame(w, fmt.Sprintf("result for job %d outside space [0,%d)", k, len(c.jobs)))
-		return
-	}
-	c.rep.Stats.ResultsReceived++
-	j := &c.jobs[k]
-	j.inflight--
-	switch j.status {
-	case jobDone:
-		c.rep.Stats.DuplicatesDropped++
-		if !bytes.Equal(payload, j.payload) {
-			c.rep.Stats.DuplicateMismatches++
-		}
-	case jobQuarantined:
-		// The key was written off before this copy landed; accounting
-		// already closed, so the late result is dropped as a duplicate
-		// of the quarantine decision.
-		c.rep.Stats.DuplicatesDropped++
-	default:
-		j.status = jobDone
-		j.payload = payload
-		c.rep.Payloads[k] = payload
-		c.rep.Done[k] = true
-		c.rep.Stats.ResultsMerged++
-		c.rep.addWorkerMerge(w.id)
-	}
+// completeJob merges the result of w's job into its keyed slot and
+// frees w.
+func (c *coordinator) completeJob(w *workerState, payload []byte) {
+	k := w.busy
+	w.busy = -1
+	c.jobs[k].status = jobDone
+	c.rep.Payloads[k] = payload
+	c.rep.Done[k] = true
+	c.rep.Stats.ResultsMerged++
+	c.rep.addWorkerMerge(w.id)
 }
 
 // runInline executes every unsettled job in-process through the runner
@@ -601,7 +522,6 @@ func (c *coordinator) runInline() {
 			continue
 		}
 		j.status = jobDone
-		j.payload = outs[i].payload
 		c.rep.Payloads[k] = outs[i].payload
 		c.rep.Done[k] = true
 		c.rep.Stats.InlineMerged++

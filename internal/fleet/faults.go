@@ -5,58 +5,51 @@ package fleet
 // deterministic "fate" for every (job, attempt) cell from a seeded
 // hash and sabotages itself accordingly — dying without warning
 // mid-job (the SIGKILL shape), stalling with heartbeats suppressed
-// (the hang shape), truncating its result frame (the torn-wire shape),
-// or merely running slow with heartbeats flowing (the speculative-
-// retry shape). Because fates only fire below MaxAttempt, a bounded
-// retry budget always completes the campaign, and because the sabotage
-// is a pure function of (seed, job, attempt), every chaos run is
+// (the hang shape), or truncating its result frame (the torn-wire
+// shape). Because fates only fire below MaxAttempt, a bounded retry
+// budget always completes the campaign, and because the sabotage is a
+// pure function of (seed, job, attempt), every chaos run is
 // reproducible.
 
 // ChaosConfig shapes worker self-chaos. All percentages are per
-// (job, attempt) cell; they must sum to at most 100.
+// (job, attempt) cell; they must sum to at most 100. A worker takes it
+// from its own flags (limit-chaos -chaos-workers and -fleet-seed), never
+// from the wire.
 type ChaosConfig struct {
 	// Seed drives the per-cell fate hash.
-	Seed uint64 `json:"seed"`
+	Seed uint64
 	// CrashPct is the chance the worker exits abruptly (SIGKILL shape)
 	// instead of returning the job's result.
-	CrashPct int `json:"crash_pct"`
+	CrashPct int
 	// StallPct is the chance the worker stalls mid-job with heartbeats
 	// suppressed — the hang the coordinator must detect and kill.
-	StallPct int `json:"stall_pct"`
+	StallPct int
 	// TruncPct is the chance the worker writes only a prefix of its
 	// result frame before dying — the torn frame the wire layer must
 	// reject.
-	TruncPct int `json:"trunc_pct"`
-	// SlowPct is the chance the worker sleeps (heartbeats flowing)
-	// before running the job — slow, not hung, so the coordinator
-	// speculatively retries and must deduplicate the raced results.
-	SlowPct int `json:"slow_pct"`
+	TruncPct int
 	// MaxAttempt caps which attempts can draw a fate: attempts >=
 	// MaxAttempt always run clean (default 2), so any retry budget
 	// above it completes every job.
-	MaxAttempt int `json:"max_attempt"`
+	MaxAttempt int
 	// StallMs is the stall duration; it must exceed the coordinator's
 	// heartbeat timeout to register as a hang.
-	StallMs int `json:"stall_ms"`
-	// SlowMs is the slow-fate sleep; it should exceed the coordinator's
-	// job timeout to trigger speculation.
-	SlowMs int `json:"slow_ms"`
+	StallMs int
 }
 
 // Enabled reports whether any fault class is active.
 func (c ChaosConfig) Enabled() bool {
-	return c.CrashPct+c.StallPct+c.TruncPct+c.SlowPct > 0
+	return c.CrashPct+c.StallPct+c.TruncPct > 0
 }
 
 // KillStorm is the stock -chaos-workers mix: heavy crashes with a side
-// of hangs, torn frames, and slow workers, all confined to the first
-// two attempts.
+// of hangs and torn frames, all confined to the first two attempts.
 func KillStorm(seed uint64) ChaosConfig {
 	return ChaosConfig{
 		Seed:     seed,
-		CrashPct: 30, StallPct: 10, TruncPct: 10, SlowPct: 10,
+		CrashPct: 30, StallPct: 10, TruncPct: 10,
 		MaxAttempt: 2,
-		StallMs:    4000, SlowMs: 400,
+		StallMs:    4000,
 	}
 }
 
@@ -67,12 +60,7 @@ const (
 	fateCrash
 	fateStall
 	fateTrunc
-	fateSlow
 )
-
-func (f fate) String() string {
-	return [...]string{"clean", "crash", "stall", "trunc", "slow"}[f]
-}
 
 // fateFor draws the (job, attempt) cell's fate.
 func (c ChaosConfig) fateFor(job, attempt int) fate {
@@ -94,8 +82,6 @@ func (c ChaosConfig) fateFor(job, attempt int) fate {
 		return fateStall
 	case roll < c.CrashPct+c.StallPct+c.TruncPct:
 		return fateTrunc
-	case roll < c.CrashPct+c.StallPct+c.TruncPct+c.SlowPct:
-		return fateSlow
 	}
 	return fateClean
 }

@@ -10,37 +10,34 @@
 //     every worker build their own instance: a worker process is the
 //     same command re-executed with the coordinator's own flags plus a
 //     worker flag (see ProcSpawner), an in-process worker calls
-//     InProcSpawner's constructor. The handshake checks that they
-//     agree: each worker's ready frame reports its job count, and a
-//     worker whose count differs from the coordinator's is failed
+//     InProcSpawner's constructor. The worker's self-chaos comes from
+//     the same place, so only job keys flow to it. The handshake checks
+//     that they agree: each worker's ready frame reports its job count,
+//     and a worker whose count differs from the coordinator's is failed
 //     before it is handed a job.
 //   - The coordinator speaks length-prefixed, versioned JSON frames
 //     (WriteFrame/ReadFrame) with each worker over its stdin/stdout.
 //     A torn, oversized, or version-skewed frame is a typed *WireError
 //     and counts as a worker failure — it never merges.
-//   - Every busy worker heartbeats; silence past the heartbeat timeout
-//     means the worker is hung and it is killed. A worker that still
-//     heartbeats but exceeds the per-job deadline is merely slow: the
-//     job is speculatively retried on another worker, and whichever
-//     result lands first wins.
+//   - At most one copy of a job is in flight. A worker's result or
+//     joberr frame must name the job it was given; any other key is a
+//     bad frame that fails the worker.
+//   - A new worker must send its ready frame, and a busy worker must
+//     heartbeat, within the heartbeat timeout; silence past it means
+//     the worker is hung and it is killed.
 //   - Failed jobs retry with exponential backoff and seeded jitter
 //     (RetryDelay is a pure function of seed, job, and attempt, so
 //     retry schedules are deterministic in tests). After MaxAttempts
 //     failures a job is quarantined — enumerated in the report, never
 //     silently dropped.
-//   - Results land in slots keyed by job; a duplicate result for an
-//     already-settled key (the speculative race, or a retry that raced
-//     a crash) is deduplicated by key and byte-compared against the
-//     winner — a mismatch is an audit violation, because job payloads
-//     are pure functions of (space config, key).
 //   - When no workers can be spawned (or none survive), the
 //     coordinator degrades gracefully to in-process execution through
 //     internal/runner.
 //
 // Correctness is auditable: Report.Audit checks that every job is
-// accounted exactly once (settled XOR quarantined), that merged plus
-// deduplicated results equal results received, and that per-worker
-// result contributions conserve against the merged total — the fleet
+// accounted exactly once (done XOR quarantined), that per-worker
+// result contributions conserve against the merged total, and that
+// done jobs equal worker-merged plus inline-merged results — the fleet
 // analogue of internal/invariant's oracles.
 package fleet
 
@@ -59,7 +56,7 @@ type JobSpace interface {
 	NumJobs() int
 	// Run executes job key and returns its payload. The payload must be
 	// deterministic: any two executions of the same key return the same
-	// bytes, which is what makes retry, speculation, and dedup safe.
+	// bytes, which is what makes retry safe.
 	Run(job, worker int) ([]byte, error)
 }
 

@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +20,7 @@ type sqSpace struct {
 	FailKeys  []int
 	PanicKeys []int
 	// Sleeps makes designated keys slow (every attempt, deterministic
-	// payload) — the raw material for speculative-retry tests.
+	// payload), so their workers must heartbeat through them.
 	Sleeps []jobSleep
 }
 
@@ -46,18 +50,20 @@ func (s *sqSpace) Run(job, worker int) ([]byte, error) {
 	return []byte(fmt.Sprintf(`{"sq":%d}`, job*job)), nil
 }
 
-// runSq runs s across in-process workers that all serve s.
-func runSq(cfg Config, s sqSpace) *Report {
-	return Run(cfg, &s, InProcSpawner(func() JobSpace { return &s }))
+// runSq runs s across in-process workers that all serve s under chaos.
+func runSq(cfg Config, s sqSpace, chaos ChaosConfig) *Report {
+	return Run(cfg, &s, InProcSpawner(func() JobSpace { return &s }, chaos))
 }
+
+// testTimeout is the heartbeat timeout of the unit tests: three
+// heartbeat periods, so a healthy worker is never killed as hung.
+const testTimeout = 3 * HeartbeatPeriod
 
 // fastCfg returns supervision timings tight enough for unit tests.
 func fastCfg(workers int) Config {
 	return Config{
 		Workers:          workers,
-		HeartbeatEvery:   10 * time.Millisecond,
-		HeartbeatTimeout: 120 * time.Millisecond,
-		JobTimeout:       5 * time.Second,
+		HeartbeatTimeout: testTimeout,
 		BackoffBase:      2 * time.Millisecond,
 		BackoffCap:       10 * time.Millisecond,
 	}
@@ -88,14 +94,20 @@ func checkAllSquares(t *testing.T, rep *Report, n int) {
 
 func TestRetryScheduleDeterministic(t *testing.T) {
 	base, cap := 10*time.Millisecond, 200*time.Millisecond
-	a := RetrySchedule(42, 7, 8, base, cap)
-	b := RetrySchedule(42, 7, 8, base, cap)
+	schedule := func(seed uint64) []time.Duration {
+		out := make([]time.Duration, 8)
+		for i := range out {
+			out[i] = RetryDelay(seed, 7, i+1, base, cap)
+		}
+		return out
+	}
+	a, b := schedule(42), schedule(42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at retry %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := RetrySchedule(43, 7, 8, base, cap)
+	c := schedule(43)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -122,7 +134,7 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 
 func TestFleetCleanRun(t *testing.T) {
 	const n = 20
-	rep := runSq(fastCfg(4), sqSpace{N: n})
+	rep := runSq(fastCfg(4), sqSpace{N: n}, ChaosConfig{})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if !rep.Complete() {
@@ -135,9 +147,7 @@ func TestFleetCleanRun(t *testing.T) {
 
 func TestFleetCrashStormCompletesViaRetry(t *testing.T) {
 	const n = 8
-	cfg := fastCfg(4)
-	cfg.Chaos = ChaosConfig{Seed: 1, CrashPct: 100, MaxAttempt: 1}
-	rep := runSq(cfg, sqSpace{N: n})
+	rep := runSq(fastCfg(4), sqSpace{N: n}, ChaosConfig{Seed: 1, CrashPct: 100, MaxAttempt: 1})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.WorkerCrashes < n {
@@ -150,9 +160,7 @@ func TestFleetCrashStormCompletesViaRetry(t *testing.T) {
 
 func TestFleetStallDetectedAsHang(t *testing.T) {
 	const n = 4
-	cfg := fastCfg(2)
-	cfg.Chaos = ChaosConfig{Seed: 2, StallPct: 100, MaxAttempt: 1, StallMs: 400}
-	rep := runSq(cfg, sqSpace{N: n})
+	rep := runSq(fastCfg(2), sqSpace{N: n}, ChaosConfig{Seed: 2, StallPct: 100, MaxAttempt: 1, StallMs: 600})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.WorkersKilledHung < 1 {
@@ -162,9 +170,7 @@ func TestFleetStallDetectedAsHang(t *testing.T) {
 
 func TestFleetTornFrameFailsLoudly(t *testing.T) {
 	const n = 4
-	cfg := fastCfg(2)
-	cfg.Chaos = ChaosConfig{Seed: 3, TruncPct: 100, MaxAttempt: 1}
-	rep := runSq(cfg, sqSpace{N: n})
+	rep := runSq(fastCfg(2), sqSpace{N: n}, ChaosConfig{Seed: 3, TruncPct: 100, MaxAttempt: 1})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if rep.Stats.BadFrames < 1 {
@@ -172,29 +178,16 @@ func TestFleetTornFrameFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestFleetSlowJobSpeculatedAndDeduplicated(t *testing.T) {
-	// Job 0 is slow (every attempt): past JobTimeout it is speculatively
-	// retried on an idle worker, and because job 1 is even slower the
-	// run is still alive when BOTH job-0 results land — the second one
-	// must be deduplicated and byte-compared against the first.
+// TestFleetHeartbeatsKeepLongJobAlive: a job that runs three times the
+// heartbeat timeout is slow, not hung. Its worker heartbeats through it,
+// so it completes on its first attempt and nobody is killed.
+func TestFleetHeartbeatsKeepLongJobAlive(t *testing.T) {
 	const n = 2
-	cfg := fastCfg(4)
-	cfg.JobTimeout = 50 * time.Millisecond
-	cfg.HeartbeatTimeout = 5 * time.Second // slow, not hung: never kill
-	rep := runSq(cfg, sqSpace{
-		N:      n,
-		Sleeps: []jobSleep{{Key: 0, Ms: 150}, {Key: 1, Ms: 700}},
-	})
+	rep := runSq(fastCfg(2), sqSpace{N: n, Sleeps: []jobSleep{{Key: 0, Ms: int(3 * testTimeout / time.Millisecond)}}}, ChaosConfig{})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
-	if rep.Stats.SpeculativeRetries < 1 {
-		t.Fatalf("SpeculativeRetries = %d, want >= 1", rep.Stats.SpeculativeRetries)
-	}
-	if rep.Stats.DuplicatesDropped < 1 {
-		t.Fatalf("DuplicatesDropped = %d, want >= 1 (the slow original must race the copy)", rep.Stats.DuplicatesDropped)
-	}
-	if rep.Stats.DuplicateMismatches != 0 {
-		t.Fatalf("DuplicateMismatches = %d, want 0", rep.Stats.DuplicateMismatches)
+	if s := rep.Stats; s.WorkersKilledHung != 0 || s.Retries != 0 || s.JobsDispatched != n {
+		t.Fatalf("stats %+v: want no hung kills, no retries, one dispatch per job", s)
 	}
 }
 
@@ -202,7 +195,7 @@ func TestFleetPoisonJobQuarantined(t *testing.T) {
 	const n = 6
 	cfg := fastCfg(2)
 	cfg.MaxAttempts = 3
-	rep := runSq(cfg, sqSpace{N: n, FailKeys: []int{3}})
+	rep := runSq(cfg, sqSpace{N: n, FailKeys: []int{3}}, ChaosConfig{})
 	mustClean(t, rep)
 	if rep.Complete() {
 		t.Fatal("run with a poison job must not be Complete")
@@ -230,7 +223,7 @@ func TestFleetPoisonJobQuarantined(t *testing.T) {
 func TestFleetPanicJobQuarantinedWithStack(t *testing.T) {
 	cfg := fastCfg(2)
 	cfg.MaxAttempts = 2
-	rep := runSq(cfg, sqSpace{N: 3, PanicKeys: []int{1}})
+	rep := runSq(cfg, sqSpace{N: 3, PanicKeys: []int{1}}, ChaosConfig{})
 	mustClean(t, rep)
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Key != 1 {
 		t.Fatalf("Quarantined = %v, want job 1", rep.Quarantined)
@@ -244,11 +237,10 @@ func TestFleetMixedChaosExactOnceAccounting(t *testing.T) {
 	const n = 16
 	cfg := fastCfg(4)
 	cfg.MaxAttempts = 6
-	cfg.Chaos = ChaosConfig{
-		Seed: 99, CrashPct: 30, StallPct: 10, TruncPct: 10, SlowPct: 10,
-		MaxAttempt: 2, StallMs: 300, SlowMs: 30,
-	}
-	rep := runSq(cfg, sqSpace{N: n})
+	rep := runSq(cfg, sqSpace{N: n}, ChaosConfig{
+		Seed: 99, CrashPct: 30, StallPct: 10, TruncPct: 10,
+		MaxAttempt: 2, StallMs: 600,
+	})
 	checkAllSquares(t, rep, n)
 	mustClean(t, rep)
 	if !rep.Complete() {
@@ -278,11 +270,11 @@ func TestFleetDegradesInProcessWhenSpawnsFail(t *testing.T) {
 func TestFleetRejectsWorkerWithOtherSpace(t *testing.T) {
 	const n = 6
 	for _, workerJobs := range []int{n - 1, n + 1} {
-		rep := Run(fastCfg(2), &sqSpace{N: n}, InProcSpawner(func() JobSpace { return &sqSpace{N: workerJobs} }))
+		rep := Run(fastCfg(2), &sqSpace{N: n}, InProcSpawner(func() JobSpace { return &sqSpace{N: workerJobs} }, ChaosConfig{}))
 		checkAllSquares(t, rep, n)
 		mustClean(t, rep)
 		s := rep.Stats
-		if s.ResultsReceived != 0 || s.ResultsMerged != 0 || s.JobsDispatched != 0 {
+		if s.ResultsMerged != 0 || s.JobsDispatched != 0 {
 			t.Errorf("worker jobs %d: a mismatched worker was handed jobs: %+v", workerJobs, s)
 		}
 		if !s.Degraded || s.InlineMerged != n {
@@ -308,13 +300,108 @@ func TestFleetWorkersZeroRunsInline(t *testing.T) {
 	}
 }
 
+// TestFleetNeverReadyWorkerTimesOut: a worker that never sends its
+// ready frame — silent, or heartbeating instead — is failed within the
+// heartbeat timeout of its spawn and counts against the spawn budget,
+// so the run degrades to in-process execution instead of waiting
+// forever.
+func TestFleetNeverReadyWorkerTimesOut(t *testing.T) {
+	const n = 4
+	for name, serve := range map[string]func(int, io.Reader, io.Writer) error{
+		"silent": func(_ int, r io.Reader, _ io.Writer) error {
+			_, err := io.Copy(io.Discard, r) // until killed
+			return err
+		},
+		"heartbeats only": func(_ int, _ io.Reader, w io.Writer) error {
+			for WriteFrame(w, "heartbeat", nil) == nil { // until killed
+				time.Sleep(HeartbeatPeriod / 10)
+			}
+			return nil
+		},
+	} {
+		cfg := fastCfg(2)
+		cfg.HeartbeatTimeout = 50 * time.Millisecond
+		done := make(chan *Report, 1)
+		go func() { done <- Run(cfg, &sqSpace{N: n}, pipeSpawner(serve)) }()
+		select {
+		case rep := <-done:
+			checkAllSquares(t, rep, n)
+			mustClean(t, rep)
+			if s := rep.Stats; !s.Degraded || s.InlineMerged != n || s.WorkersKilledHung+s.BadFrames == 0 {
+				t.Errorf("%s: stats %+v: want workers failed before ready and every job merged in-process", name, s)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: fleet.Run still waiting on workers that never sent ready", name)
+		}
+	}
+}
+
+// TestFleetRejectsReplyForAnotherJob: a reply names the job its worker
+// was given. A joberr for a key outside the space, a result for the
+// other job, and a result from a worker given no job are each a bad
+// frame that fails the worker; honest replacements then finish every
+// job.
+func TestFleetRejectsReplyForAnotherJob(t *testing.T) {
+	const n = 2
+	space := &sqSpace{N: n}
+	spawn := pipeSpawner(func(id int, r io.Reader, w io.Writer) error {
+		br := bufio.NewReader(r)
+		switch id {
+		case 0, 1:
+			WriteFrame(w, "ready", readyPayload{Jobs: n})
+			var job jobPayload
+			if typ, data, err := ReadFrame(br); err != nil || typ != "job" || json.Unmarshal(data, &job) != nil {
+				return fmt.Errorf("worker %d got no job frame", id)
+			}
+			if id == 0 {
+				WriteFrame(w, "joberr", replyPayload{Key: 99, Error: "not my job"})
+			} else {
+				WriteFrame(w, "result", replyPayload{Key: n - 1 - job.Key, Payload: []byte(`{"sq":-1}`)})
+			}
+		case 2:
+			WriteFrame(w, "result", replyPayload{Key: -1, Payload: []byte(`{}`)})
+		default:
+			return WorkerMain(br, w, space, ChaosConfig{})
+		}
+		_, err := io.Copy(io.Discard, br) // until killed
+		return err
+	})
+	rep := Run(fastCfg(2), space, spawn)
+	checkAllSquares(t, rep, n)
+	mustClean(t, rep)
+	// Worker 2 always sends its reply; of workers 0 and 1, at least the
+	// first to be ready is handed a job to answer wrongly.
+	if s := rep.Stats; s.BadFrames < 2 || s.Degraded {
+		t.Fatalf("stats %+v: want a bad frame per foreign reply and the jobs done by workers", s)
+	}
+}
+
+// TestWorkerMainRejectsBadHandshake: a worker announces itself with its
+// ready frame, then accepts only job and shutdown frames. A frame from
+// a coordinator of the previous wire version (which opened with a
+// config frame) fails on the version, and a current-version frame of
+// any other type fails by name.
 func TestWorkerMainRejectsBadHandshake(t *testing.T) {
-	// First frame must be config.
-	var in, out bytes.Buffer
-	if err := WriteFrame(&in, "job", jobPayload{Key: 0}); err != nil {
+	var old bytes.Buffer
+	body := `{"v":1,"type":"config","data":{"heartbeat_ms":100}}`
+	binary.Write(&old, binary.BigEndian, uint32(len(body)))
+	old.WriteString(body)
+	var cur bytes.Buffer
+	if err := WriteFrame(&cur, "config", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WorkerMain(&in, &out, &sqSpace{N: 1}); err == nil || !strings.Contains(err.Error(), "want config") {
-		t.Fatalf("err = %v, want handshake rejection", err)
+	for _, c := range []struct {
+		in   *bytes.Buffer
+		want string
+	}{{&old, "version skew"}, {&cur, `unexpected frame "config"`}} {
+		var out bytes.Buffer
+		err := WorkerMain(c.in, &out, &sqSpace{N: 3}, ChaosConfig{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("err = %v, want mention of %q", err, c.want)
+		}
+		typ, data, rerr := ReadFrame(&out)
+		if rerr != nil || typ != "ready" || string(data) != `{"jobs":3}` {
+			t.Errorf("first frame out = %q %s (%v), want ready with the job count", typ, data, rerr)
+		}
 	}
 }

@@ -35,21 +35,30 @@ func (t *pipeTransport) Wait() error { return <-t.done }
 
 // InProcSpawner returns a Spawner whose workers are WorkerMain
 // goroutines over in-memory pipes instead of OS processes. Each worker
-// serves its own space from newSpace, as a worker process builds its
-// own from its flags. The full wire protocol, supervision, and
+// serves its own space from newSpace under chaos, as a worker process
+// builds both from its flags. The full wire protocol, supervision, and
 // self-chaos machinery runs unchanged — a chaos worker "crashes" by
 // returning ErrChaosKill, which snaps its pipes just as a SIGKILL
 // would. This is the transport the race-detector tests drive, and a
 // way to exercise fleet supervision where spawning processes is
 // unavailable.
-func InProcSpawner(newSpace func() JobSpace) Spawner {
+func InProcSpawner(newSpace func() JobSpace, chaos ChaosConfig) Spawner {
+	return pipeSpawner(func(_ int, r io.Reader, w io.Writer) error {
+		return WorkerMain(r, w, newSpace(), chaos)
+	})
+}
+
+// pipeSpawner returns a Spawner whose worker id runs serve on a
+// goroutine over in-memory pipes; serve returning ends the worker's
+// stream, as a process exit does. Tests drive it with hand-rolled
+// workers that break the protocol.
+func pipeSpawner(serve func(id int, r io.Reader, w io.Writer) error) Spawner {
 	return func(id int) (Transport, error) {
 		inR, inW := io.Pipe()
 		outR, outW := io.Pipe()
 		tr := &pipeTransport{outR: outR, inW: inW, inR: inR, outW: outW, done: make(chan error, 1)}
-		space := newSpace()
 		go func() {
-			err := WorkerMain(inR, outW, space)
+			err := serve(id, inR, outW)
 			outW.Close()
 			inR.Close()
 			tr.done <- err

@@ -37,9 +37,9 @@ func (t *procTransport) Wait() error { return t.cmd.Wait() }
 // ProcSpawner returns a Spawner that starts each worker by executing
 // argv0 with args — typically this binary's own path and the flags it
 // parsed plus a worker flag, so the worker builds the coordinator's
-// job space from the same flags. The child's stderr passes through to
-// the parent's, so worker diagnostics stay visible; the frame protocol
-// owns stdin/stdout.
+// job space, and its own self-chaos, from the same flags. The child's
+// stderr passes through to the parent's, so worker diagnostics stay
+// visible; the frame protocol owns stdin/stdout.
 func ProcSpawner(argv0 string, args ...string) Spawner {
 	return func(id int) (Transport, error) {
 		inR, inW, err := os.Pipe()

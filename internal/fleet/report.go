@@ -22,20 +22,16 @@ type Quarantine struct {
 // self-measurement, in the same spirit as telemetry's kernel
 // self-metrics.
 type Stats struct {
-	WorkersSpawned      int  `json:"workers_spawned"`
-	WorkerCrashes       int  `json:"worker_crashes"`
-	WorkersKilledHung   int  `json:"workers_killed_hung"`
-	SpawnFailures       int  `json:"spawn_failures"`
-	JobsDispatched      int  `json:"jobs_dispatched"`
-	ResultsReceived     int  `json:"results_received"`
-	ResultsMerged       int  `json:"results_merged"`
-	InlineMerged        int  `json:"inline_merged"`
-	DuplicatesDropped   int  `json:"duplicates_dropped"`
-	DuplicateMismatches int  `json:"duplicate_mismatches"`
-	Retries             int  `json:"retries"`
-	SpeculativeRetries  int  `json:"speculative_retries"`
-	BadFrames           int  `json:"bad_frames"`
-	Degraded            bool `json:"degraded"`
+	WorkersSpawned    int  `json:"workers_spawned"`
+	WorkerCrashes     int  `json:"worker_crashes"`
+	WorkersKilledHung int  `json:"workers_killed_hung"`
+	SpawnFailures     int  `json:"spawn_failures"`
+	JobsDispatched    int  `json:"jobs_dispatched"`
+	ResultsMerged     int  `json:"results_merged"`
+	InlineMerged      int  `json:"inline_merged"`
+	Retries           int  `json:"retries"`
+	BadFrames         int  `json:"bad_frames"`
+	Degraded          bool `json:"degraded"`
 }
 
 // Report is one fleet run's outcome: keyed payloads for every
@@ -48,8 +44,7 @@ type Report struct {
 	Quarantined []Quarantine `json:"quarantined"`
 	Stats       Stats        `json:"stats"`
 	// ByWorker maps worker id to results that worker contributed to the
-	// merge (duplicates excluded) — the per-worker side of the
-	// conservation audit.
+	// merge — the per-worker side of the conservation audit.
 	ByWorker map[int]int `json:"by_worker,omitempty"`
 	// Violations is Audit's output, computed once when the run ends.
 	// Non-empty means the run's accounting is broken and its payloads
@@ -74,14 +69,10 @@ func (r *Report) finish() {
 // violation found:
 //
 //   - exact-once: each job key is either done or quarantined, never
-//     both and never neither;
-//   - dedup conservation: results received = results merged +
-//     duplicates dropped;
+//     both and never neither, and every done job has a payload;
 //   - worker conservation: per-worker merged contributions sum to the
 //     merged total;
-//   - completion conservation: done jobs = worker-merged + inline-merged;
-//   - determinism: no deduplicated result disagreed byte-for-byte with
-//     the winning payload for its key.
+//   - completion conservation: done jobs = worker-merged + inline-merged.
 func (r *Report) Audit() []string {
 	var v []string
 	quarantined := map[int]int{}
@@ -114,10 +105,6 @@ func (r *Report) Audit() []string {
 		}
 	}
 	s := r.Stats
-	if s.ResultsReceived != s.ResultsMerged+s.DuplicatesDropped {
-		v = append(v, fmt.Sprintf("results received (%d) != merged (%d) + duplicates dropped (%d)",
-			s.ResultsReceived, s.ResultsMerged, s.DuplicatesDropped))
-	}
 	byWorker := 0
 	for _, n := range r.ByWorker {
 		byWorker += n
@@ -128,9 +115,6 @@ func (r *Report) Audit() []string {
 	if done != s.ResultsMerged+s.InlineMerged {
 		v = append(v, fmt.Sprintf("done jobs (%d) != worker-merged (%d) + inline-merged (%d)",
 			done, s.ResultsMerged, s.InlineMerged))
-	}
-	if s.DuplicateMismatches > 0 {
-		v = append(v, fmt.Sprintf("%d duplicate result(s) disagreed with the merged payload", s.DuplicateMismatches))
 	}
 	return v
 }
@@ -154,12 +138,9 @@ func (r *Report) RenderSummary(w io.Writer) {
 	fmt.Fprintf(tw, "  workers killed hung\t%d\n", r.Stats.WorkersKilledHung)
 	fmt.Fprintf(tw, "  spawn failures\t%d\n", r.Stats.SpawnFailures)
 	fmt.Fprintf(tw, "  jobs dispatched\t%d\n", r.Stats.JobsDispatched)
-	fmt.Fprintf(tw, "  results received\t%d\n", r.Stats.ResultsReceived)
 	fmt.Fprintf(tw, "  results merged\t%d\n", r.Stats.ResultsMerged)
 	fmt.Fprintf(tw, "  inline merged\t%d\n", r.Stats.InlineMerged)
-	fmt.Fprintf(tw, "  duplicates dropped\t%d\n", r.Stats.DuplicatesDropped)
 	fmt.Fprintf(tw, "  retries\t%d\n", r.Stats.Retries)
-	fmt.Fprintf(tw, "  speculative retries\t%d\n", r.Stats.SpeculativeRetries)
 	fmt.Fprintf(tw, "  bad frames\t%d\n", r.Stats.BadFrames)
 	fmt.Fprintf(tw, "  degraded in-process\t%v\n", r.Stats.Degraded)
 	fmt.Fprintf(tw, "  quarantined\t%d\n", len(r.Quarantined))

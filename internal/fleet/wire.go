@@ -17,7 +17,7 @@ import (
 // WireVersion is the frame schema version. Readers reject any other
 // version: a skewed coordinator/worker pair must fail its handshake,
 // never exchange frames whose fields silently changed meaning.
-const WireVersion = 1
+const WireVersion = 2
 
 // MaxFrameLen bounds a frame body. A length prefix beyond it is
 // treated as stream corruption (a torn or misaligned frame), not as an
@@ -42,7 +42,7 @@ func (e *WireError) Error() string {
 }
 
 // frame is the on-the-wire envelope: a 4-byte big-endian body length,
-// then the JSON body {"v":1,"type":"...","data":{...}}.
+// then the JSON body {"v":2,"type":"...","data":{...}}.
 type frame struct {
 	V    int             `json:"v"`
 	Type string          `json:"type"`
@@ -50,7 +50,8 @@ type frame struct {
 }
 
 // WriteFrame marshals data and writes one framed message. The payload
-// may be nil for frames that are pure signals ("shutdown").
+// may be nil for frames that are pure signals ("heartbeat",
+// "shutdown").
 func WriteFrame(w io.Writer, typ string, data any) error {
 	var raw json.RawMessage
 	if data != nil {

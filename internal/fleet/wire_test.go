@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestWireTornFrame(t *testing.T) {
 // rejected with a *WireError naming the version field and the frame
 // type, so a skewed worker fails loudly at the handshake.
 func TestWireVersionSkew(t *testing.T) {
-	body := []byte(`{"v":2,"type":"hello","data":{}}`)
+	body := []byte(`{"v":1,"type":"hello","data":{}}`)
 	var buf bytes.Buffer
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
@@ -90,7 +91,7 @@ func TestWireRejectsBadLengthAndJSON(t *testing.T) {
 	}
 	// Unparseable body.
 	buf.Reset()
-	body := []byte(`{"v":1,`)
+	body := []byte(fmt.Sprintf(`{"v":%d,`, WireVersion))
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	buf.Write(hdr[:])
 	buf.Write(body)
@@ -99,7 +100,7 @@ func TestWireRejectsBadLengthAndJSON(t *testing.T) {
 	}
 	// Missing type.
 	buf.Reset()
-	body = []byte(`{"v":1,"data":{}}`)
+	body = []byte(fmt.Sprintf(`{"v":%d,"data":{}}`, WireVersion))
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	buf.Write(hdr[:])
 	buf.Write(body)
@@ -120,13 +121,13 @@ func TestWireRejectsBadLengthAndJSON(t *testing.T) {
 // writes it (HTML-escaped). No input panics.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	WriteFrame(&seed, "result", resultPayload{Key: 3, Attempt: 1, Payload: json.RawMessage(`{"a": [1, "<b>"]}`)})
+	WriteFrame(&seed, "result", replyPayload{Key: 3, Payload: json.RawMessage(`{"a": [1, "<b>"]}`)})
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-4])
 	seed.Reset()
 	WriteFrame(&seed, "shutdown", nil)
 	f.Add(seed.Bytes())
-	f.Add([]byte("\x00\x00\x00\x20{\"v\":2,\"type\":\"ready\",\"data\":{}}"))
+	f.Add([]byte("\x00\x00\x00\x20{\"v\":1,\"type\":\"ready\",\"data\":{}}"))
 	f.Add([]byte("\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		typ, data, err := ReadFrame(bytes.NewReader(in))

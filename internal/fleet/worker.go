@@ -9,23 +9,20 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// HeartbeatPeriod is how often a busy worker heartbeats unless the
-// coordinator's Config.HeartbeatEvery says otherwise.
+// HeartbeatPeriod is how often a busy worker heartbeats. A
+// coordinator's HeartbeatTimeout must be at least twice it, or healthy
+// workers are killed as hung.
 const HeartbeatPeriod = 100 * time.Millisecond
 
 // Frame payload shapes. Every frame crossing the pipe is validated by
 // ReadFrame (length, version, type) before these decode; a payload
 // that then fails to decode is a protocol error, handled as a
-// worker/coordinator failure, never a silent skip.
-type configPayload struct {
-	// HeartbeatMs is how often a busy worker must heartbeat.
-	HeartbeatMs int `json:"heartbeat_ms"`
-	// Chaos is the worker self-sabotage config (zero = disabled).
-	Chaos ChaosConfig `json:"chaos"`
-}
+// worker/coordinator failure, never a silent skip. Heartbeat and
+// shutdown frames carry no payload.
 
 // readyPayload is the worker's half of the handshake: the size of the
 // space it built, which the coordinator checks against its own.
@@ -38,57 +35,40 @@ type jobPayload struct {
 	Attempt int `json:"attempt"`
 }
 
-type resultPayload struct {
+// replyPayload answers a job frame: a result frame carries the job's
+// payload, a joberr frame its error. Key must name the job the worker
+// was given; the coordinator rejects any other.
+type replyPayload struct {
 	Key     int             `json:"key"`
-	Attempt int             `json:"attempt"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-type jobErrPayload struct {
-	Key     int    `json:"key"`
-	Attempt int    `json:"attempt"`
-	Error   string `json:"error"`
-}
-
-type heartbeatPayload struct {
-	Key int `json:"key"`
-	Seq int `json:"seq"`
+	Payload json.RawMessage `json:"payload,omitempty"`
+	Error   string          `json:"error,omitempty"`
 }
 
 // ErrChaosKill is returned by WorkerMain when worker self-chaos
 // decides this worker dies abruptly. The process entry point turns it
-// into an unclean exit; the in-process test spawner turns it into a
-// snapped pipe. Either way the coordinator sees the same thing a
-// SIGKILL produces: a dead connection with a job in flight.
+// into an unclean exit; the in-process spawner turns it into a snapped
+// pipe. Either way the coordinator sees the same thing a SIGKILL
+// produces: a dead connection with a job in flight.
 var ErrChaosKill = errors.New("fleet: worker killed by self-chaos")
 
-// WorkerMain is the worker side of the protocol: read the config
-// frame, report space's size, then serve space's jobs until shutdown.
-// It is transport-agnostic — limit-chaos -worker runs it over the real
-// process's stdin/stdout, tests run it over in-memory pipes — and all
-// chaos sabotage happens here, so a chaos worker misbehaves
-// identically in both settings.
-func WorkerMain(r io.Reader, w io.Writer, space JobSpace) error {
+// WorkerMain is the worker side of the protocol: announce space's size
+// in the ready frame, then serve space's jobs until shutdown,
+// sabotaging them as chaos says (the zero ChaosConfig never does). The
+// caller supplies both — limit-chaos -worker builds them from its own
+// flags — so only job keys reach the worker over the wire. It is
+// transport-agnostic (the real process's stdin/stdout, or in-memory
+// pipes in tests), and all chaos sabotage happens here, so a chaos
+// worker misbehaves identically in both settings.
+func WorkerMain(r io.Reader, w io.Writer, space JobSpace, chaos ChaosConfig) error {
 	br := bufio.NewReader(r)
 	out := &frameWriter{w: w}
-
-	typ, data, err := ReadFrame(br)
-	if err != nil {
-		return fmt.Errorf("fleet worker: reading config frame: %w", err)
-	}
-	if typ != "config" {
-		return fmt.Errorf("fleet worker: first frame is %q, want config", typ)
-	}
-	var cfg configPayload
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return fmt.Errorf("fleet worker: config frame: %w", err)
-	}
 	if err := out.write("ready", readyPayload{Jobs: space.NumJobs()}); err != nil {
 		return err
 	}
-
-	hb := newHeartbeater(out, time.Duration(cfg.HeartbeatMs)*time.Millisecond)
-	defer hb.stop()
+	var busy atomic.Bool
+	done := make(chan struct{})
+	defer close(done)
+	go heartbeat(out, &busy, done)
 
 	for {
 		typ, data, err := ReadFrame(br)
@@ -104,7 +84,7 @@ func WorkerMain(r io.Reader, w io.Writer, space JobSpace) error {
 			if err := json.Unmarshal(data, &job); err != nil {
 				return fmt.Errorf("fleet worker: job frame: %w", err)
 			}
-			if err := serveJob(space, job, cfg.Chaos, out, hb); err != nil {
+			if err := serveJob(space, job, chaos, out, &busy); err != nil {
 				return err
 			}
 		case "shutdown":
@@ -116,8 +96,9 @@ func WorkerMain(r io.Reader, w io.Writer, space JobSpace) error {
 }
 
 // serveJob runs one job under the worker's chaos fate and writes the
-// result (or sabotage) back.
-func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWriter, hb *heartbeater) error {
+// result (or sabotage) back. busy is set while the job runs, which is
+// when heartbeats flow.
+func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWriter, busy *atomic.Bool) error {
 	switch chaos.fateFor(job.Key, job.Attempt) {
 	case fateCrash:
 		// Die without a word, job in flight — the SIGKILL shape.
@@ -128,12 +109,6 @@ func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWrite
 		// if it somehow doesn't, fall through and serve the job so a
 		// misconfigured timeout degrades to slowness, not deadlock.
 		time.Sleep(time.Duration(chaos.StallMs) * time.Millisecond)
-	case fateSlow:
-		// Slow, not hung: heartbeats flow while we sleep, so the
-		// coordinator speculatively retries instead of killing us, and
-		// our eventual result races the retry's.
-		hb.active(job.Key)
-		time.Sleep(time.Duration(chaos.SlowMs) * time.Millisecond)
 	case fateTrunc:
 		// Serve the job but tear the result frame halfway through —
 		// exactly the torn write a worker dying mid-flush produces.
@@ -142,22 +117,20 @@ func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWrite
 			return ErrChaosKill
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, "result", resultPayload{
-			Key: job.Key, Attempt: job.Attempt, Payload: payload,
-		}); err != nil {
+		if err := WriteFrame(&buf, "result", replyPayload{Key: job.Key, Payload: payload}); err != nil {
 			return err
 		}
 		out.writeRaw(buf.Bytes()[:buf.Len()/2])
 		return ErrChaosKill
 	}
 
-	hb.active(job.Key)
+	busy.Store(true)
 	payload, err := runJob(space, job.Key)
-	hb.idle()
+	busy.Store(false)
 	if err != nil {
-		return out.write("joberr", jobErrPayload{Key: job.Key, Attempt: job.Attempt, Error: err.Error()})
+		return out.write("joberr", replyPayload{Key: job.Key, Error: err.Error()})
 	}
-	return out.write("result", resultPayload{Key: job.Key, Attempt: job.Attempt, Payload: payload})
+	return out.write("result", replyPayload{Key: job.Key, Payload: payload})
 }
 
 // runJob executes the job, converting a panic into an error the same
@@ -195,69 +168,25 @@ func (fw *frameWriter) writeRaw(b []byte) {
 	fw.w.Write(b)
 }
 
-// heartbeater emits heartbeat frames for the active job on a fixed
-// period. The simulation itself is single-threaded and uninterruptible
-// mid-job, so liveness comes from this side goroutine: as long as the
-// process is alive and scheduled, beats flow; a stalled or dead worker
-// goes silent, which is precisely the coordinator's hang signal.
-type heartbeater struct {
-	out    *frameWriter
-	every  time.Duration
-	mu     sync.Mutex
-	key    int
-	seq    int
-	doneCh chan struct{}
-}
-
-func newHeartbeater(out *frameWriter, every time.Duration) *heartbeater {
-	if every <= 0 {
-		every = HeartbeatPeriod
-	}
-	hb := &heartbeater{out: out, every: every, key: -1, doneCh: make(chan struct{})}
-	go hb.loop()
-	return hb
-}
-
-func (hb *heartbeater) loop() {
-	t := time.NewTicker(hb.every)
+// heartbeat writes an empty heartbeat frame every HeartbeatPeriod
+// while busy is set, until done closes. The simulation itself is
+// single-threaded and uninterruptible mid-job, so liveness comes from
+// this side goroutine: as long as the process is alive and scheduled,
+// beats flow; a stalled or dead worker goes silent, which is precisely
+// the coordinator's hang signal.
+func heartbeat(out *frameWriter, busy *atomic.Bool, done <-chan struct{}) {
+	t := time.NewTicker(HeartbeatPeriod)
 	defer t.Stop()
 	for {
 		select {
-		case <-hb.doneCh:
+		case <-done:
 			return
 		case <-t.C:
-			hb.mu.Lock()
-			key, beat := hb.key, hb.key >= 0
-			if beat {
-				hb.seq++
-			}
-			seq := hb.seq
-			hb.mu.Unlock()
-			if beat {
+			if busy.Load() {
 				// A write error means the coordinator is gone; the serve
 				// loop will find out on its next read.
-				hb.out.write("heartbeat", heartbeatPayload{Key: key, Seq: seq})
+				out.write("heartbeat", nil)
 			}
 		}
-	}
-}
-
-func (hb *heartbeater) active(key int) {
-	hb.mu.Lock()
-	hb.key = key
-	hb.mu.Unlock()
-}
-
-func (hb *heartbeater) idle() {
-	hb.mu.Lock()
-	hb.key = -1
-	hb.mu.Unlock()
-}
-
-func (hb *heartbeater) stop() {
-	select {
-	case <-hb.doneCh:
-	default:
-		close(hb.doneCh)
 	}
 }

@@ -31,21 +31,27 @@ import (
 // maxLine is the longest line ReadLines accepts.
 const maxLine = 16 << 20
 
-// ReadLines calls fn with each non-empty line of r and its 1-based line
-// number, stopping at the first error. A trailing "\r" is dropped. The
-// line's bytes are valid only during the call.
-func ReadLines(r io.Reader, fn func(line int, b []byte) error) error {
+// ReadLines calls fn with each non-empty line of r, stopping at the
+// first error. A trailing "\r" is dropped. The line's bytes are valid
+// only during the call. With an error it returns the 1-based number of
+// the line that failed, blank lines counted: the one fn rejected, or
+// the one r could not deliver (a read error, or a line over 16 MiB).
+func ReadLines(r io.Reader, fn func(b []byte) error) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	for n := 1; sc.Scan(); n++ {
+	n := 1
+	for ; sc.Scan(); n++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if err := fn(n, sc.Bytes()); err != nil {
-			return err
+		if err := fn(sc.Bytes()); err != nil {
+			return n, err
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return n, err
+	}
+	return 0, nil
 }
 
 // SyntaxError is malformed JSON at a byte offset of the line.

@@ -1,6 +1,7 @@
 package jsonl
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"math"
@@ -266,16 +267,29 @@ func TestArrayAndMap(t *testing.T) {
 }
 
 func TestReadLines(t *testing.T) {
+	const in = "a\n\nb\r\nc"
 	var got []string
-	err := ReadLines(strings.NewReader("a\n\nb\r\nc"), func(n int, b []byte) error {
-		got = append(got, strconv.Itoa(n)+":"+string(b))
+	n, err := ReadLines(strings.NewReader(in), func(b []byte) error {
+		got = append(got, string(b))
 		return nil
 	})
-	if err != nil || strings.Join(got, " ") != "1:a 3:b 4:c" {
-		t.Errorf("lines %v, err %v", got, err)
+	if n != 0 || err != nil || strings.Join(got, " ") != "a b c" {
+		t.Errorf("lines %q, line %d, err %v", got, n, err)
 	}
+	// The failing line is named by its number, blank lines counted.
 	stop := errors.New("stop")
-	if err := ReadLines(strings.NewReader("a\nb"), func(int, []byte) error { return stop }); err != stop {
-		t.Errorf("callback error = %v, want it returned as is", err)
+	rejectB := func(b []byte) error {
+		if string(b) == "b" {
+			return stop
+		}
+		return nil
+	}
+	if n, err := ReadLines(strings.NewReader(in), rejectB); n != 3 || err != stop {
+		t.Errorf("callback error at line %d = %v, want it returned as is at line 3", n, err)
+	}
+	// So is a line over the cap, which the reader cannot deliver.
+	long := "a\n\n\n" + strings.Repeat("x", maxLine+1)
+	if n, err := ReadLines(strings.NewReader(long), func([]byte) error { return nil }); n != 4 || !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("over-long line: line %d, err %v; want line 4, bufio.ErrTooLong", n, err)
 	}
 }

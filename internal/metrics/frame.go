@@ -159,8 +159,8 @@ const (
 	sRunning
 )
 
-// lineError maps a decode error on one line of a stream to the parse
-// contract. Schema drift (an unknown, duplicate or missing field)
+// lineError maps the error on one line of a stream (a decode error, or
+// the reader's failure to deliver the line) to the parse contract. Schema drift (an unknown, duplicate or missing field)
 // becomes the same *telemetry.SchemaError the registry merge raises, so
 // fleet and report consumers distinguish drift (a versioning bug) from
 // ordinary I/O failures with one errors.As; malformed JSON stays an
@@ -202,7 +202,7 @@ func ParseJSONL(r io.Reader) ([]Frame, error) {
 		names = interner{}
 		hint  int // the previous frame's sample count
 	)
-	err := jsonl.ReadLines(r, func(line int, b []byte) error {
+	line, err := jsonl.ReadLines(r, func(b []byte) error {
 		d.Reset(b)
 		f := Frame{Samples: make([]Sample, 0, hint)}
 		err := d.Object(frameSchema, func(i int) error {
@@ -239,14 +239,14 @@ func ParseJSONL(r io.Reader) ([]Frame, error) {
 			err = d.End()
 		}
 		if err != nil {
-			return lineError("frames", line, err)
+			return err
 		}
 		hint = len(f.Samples)
 		out = append(out, f)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, lineError("frames", line, err)
 	}
 	return out, nil
 }

@@ -141,6 +141,12 @@ func TestFrameJSONLSchemaDrift(t *testing.T) {
 			t.Errorf("malformed line misreported as schema drift: %s: %v", line, err)
 		}
 	}
+	// A line the reader cannot deliver (over 16 MiB) is named by its own
+	// number, blank lines before it counted.
+	long := frame + "\n\n\n" + strings.Repeat("x", 17<<20)
+	if _, err := ParseJSONL(strings.NewReader(long)); err == nil || !strings.Contains(err.Error(), "frames line 4: bufio.Scanner: token too long") {
+		t.Errorf("over-long line: err = %v, want it named as frames line 4", err)
+	}
 	// The optional fields stay optional: tenant and final may be absent
 	// or present without tripping the strict parser.
 	ok := `{"seq":0,"cycle":1,"tid":1,"tenant":2,"final":true,"samples":[]}`

@@ -352,7 +352,7 @@ func ParseSeriesJSONL(r io.Reader) ([]WindowRow, error) {
 		// The previous row's map sizes.
 		nInputs, nMetrics int
 	)
-	err := jsonl.ReadLines(r, func(line int, b []byte) error {
+	line, err := jsonl.ReadLines(r, func(b []byte) error {
 		d.Reset(b)
 		var row WindowRow
 		err := d.Object(rowSchema, func(i int) error {
@@ -401,14 +401,14 @@ func ParseSeriesJSONL(r io.Reader) ([]WindowRow, error) {
 			err = d.End()
 		}
 		if err != nil {
-			return lineError("series", line, err)
+			return err
 		}
 		nInputs, nMetrics = len(row.Inputs), len(row.Metrics)
 		out = append(out, row)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, lineError("series", line, err)
 	}
 	return out, nil
 }

@@ -1,10 +1,12 @@
 package profile
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+
+	"limitsim/internal/jsonl"
 )
 
 // FindingRecord is the wire form of one ranked finding — the exact
@@ -65,40 +67,30 @@ func (rep *Report) Records() []FindingRecord {
 func ParseJSONL(r io.Reader) ([]FindingRecord, *SelfCostRecord, error) {
 	var out []FindingRecord
 	var self *SelfCostRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
+	line, err := jsonl.ReadLines(r, func(b []byte) error {
 		if self != nil {
-			return nil, nil, fmt.Errorf("profile: jsonl line %d: content after the self-cost record", line)
+			return errors.New("content after the self-cost record")
 		}
 		// The self-cost record is the only line without a region.
 		var probe struct {
 			Region *string `json:"region"`
 		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return nil, nil, fmt.Errorf("profile: jsonl line %d: %w", line, err)
+		if err := json.Unmarshal(b, &probe); err != nil {
+			return err
 		}
 		if probe.Region == nil {
-			var s SelfCostRecord
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-				return nil, nil, fmt.Errorf("profile: jsonl line %d: %w", line, err)
-			}
-			self = &s
-			continue
+			self = new(SelfCostRecord)
+			return json.Unmarshal(b, self)
 		}
 		var rec FindingRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, nil, fmt.Errorf("profile: jsonl line %d: %w", line, err)
+		if err := json.Unmarshal(b, &rec); err != nil {
+			return err
 		}
 		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("profile: jsonl line %d: %w", line, err)
 	}
 	return out, self, nil
 }

@@ -89,4 +89,11 @@ func TestProfileParseJSONLErrors(t *testing.T) {
 	if err != nil || len(recs) != 1 || self != nil {
 		t.Errorf("findings-only stream: recs=%d self=%v err=%v", len(recs), self, err)
 	}
+	// A line over 16 MiB is named by its own number, blank lines
+	// before it counted.
+	long := only + "\n\n\n" + strings.Repeat("x", 17<<20)
+	if _, _, err := profile.ParseJSONL(strings.NewReader(long)); err == nil ||
+		!strings.Contains(err.Error(), "jsonl line 4: bufio.Scanner: token too long") {
+		t.Errorf("over-long line: err = %v, want it named as line 4", err)
+	}
 }

@@ -41,9 +41,7 @@ type jsonlMetric struct {
 // line; nothing is ever silently skipped or defaulted.
 func ParseJSONL(r io.Reader) (*Registry, error) {
 	reg := NewRegistry()
-	n := 0 // the line being parsed, or the last one when reading fails
-	err := jsonl.ReadLines(r, func(line int, raw []byte) error {
-		n = line
+	line, err := jsonl.ReadLines(r, func(raw []byte) error {
 		var m jsonlMetric
 		if err := json.Unmarshal(raw, &m); err != nil {
 			return err
@@ -103,7 +101,7 @@ func ParseJSONL(r io.Reader) (*Registry, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: jsonl line %d: %w", n, err)
+		return nil, fmt.Errorf("telemetry: jsonl line %d: %w", line, err)
 	}
 	return reg, nil
 }

@@ -81,6 +81,7 @@ func TestParseJSONLRejectsMalformed(t *testing.T) {
 		{"bad bucket shape", `{"type":"histogram","name":"h","count":1,"sum":1,"min":1,"max":1,"bounds":[10,20],"counts":[1]}`, "want bounds+1"},
 		{"descending bounds", `{"type":"histogram","name":"h","count":0,"sum":0,"min":0,"max":0,"bounds":[5,3],"counts":[0,0,0]}`, `histogram "h" bounds not ascending at 1`},
 		{"equal bounds", `{"type":"histogram","name":"h","count":0,"sum":0,"min":0,"max":0,"bounds":[1,1],"counts":[0,0,0]}`, `histogram "h" bounds not ascending at 1`},
+		{"line over 16 MiB", `{"type":"counter","name":"x","value":1}` + "\n\n\n" + strings.Repeat("x", 17<<20), "jsonl line 4: bufio.Scanner: token too long"},
 	}
 	for _, c := range cases {
 		if _, err := ParseJSONL(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
