@@ -54,9 +54,10 @@
 // deterministically SIGKILL themselves mid-job, stall with heartbeats
 // suppressed, and truncate result frames, all confined to early
 // attempts so the retry budget still completes every job. Each worker
-// reads -chaos-workers and -fleet-seed from its own flags; the fates
-// are a pure function of (-fleet-seed, job, attempt). The report must
-// come out byte-identical anyway.
+// reads -chaos-workers, -fleet-seed and -hb-timeout from its own flags;
+// the fates are a pure function of (-fleet-seed, job, attempt), and a
+// stall lasts twice -hb-timeout, so it is always killed as hung. The
+// report must come out byte-identical anyway.
 //
 // -metrics attaches the kernel telemetry layer to every run and
 // appends the campaign-wide merged metrics block (context-switch and
@@ -210,7 +211,7 @@ func main() {
 		// same thing either way.
 		var storm fleet.ChaosConfig
 		if *chaosWorkers {
-			storm = fleet.KillStorm(*fleetSeed)
+			storm = fleet.KillStorm(*fleetSeed, *hbTimeout)
 		}
 		err := fleet.WorkerMain(os.Stdin, os.Stdout, space, storm)
 		if errors.Is(err, fleet.ErrChaosKill) {

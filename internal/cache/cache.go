@@ -53,22 +53,26 @@ type Result struct {
 	MissLLC bool
 }
 
-// Sets are grouped into chunks of chunkSets. A chunk's tag state is
+// Sets are grouped into chunks of chunkSets, and a chunk's tag state is
 // allocated on first touch: machines are built per run by the campaign
-// worker pools, and eagerly allocating the LLC's thousands of sets
-// dominated construction time for short runs. FlushAll does not free
-// the chunks it invalidates; it moves them to the level's free list,
-// and the next touch of an absent chunk pops and zeroes one before
-// falling back to make. Chaos flush storms therefore cost no
-// allocation once a level has reached its footprint.
+// workers, and most of the LLC's thousands of sets are never touched in
+// a short run. A chunk also stores only as many ways per set as its
+// fullest set has needed: materialize makes it one way wide, and a miss
+// that would evict a valid tag from the last stored way first widens
+// the chunk, doubling its width up to the level's associativity. A way
+// past the stored width is invalid, as a zero tag is, and a miss only
+// shifts an invalid entry off the end of a narrow set, so every hit,
+// miss and eviction is the same as at full width. Chunks never shrink:
+// FlushAll clears them in place, so flush storms allocate nothing once
+// a level has reached its footprint.
 const (
 	chunkSetBits = 6
 	chunkSets    = 1 << chunkSetBits
 )
 
 // cacheLevel is a single set-associative cache. Tag state lives in
-// flat per-chunk arrays: set s occupies the ways
-// [(s%chunkSets)*Ways, ...) of chunk s/chunkSets, in LRU order (index
+// flat per-chunk arrays: in a chunk w ways wide, set s occupies the
+// ways [(s%chunkSets)*w, ...) of chunk s/chunkSets, in LRU order (index
 // 0 most recent). Entries store tag+1 so that zero — the state of a
 // freshly materialized chunk — means invalid.
 type cacheLevel struct {
@@ -78,9 +82,8 @@ type cacheLevel struct {
 	tagShift  uint   // log2(nsets), precomputed off the access path
 	hitLat    uint64 // cfg.HitCycles, widened once
 	ways      int
-	chunkLen  int // ways per chunk: min(chunkSets, nsets) * ways
+	setsShift uint // log2(sets per chunk): a chunk is len(chunk)>>setsShift ways wide
 	chunks    [][]uint64
-	free      [][]uint64 // chunks released by FlushAll, reused before make
 }
 
 func newLevel(cfg Config) *cacheLevel {
@@ -93,10 +96,6 @@ func newLevel(cfg Config) *cacheLevel {
 	for nsets&(nsets-1) != 0 {
 		nsets--
 	}
-	setsPerChunk := nsets
-	if setsPerChunk > chunkSets {
-		setsPerChunk = chunkSets
-	}
 	return &cacheLevel{
 		cfg:       cfg,
 		setMask:   uint64(nsets - 1),
@@ -104,7 +103,7 @@ func newLevel(cfg Config) *cacheLevel {
 		tagShift:  log2(uint64(nsets)),
 		hitLat:    uint64(cfg.HitCycles),
 		ways:      cfg.Ways,
-		chunkLen:  setsPerChunk * cfg.Ways,
+		setsShift: log2(uint64(min(nsets, chunkSets))),
 		chunks:    make([][]uint64, (nsets+chunkSets-1)/chunkSets),
 	}
 }
@@ -118,22 +117,31 @@ func log2(v uint64) uint {
 	return n
 }
 
-// materialize installs an all-invalid chunk ci, recycled from the free
-// list when FlushAll left one there. Kept out of line: it runs once per
-// chunk per flush epoch, and accessLine runs on every cache access.
+// materialize installs an all-invalid chunk ci, one way wide. Kept
+// out of line: it runs once per chunk per run, and accessLine runs on
+// every cache access.
 //
 //go:noinline
 func (c *cacheLevel) materialize(ci uint64) []uint64 {
-	var ch []uint64
-	if n := len(c.free); n > 0 {
-		ch = c.free[n-1]
-		c.free = c.free[:n-1]
-		clear(ch)
-	} else {
-		ch = make([]uint64, c.chunkLen)
-	}
+	ch := make([]uint64, 1<<c.setsShift)
 	c.chunks[ci] = ch
 	return ch
+}
+
+// widen doubles the width of set si's chunk, up to the level's
+// associativity, copying each set's ways to the front of its new slot,
+// and returns si's new slot.
+func (c *cacheLevel) widen(si uint64) []uint64 {
+	old := c.chunks[si>>chunkSetBits]
+	w := len(old) >> c.setsShift
+	nw := min(2*w, c.ways)
+	ch := make([]uint64, nw<<c.setsShift)
+	for s := range 1 << c.setsShift {
+		copy(ch[s*nw:], old[s*w:s*w+w])
+	}
+	c.chunks[si>>chunkSetBits] = ch
+	lo := (int(si) & (chunkSets - 1)) * nw
+	return ch[lo : lo+nw : lo+nw]
 }
 
 // access probes the level for addr and installs its line on miss.
@@ -150,8 +158,9 @@ func (c *cacheLevel) accessLine(line uint64) bool {
 	if ch == nil {
 		ch = c.materialize(si >> chunkSetBits)
 	}
-	lo := (int(si) & (chunkSets - 1)) * c.ways
-	ws := ch[lo : lo+c.ways : lo+c.ways]
+	w := len(ch) >> c.setsShift
+	lo := (int(si) & (chunkSets - 1)) * w
+	ws := ch[lo : lo+w : lo+w]
 	tag := (line >> c.tagShift) + 1
 	// MRU fast path: a hit in way 0 needs no LRU reordering.
 	if ws[0] == tag {
@@ -166,6 +175,9 @@ func (c *cacheLevel) accessLine(line uint64) bool {
 		}
 	}
 	// Miss: evict LRU (last way), install at MRU.
+	if ws[w-1] != 0 && w < c.ways {
+		ws = c.widen(si)
+	}
 	copy(ws[1:], ws[:len(ws)-1])
 	ws[0] = tag
 	return false
@@ -181,8 +193,12 @@ func (c *cacheLevel) install(line uint64) {
 	if ch == nil {
 		ch = c.materialize(si >> chunkSetBits)
 	}
-	lo := (int(si) & (chunkSets - 1)) * c.ways
-	ws := ch[lo : lo+c.ways : lo+c.ways]
+	w := len(ch) >> c.setsShift
+	lo := (int(si) & (chunkSets - 1)) * w
+	ws := ch[lo : lo+w : lo+w]
+	if ws[w-1] != 0 && w < c.ways {
+		ws = c.widen(si)
+	}
 	copy(ws[1:], ws[:len(ws)-1])
 	ws[0] = (line >> c.tagShift) + 1
 }
@@ -192,12 +208,10 @@ func (c *cacheLevel) flushLine(addr uint64) {
 	line := addr >> c.lineShift
 	si := line & c.setMask
 	ch := c.chunks[si>>chunkSetBits]
-	if ch == nil {
-		return
-	}
-	lo := (int(si) & (chunkSets - 1)) * c.ways
+	w := len(ch) >> c.setsShift // 0 for an absent chunk
+	lo := (int(si) & (chunkSets - 1)) * w
 	tag := (line >> c.tagShift) + 1
-	for i, t := range ch[lo : lo+c.ways] {
+	for i, t := range ch[lo : lo+w] {
 		if t == tag {
 			ch[lo+i] = 0
 			return
@@ -205,14 +219,10 @@ func (c *cacheLevel) flushLine(addr uint64) {
 	}
 }
 
-// flushAll invalidates the level, moving every materialized chunk to
-// the free list.
+// flushAll invalidates the level in place; each chunk keeps its width.
 func (c *cacheLevel) flushAll() {
-	for i, ch := range c.chunks {
-		if ch != nil {
-			c.free = append(c.free, ch)
-			c.chunks[i] = nil
-		}
+	for _, ch := range c.chunks {
+		clear(ch)
 	}
 }
 
@@ -374,8 +384,8 @@ func (h *Hierarchy) FlushLine(addr uint64) {
 	h.llc.flushLine(addr)
 }
 
-// FlushAll invalidates the entire hierarchy. The levels keep the
-// invalidated chunks for reuse (see chunkSets).
+// FlushAll invalidates the entire hierarchy. The levels keep their
+// chunks, cleared, at their widths (see chunkSets).
 func (h *Hierarchy) FlushAll() {
 	h.lastLine = 0
 	h.l1.flushAll()

@@ -51,6 +51,42 @@ func TestLRUEvictionWithinSet(t *testing.T) {
 	}
 }
 
+// TestLLCKeepsSixteenWays fills one LLC set of the default hierarchy
+// (lines 512 KiB apart, which also share an L1 and an L2 set) past its
+// 16 ways, in ascending order (new lines take the scan-free install)
+// and descending (they take the scan), so its chunk widens to the full
+// associativity on both paths.
+func TestLLCKeepsSixteenWays(t *testing.T) {
+	const stride = 512 << 10
+	for _, desc := range []bool{false, true} {
+		fill := func(n int) *Hierarchy {
+			h := NewDefault()
+			for i := 0; i < n; i++ {
+				if desc {
+					h.Access(uint64(16-i) * stride)
+				} else {
+					h.Access(uint64(i) * stride)
+				}
+			}
+			return h
+		}
+		first, second := uint64(0), uint64(stride)
+		if desc {
+			first, second = 16*stride, 15*stride
+		}
+		if r := fill(16).Access(first); !r.MissL2 || r.MissLLC {
+			t.Errorf("descending %v: after 16 lines the first should miss L2 and hit the LLC: %+v", desc, r)
+		}
+		h := fill(17)
+		if r := h.Access(second); r.MissLLC {
+			t.Errorf("descending %v: after 17 lines the second should hit the LLC: %+v", desc, r)
+		}
+		if r := h.Access(first); !r.MissLLC {
+			t.Errorf("descending %v: after 17 lines the first should be evicted from the LLC: %+v", desc, r)
+		}
+	}
+}
+
 func TestL2CatchesL1Evictions(t *testing.T) {
 	h := NewDefault()
 	// Walk far beyond L1 capacity (32 KiB) but within L2 (256 KiB).

@@ -1,11 +1,16 @@
 package cache
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // fuzzConfigs are the hierarchies FuzzAccessLines draws from: the
 // default, a tiny one whose levels have 1–2 sets of 2 ways (every walk
-// thrashes), and one whose levels use different line sizes, so each
-// level derives its own line number from the same address.
+// thrashes), one whose levels use different line sizes, so each level
+// derives its own line number from the same address, and one whose
+// associativities (3, 6 and 12 ways) are not powers of two, so a chunk
+// widens to a width below its doubling.
 var fuzzConfigs = []HierarchyConfig{
 	DefaultConfig(),
 	{
@@ -20,12 +25,105 @@ var fuzzConfigs = []HierarchyConfig{
 		LLC:          Config{SizeBytes: 64 << 10, LineBytes: 128, Ways: 4, HitCycles: 30},
 		MemoryCycles: 150,
 	},
+	{
+		L1:           Config{SizeBytes: 3 * 64 * 4, LineBytes: 64, Ways: 3, HitCycles: 4},
+		L2:           Config{SizeBytes: 6 * 64 * 16, LineBytes: 64, Ways: 6, HitCycles: 12},
+		LLC:          Config{SizeBytes: 12 * 64 * 256, LineBytes: 64, Ways: 12, HitCycles: 40},
+		MemoryCycles: 200,
+	},
+}
+
+// hierarchy is what the fuzz arms drive: a Hierarchy or the reference.
+type hierarchy interface {
+	Access(addr uint64) Result
+	FlushLine(addr uint64)
+	FlushAll()
+}
+
+// refLevel is the reference model of one level: a plain slice of Ways
+// line numbers (plus one, zero invalid) per set, most recent first,
+// with no chunks and no stored widths. A flush leaves its way invalid
+// in place, and a miss shifts every way down and drops the last.
+type refLevel struct {
+	lineBytes, nsets uint64
+	ways             int
+	hit              uint64
+	sets             map[uint64][]uint64
+}
+
+func newRefLevel(c Config) *refLevel {
+	nsets := uint64(1)
+	for nsets*2 <= uint64(c.SizeBytes/c.LineBytes/c.Ways) {
+		nsets *= 2
+	}
+	return &refLevel{uint64(c.LineBytes), nsets, c.Ways, uint64(c.HitCycles), map[uint64][]uint64{}}
+}
+
+// access reports whether addr's line is resident and moves it, or
+// installs it, at the front of its set.
+func (r *refLevel) access(addr uint64) bool {
+	line := addr / r.lineBytes
+	set := r.sets[line%r.nsets]
+	if set == nil {
+		set = make([]uint64, r.ways)
+		r.sets[line%r.nsets] = set
+	}
+	i := slices.Index(set, line+1)
+	hit := i >= 0
+	if !hit {
+		i = r.ways - 1
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = line + 1
+	return hit
+}
+
+func (r *refLevel) flush(addr uint64) {
+	line := addr / r.lineBytes
+	if i := slices.Index(r.sets[line%r.nsets], line+1); i >= 0 {
+		r.sets[line%r.nsets][i] = 0
+	}
+}
+
+// refHierarchy is three refLevels probed in order, without the
+// repeat-line shortcut or the high-water mark.
+type refHierarchy struct {
+	l1, l2, llc *refLevel
+	mem         uint64
+}
+
+func newRef(cfg HierarchyConfig) *refHierarchy {
+	return &refHierarchy{newRefLevel(cfg.L1), newRefLevel(cfg.L2), newRefLevel(cfg.LLC), uint64(cfg.MemoryCycles)}
+}
+
+func (r *refHierarchy) Access(addr uint64) Result {
+	switch {
+	case r.l1.access(addr):
+		return Result{Cycles: r.l1.hit}
+	case r.l2.access(addr):
+		return Result{Cycles: r.l2.hit, MissL1: true}
+	case r.llc.access(addr):
+		return Result{Cycles: r.llc.hit, MissL1: true, MissL2: true}
+	}
+	return Result{Cycles: r.mem, MissL1: true, MissL2: true, MissLLC: true}
+}
+
+func (r *refHierarchy) FlushLine(addr uint64) {
+	r.l1.flush(addr)
+	r.l2.flush(addr)
+	r.llc.flush(addr)
+}
+
+func (r *refHierarchy) FlushAll() {
+	for _, lv := range []*refLevel{r.l1, r.l2, r.llc} {
+		clear(lv.sets)
+	}
 }
 
 // replay applies a byte-coded access history: every three bytes are
 // one operation — a FlushAll, a FlushLine, or an access near base or
 // anywhere in a 4 MiB window.
-func replay(h *Hierarchy, hist []byte, base uint64) {
+func replay(h hierarchy, hist []byte, base uint64) {
 	for ; len(hist) >= 3; hist = hist[3:] {
 		v := uint64(hist[1]) | uint64(hist[2])<<8
 		switch hist[0] % 16 {
@@ -42,7 +140,7 @@ func replay(h *Hierarchy, hist []byte, base uint64) {
 }
 
 // walk is AccessLines spelled as n Access calls.
-func walk(h *Hierarchy, base, stride uint64, n int) (sums [4]uint64) {
+func walk(h hierarchy, base, stride uint64, n int) (sums [4]uint64) {
 	for i := 0; i < n; i++ {
 		r := h.Access(base + uint64(i)*stride)
 		sums[0] += r.Cycles
@@ -64,9 +162,10 @@ func bulk(h *Hierarchy, base, stride uint64, n int) [4]uint64 {
 	return [4]uint64{c, m1, m2, mL}
 }
 
-// sameState fails unless a and b hold identical tag state at every
-// level (an absent chunk equals an all-invalid one) and the same
-// lastLine.
+// sameState fails unless a and b hold identical tag state in every way
+// of every set at every level, up to the level's associativity (a way
+// past its chunk's stored width, or in an absent chunk, is invalid),
+// and the same lastLine.
 func sameState(t *testing.T, what string, a, b *Hierarchy) {
 	t.Helper()
 	if a.lastLine != b.lastLine {
@@ -77,27 +176,30 @@ func sameState(t *testing.T, what string, a, b *Hierarchy) {
 		a, b *cacheLevel
 	}{{"L1", a.l1, b.l1}, {"L2", a.l2, b.l2}, {"LLC", a.llc, b.llc}}
 	for _, lv := range levels {
-		for ci := range lv.a.chunks {
-			x, y := lv.a.chunks[ci], lv.b.chunks[ci]
-			for i := 0; i < lv.a.chunkLen; i++ {
-				var u, v uint64
-				if x != nil {
-					u = x[i]
-				}
-				if y != nil {
-					v = y[i]
-				}
-				if u != v {
-					t.Fatalf("%s: %s chunk %d slot %d: tag %d vs %d", what, lv.name, ci, i, u, v)
+		for si := uint64(0); si <= lv.a.setMask; si++ {
+			for i := 0; i < lv.a.ways; i++ {
+				if u, v := storedWay(lv.a, si, i), storedWay(lv.b, si, i); u != v {
+					t.Fatalf("%s: %s set %d way %d: tag %d vs %d", what, lv.name, si, i, u, v)
 				}
 			}
 		}
 	}
 }
 
+// storedWay reads way i of set si, zero when the set's chunk is absent
+// or stores fewer than i+1 ways.
+func storedWay(c *cacheLevel, si uint64, i int) uint64 {
+	ch := c.chunks[si>>chunkSetBits]
+	w := len(ch) >> c.setsShift
+	if i >= w {
+		return 0
+	}
+	return ch[(int(si)&(chunkSets-1))*w+i]
+}
+
 // sameProbes runs the walk backwards and then the history's addresses
 // on a and every b, requiring identical Results access by access.
-func sameProbes(t *testing.T, what string, a *Hierarchy, bs []*Hierarchy, hist []byte, base, stride uint64, n int) {
+func sameProbes(t *testing.T, what string, a hierarchy, bs []hierarchy, hist []byte, base, stride uint64, n int) {
 	t.Helper()
 	probe := func(addr uint64) {
 		ra := a.Access(addr)
@@ -118,10 +220,13 @@ func sameProbes(t *testing.T, what string, a *Hierarchy, bs []*Hierarchy, hist [
 }
 
 // FuzzAccessLines proves the bulk walk and the per-access path equal
-// to a scan-only hierarchy, whose high-water mark is pinned at the
-// maximum so that every line scans the ways of every level, and a
-// flushed hierarchy refilled from recycled chunks equal to a fresh
-// one: same sums, same tag state, same answers to every later probe.
+// to the reference model (refHierarchy), which shares no code or
+// storage with Hierarchy, and to a scan-only hierarchy, whose
+// high-water mark is pinned at the maximum so that every line scans
+// the ways of every level; and a flushed hierarchy, refilled in chunks
+// that kept their widths, equal to a fresh one and to the flushed
+// reference: same sums, same tag state, same answers to every later
+// probe.
 func FuzzAccessLines(f *testing.F) {
 	hist := []byte{
 		2, 0, 0, 6, 1, 0, 7, 2, 0, 3, 4, 0, 9, 0, 1, 0, 0, 0,
@@ -136,37 +241,47 @@ func FuzzAccessLines(f *testing.F) {
 		f.Add(sel, hist, uint64(0), uint64(4096), uint16(200))                  // one set, many tags
 		f.Add(sel, []byte{}, uint64(1<<40), uint64(1<<63), uint16(5))           // wrapping addresses
 	}
+	f.Add(uint8(0), hist, uint64(0), uint64(512<<10), uint16(40)) // one LLC set of the default, all 16 ways
 	f.Fuzz(func(t *testing.T, sel uint8, hist []byte, base, stride uint64, n uint16) {
 		cfg := fuzzConfigs[int(sel)%len(fuzzConfigs)]
 		lines := int(n % 1024)
 
-		fast, slow, scan := NewHierarchy(cfg), NewHierarchy(cfg), NewHierarchy(cfg)
+		fast, slow, scan, ref := NewHierarchy(cfg), NewHierarchy(cfg), NewHierarchy(cfg), newRef(cfg)
 		scan.fresh = ^uint64(0)
-		replay(fast, hist, base)
-		replay(slow, hist, base)
-		replay(scan, hist, base)
-		want := walk(scan, base, stride, lines)
+		for _, h := range []hierarchy{fast, slow, scan, ref} {
+			replay(h, hist, base)
+		}
+		want := walk(ref, base, stride, lines)
 		if got := bulk(fast, base, stride, lines); got != want {
-			t.Fatalf("AccessLines(%#x, %d, %d) = %v, %d scan-only Access calls sum to %v", base, stride, lines, got, lines, want)
+			t.Fatalf("AccessLines(%#x, %d, %d) = %v, %d reference Access calls sum to %v", base, stride, lines, got, lines, want)
 		}
 		if got := walk(slow, base, stride, lines); got != want {
-			t.Fatalf("%d Access calls from %#x by %d sum to %v, scan-only to %v", lines, base, stride, got, want)
+			t.Fatalf("%d Access calls from %#x by %d sum to %v, the reference to %v", lines, base, stride, got, want)
+		}
+		if got := walk(scan, base, stride, lines); got != want {
+			t.Fatalf("%d scan-only Access calls from %#x by %d sum to %v, the reference to %v", lines, base, stride, got, want)
 		}
 		sameState(t, "bulk vs scan-only", fast, scan)
 		sameState(t, "per-access vs scan-only", slow, scan)
-		sameProbes(t, "bulk and per-access vs scan-only", scan, []*Hierarchy{fast, slow}, hist, base, stride, lines)
+		sameProbes(t, "bulk, per-access and scan-only vs reference", ref, []hierarchy{fast, slow, scan}, hist, base, stride, lines)
 
-		// fast has materialized chunks; after FlushAll they sit on the
-		// free lists and the refill below reuses them.
+		// fast has materialized and widened chunks; FlushAll clears them
+		// at their widths and the refill below runs in them.
 		fast.FlushAll()
+		ref.FlushAll()
 		fresh := NewHierarchy(cfg)
-		replay(fast, hist, base)
-		replay(fresh, hist, base)
-		if got, want := bulk(fast, base, stride, lines), bulk(fresh, base, stride, lines); got != want {
-			t.Fatalf("recycled walk %v, fresh walk %v", got, want)
+		for _, h := range []hierarchy{fast, fresh, ref} {
+			replay(h, hist, base)
 		}
-		sameState(t, "recycled vs fresh", fast, fresh)
-		sameProbes(t, "recycled vs fresh", fast, []*Hierarchy{fresh}, hist, base, stride, lines)
+		want = walk(ref, base, stride, lines)
+		if got := bulk(fast, base, stride, lines); got != want {
+			t.Fatalf("flushed walk %v, reference walk %v", got, want)
+		}
+		if got := bulk(fresh, base, stride, lines); got != want {
+			t.Fatalf("fresh walk %v, reference walk %v", got, want)
+		}
+		sameState(t, "flushed vs fresh", fast, fresh)
+		sameProbes(t, "flushed and fresh vs reference", ref, []hierarchy{fast, fresh}, hist, base, stride, lines)
 	})
 }
 
@@ -194,9 +309,9 @@ func TestAccessLinesKnownAnswers(t *testing.T) {
 	}
 }
 
-// TestFlushRecyclesChunks pins the chunk life cycle: once a hierarchy
-// has reached its footprint, flushing and re-touching the same lines
-// allocates nothing.
+// TestFlushRecyclesChunks pins the chunk life cycle: FlushAll clears
+// each chunk in place at its width, so once a hierarchy has reached its
+// footprint, flushing and re-touching the same lines allocates nothing.
 func TestFlushRecyclesChunks(t *testing.T) {
 	h := NewDefault()
 	touch := func() {
@@ -215,5 +330,20 @@ func TestFlushRecyclesChunks(t *testing.T) {
 	h.FlushAll()
 	if r := h.Access(0); !r.MissLLC {
 		t.Error("a recycled chunk kept its old tags")
+	}
+}
+
+// TestChunksStoreTheWaysTheyUse pins the footprint: a walk that puts
+// one line in each LLC set leaves every LLC chunk one way wide, 8,192
+// stored tags rather than the 131,072 of all 16 ways.
+func TestChunksStoreTheWaysTheyUse(t *testing.T) {
+	h := NewDefault()
+	h.AccessLines(0xffff_8000_0000_0000, 64, 8192)
+	words := 0
+	for _, ch := range h.llc.chunks {
+		words += len(ch)
+	}
+	if words != 8192 {
+		t.Errorf("LLC stores %d tag words after one line per set, want 8192", words)
 	}
 }

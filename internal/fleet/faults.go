@@ -1,5 +1,7 @@
 package fleet
 
+import "time"
+
 // Worker self-chaos: the fleet's own fault-injection layer, in the
 // spirit of internal/faultinject. When enabled, a worker decides a
 // deterministic "fate" for every (job, attempt) cell from a seeded
@@ -43,13 +45,15 @@ func (c ChaosConfig) Enabled() bool {
 }
 
 // KillStorm is the stock -chaos-workers mix: heavy crashes with a side
-// of hangs and torn frames, all confined to the first two attempts.
-func KillStorm(seed uint64) ChaosConfig {
+// of hangs and torn frames, all confined to the first two attempts. A
+// stall lasts twice hbTimeout, the coordinator's heartbeat timeout, so
+// that it registers as a hang at any timeout.
+func KillStorm(seed uint64, hbTimeout time.Duration) ChaosConfig {
 	return ChaosConfig{
 		Seed:     seed,
 		CrashPct: 30, StallPct: 10, TruncPct: 10,
 		MaxAttempt: 2,
-		StallMs:    4000,
+		StallMs:    int(2 * hbTimeout / time.Millisecond),
 	}
 }
 

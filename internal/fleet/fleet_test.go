@@ -168,6 +168,19 @@ func TestFleetStallDetectedAsHang(t *testing.T) {
 	}
 }
 
+// TestKillStormStallOutlastsTimeout: the stock storm's stalls must
+// outlast the heartbeat timeout they are drawn for, or a stalled worker
+// sleeps through the timeout and serves its job, and the storm loses
+// its hang class.
+func TestKillStormStallOutlastsTimeout(t *testing.T) {
+	for _, hb := range []time.Duration{2 * HeartbeatPeriod, time.Second, 5 * time.Second} {
+		c := KillStorm(11, hb)
+		if c.StallPct == 0 || time.Duration(c.StallMs)*time.Millisecond <= hb {
+			t.Errorf("KillStorm at -hb-timeout %v stalls %d%% of cells for %d ms; want some, each longer than the timeout", hb, c.StallPct, c.StallMs)
+		}
+	}
+}
+
 func TestFleetTornFrameFailsLoudly(t *testing.T) {
 	const n = 4
 	rep := runSq(fastCfg(2), sqSpace{N: n}, ChaosConfig{Seed: 3, TruncPct: 100, MaxAttempt: 1})
