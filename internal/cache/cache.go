@@ -10,6 +10,8 @@
 // event *counts*, not on detailed memory-system timing.
 package cache
 
+import "math/bits"
+
 // Level identifies a cache level for miss reporting.
 type Level uint8
 
@@ -84,6 +86,12 @@ type cacheLevel struct {
 	ways      int
 	setsShift uint // log2(sets per chunk): a chunk is len(chunk)>>setsShift ways wide
 	chunks    [][]uint64
+
+	// moved holds one bit per set, one word per chunk, set by every
+	// operation that changes the set's MRU way: a miss, an LRU move, an
+	// install, a flush hit. Only an L1 of at least chunkSets sets keeps
+	// it (nil elsewhere); Hierarchy.AccessLines reads and clears it.
+	moved []uint64
 }
 
 func newLevel(cfg Config) *cacheLevel {
@@ -150,8 +158,9 @@ func (c *cacheLevel) access(addr uint64) bool { return c.accessLine(addr >> c.li
 
 // accessLine probes the level for line (an address shifted right by
 // lineShift) and installs it on miss. Returns true on hit. Loads,
-// stores and bulk kernel walks all come through here, except for
-// lines the hierarchy knows are absent, which take install.
+// stores and the lines of bulk kernel walks that Hierarchy.AccessLines
+// does not skip all come through here, except for lines the hierarchy
+// knows are absent, which take install.
 func (c *cacheLevel) accessLine(line uint64) bool {
 	si := line & c.setMask
 	ch := c.chunks[si>>chunkSetBits]
@@ -166,6 +175,7 @@ func (c *cacheLevel) accessLine(line uint64) bool {
 	if ws[0] == tag {
 		return true
 	}
+	c.mark(si)
 	for i, t := range ws {
 		if t == tag {
 			// Move to MRU position.
@@ -201,6 +211,31 @@ func (c *cacheLevel) install(line uint64) {
 	}
 	copy(ws[1:], ws[:len(ws)-1])
 	ws[0] = (line >> c.tagShift) + 1
+	c.mark(si)
+}
+
+// mark sets set si's moved bit, if the level keeps them.
+func (c *cacheLevel) mark(si uint64) {
+	if c.moved != nil {
+		c.moved[si>>chunkSetBits] |= 1 << (si & (chunkSets - 1))
+	}
+}
+
+// movedFrom returns the moved bits of the 64 sets from line's on, bit
+// i for set line+i (mod the set count). They span two words at most.
+func (c *cacheLevel) movedFrom(line uint64) uint64 {
+	si := line & c.setMask
+	w, o := si>>chunkSetBits, si&(chunkSets-1)
+	return c.moved[w]>>o | c.moved[(w+1)&uint64(len(c.moved)-1)]<<(chunkSets-o)
+}
+
+// unmark clears the moved bits of the n sets from line's on.
+func (c *cacheLevel) unmark(line uint64, n int) {
+	si := line & c.setMask
+	w, o := si>>chunkSetBits, si&(chunkSets-1)
+	sets := uint64(1)<<n - 1
+	c.moved[w] &^= sets << o
+	c.moved[(w+1)&uint64(len(c.moved)-1)] &^= sets >> (chunkSets - o)
 }
 
 // flushLine invalidates the line containing addr if present.
@@ -214,6 +249,7 @@ func (c *cacheLevel) flushLine(addr uint64) {
 	for i, t := range ch[lo : lo+w] {
 		if t == tag {
 			ch[lo+i] = 0
+			c.mark(si)
 			return
 		}
 	}
@@ -247,6 +283,13 @@ type Hierarchy struct {
 	// numbers lines alike; otherwise NewHierarchy pins fresh at the
 	// maximum, where no line reaches it.
 	fresh uint64
+
+	// [mruLo, mruHi) is the L1 line range the last line-stride walks
+	// left at L1's MRU way (empty when mruLo == mruHi). Invariant: every
+	// line in it is still in its set's MRU way unless the set's moved
+	// bit is set. It spans at most 64 lines, no more than L1's sets, so
+	// no set holds two of them.
+	mruLo, mruHi uint64
 }
 
 // HierarchyConfig configures a Hierarchy.
@@ -277,6 +320,9 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 	h.l1Shift = h.l1.lineShift
 	h.l1Lat = h.l1.hitLat
+	if h.l1.setMask >= chunkSets-1 {
+		h.l1.moved = make([]uint64, len(h.l1.chunks))
+	}
 	if h.l2.lineShift != h.l1Shift || h.llc.lineShift != h.l1Shift {
 		h.fresh = ^uint64(0)
 	}
@@ -324,44 +370,60 @@ func (h *Hierarchy) accessSlow(addr uint64) Result {
 
 // AccessLines simulates n loads at base, base+stride, ...,
 // base+(n-1)*stride and returns the summed latency and per-level miss
-// counts. It is exactly n Access calls — same LRU updates, same
-// lastLine state, same sums — without materializing a Result per line;
-// the kernel's per-switch cache pollution is one call.
+// counts: exactly n Access calls, same LRU updates, same lastLine
+// state, same sums. The kernel's per-switch cache pollution is one
+// call.
+//
+// A walk at L1's line stride of at most 64 lines, on an L1 that keeps
+// moved bits and without address wrap, first counts as L1 hits the
+// lines that are in [mruLo, mruHi) and whose sets have not moved: each
+// is in its set's MRU way, where Access would hit and change nothing
+// but lastLine. Every other line runs Access, in walk order. The walk
+// then leaves all its lines at MRU in distinct sets, so it clears
+// their moved bits and becomes the range, joined with the old range
+// while the two touch and span at most 64 lines.
 func (h *Hierarchy) AccessLines(base, stride uint64, n int) (cycles, missL1, missL2, missLLC uint64) {
-	addr := base
-	for i := 0; i < n; i, addr = i+1, addr+stride {
-		line := addr >> h.l1Shift
-		if line+1 == h.lastLine {
-			cycles += h.l1Lat
-			continue
+	var t tally
+	if h.l1.moved == nil || stride != 1<<h.l1Shift || n < 1 || n > 64 || base+uint64(n-1)*stride < base {
+		for i := 0; i < n; i++ {
+			t.add(h.Access(base + uint64(i)*stride))
 		}
-		h.lastLine = line + 1
-		if line >= h.fresh {
-			h.installFresh(line)
-			missL1++
-			missL2++
-			missLLC++
-			cycles += uint64(h.memCycles)
-			continue
-		}
-		if h.l1.access(addr) {
-			cycles += h.l1.hitLat
-			continue
-		}
-		missL1++
-		if h.l2.access(addr) {
-			cycles += h.l2.hitLat
-			continue
-		}
-		missL2++
-		if h.llc.access(addr) {
-			cycles += h.llc.hitLat
-			continue
-		}
-		missLLC++
-		cycles += uint64(h.memCycles)
+		return t.cycles, t.missL1, t.missL2, t.missLLC
 	}
-	return cycles, missL1, missL2, missLLC
+	line := base >> h.l1Shift
+	var skip uint64 // bit i: line+i is at L1's MRU way
+	if lo, hi := max(line, h.mruLo), min(line+uint64(n), h.mruHi); lo < hi {
+		in := (uint64(1)<<(hi-lo) - 1) << (lo - line)
+		skip = in &^ h.l1.movedFrom(line)
+	}
+	t.cycles = uint64(bits.OnesCount64(skip)) * h.l1Lat
+	for todo := (uint64(1)<<n - 1) &^ skip; todo != 0; todo &= todo - 1 {
+		t.add(h.Access(base + uint64(bits.TrailingZeros64(todo))*stride))
+	}
+	h.l1.unmark(line, n)
+	lo, hi := line, line+uint64(n)
+	if h.mruLo <= hi && lo <= h.mruHi && max(hi, h.mruHi)-min(lo, h.mruLo) <= 64 {
+		lo, hi = min(lo, h.mruLo), max(hi, h.mruHi)
+	}
+	h.mruLo, h.mruHi = lo, hi
+	h.lastLine = line + uint64(n)
+	return t.cycles, t.missL1, t.missL2, t.missLLC
+}
+
+// tally sums a walk's Results.
+type tally struct{ cycles, missL1, missL2, missLLC uint64 }
+
+func (t *tally) add(r Result) {
+	t.cycles += r.Cycles
+	if r.MissL1 {
+		t.missL1++
+	}
+	if r.MissL2 {
+		t.missL2++
+	}
+	if r.MissLLC {
+		t.missLLC++
+	}
 }
 
 // installFresh installs line, at or above fresh, in every level and
@@ -388,6 +450,7 @@ func (h *Hierarchy) FlushLine(addr uint64) {
 // chunks, cleared, at their widths (see chunkSets).
 func (h *Hierarchy) FlushAll() {
 	h.lastLine = 0
+	h.mruLo, h.mruHi = 0, 0
 	h.l1.flushAll()
 	h.l2.flushAll()
 	h.llc.flushAll()

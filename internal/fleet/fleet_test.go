@@ -168,6 +168,27 @@ func TestFleetStallDetectedAsHang(t *testing.T) {
 	}
 }
 
+// TestFleetRunReturnsDuringStall: Run returns once every job has
+// settled and every worker is killed, as it does with worker processes,
+// which a SIGKILL ends at once. Here every first attempt stalls for
+// 10 s under a 200 ms heartbeat timeout, and the killed workers'
+// goroutines are still asleep when Run returns.
+func TestFleetRunReturnsDuringStall(t *testing.T) {
+	const n = 4
+	cfg := fastCfg(2)
+	cfg.HeartbeatTimeout = 2 * HeartbeatPeriod
+	start := time.Now()
+	rep := runSq(cfg, sqSpace{N: n}, ChaosConfig{Seed: 2, StallPct: 100, MaxAttempt: 1, StallMs: 10_000})
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Run returned after %v; its workers stall for 10 s, and it should not wait for them", d.Round(time.Millisecond))
+	}
+	checkAllSquares(t, rep, n)
+	mustClean(t, rep)
+	if rep.Stats.WorkersKilledHung < 1 {
+		t.Fatalf("WorkersKilledHung = %d, want >= 1", rep.Stats.WorkersKilledHung)
+	}
+}
+
 // TestKillStormStallOutlastsTimeout: the stock storm's stalls must
 // outlast the heartbeat timeout they are drawn for, or a stalled worker
 // sleeps through the timeout and serves its job, and the storm loses

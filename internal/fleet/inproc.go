@@ -1,9 +1,14 @@
 package fleet
 
 import (
+	"errors"
 	"io"
 	"sync"
 )
+
+// errKilled is what Wait returns for a worker that Kill stopped before
+// its goroutine ended, as a process's Wait reports its SIGKILL.
+var errKilled = errors.New("fleet: worker killed")
 
 // pipeTransport is the in-process analogue of a worker process: the
 // worker side is WorkerMain on a goroutine over io.Pipes. Kill snaps
@@ -11,12 +16,13 @@ import (
 // like to the coordinator — an abruptly-ended stream — and unblocks
 // any write the worker has in flight.
 type pipeTransport struct {
-	outR *io.PipeReader // coordinator reads worker output here
-	inW  *io.PipeWriter // coordinator writes worker input here
-	inR  *io.PipeReader
-	outW *io.PipeWriter
-	done chan error
-	once sync.Once
+	outR   *io.PipeReader // coordinator reads worker output here
+	inW    *io.PipeWriter // coordinator writes worker input here
+	inR    *io.PipeReader
+	outW   *io.PipeWriter
+	done   chan error
+	killed chan struct{} // closed by Kill
+	once   sync.Once
 }
 
 func (t *pipeTransport) Read(p []byte) (int, error)  { return t.outR.Read(p) }
@@ -28,10 +34,22 @@ func (t *pipeTransport) Kill() {
 		t.inW.Close()
 		t.inR.Close()
 		t.outW.Close()
+		close(t.killed)
 	})
 }
 
-func (t *pipeTransport) Wait() error { return <-t.done }
+// Wait returns when the worker's goroutine ends or once Kill has run:
+// a killed process is gone at once, but a killed goroutine ends only
+// when it next touches its pipes, and one stalled mid-job would hold
+// the coordinator's teardown for the rest of its stall.
+func (t *pipeTransport) Wait() error {
+	select {
+	case err := <-t.done:
+		return err
+	case <-t.killed:
+		return errKilled
+	}
+}
 
 // InProcSpawner returns a Spawner whose workers are WorkerMain
 // goroutines over in-memory pipes instead of OS processes. Each worker
@@ -56,7 +74,7 @@ func pipeSpawner(serve func(id int, r io.Reader, w io.Writer) error) Spawner {
 	return func(id int) (Transport, error) {
 		inR, inW := io.Pipe()
 		outR, outW := io.Pipe()
-		tr := &pipeTransport{outR: outR, inW: inW, inR: inR, outW: outW, done: make(chan error, 1)}
+		tr := &pipeTransport{outR: outR, inW: inW, inR: inR, outW: outW, done: make(chan error, 1), killed: make(chan struct{})}
 		go func() {
 			err := serve(id, inR, outW)
 			outW.Close()
