@@ -121,7 +121,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	env := metrics.Env(totals)
 	dt := tabwrite.New("Derived metrics", "metric", "value", "definition")
 	for _, d := range defs {
-		v, err := d.Compiled().Eval(env)
+		v, err := d.Eval(env)
 		if err != nil {
 			dt.Row(d.Name, "n/a", fmt.Sprintf("%s (%v)", d.Expr, err))
 			continue

@@ -89,8 +89,8 @@ type cacheLevel struct {
 
 	// moved holds one bit per set, one word per chunk, set by every
 	// operation that changes the set's MRU way: a miss, an LRU move, an
-	// install, a flush hit. Only an L1 of at least chunkSets sets keeps
-	// it (nil elsewhere); Hierarchy.AccessLines reads and clears it.
+	// install. Only an L1 of at least chunkSets sets keeps it (nil
+	// elsewhere); Hierarchy.AccessLines reads and clears it.
 	moved []uint64
 }
 
@@ -236,23 +236,6 @@ func (c *cacheLevel) unmark(line uint64, n int) {
 	sets := uint64(1)<<n - 1
 	c.moved[w] &^= sets << o
 	c.moved[(w+1)&uint64(len(c.moved)-1)] &^= sets >> (chunkSets - o)
-}
-
-// flushLine invalidates the line containing addr if present.
-func (c *cacheLevel) flushLine(addr uint64) {
-	line := addr >> c.lineShift
-	si := line & c.setMask
-	ch := c.chunks[si>>chunkSetBits]
-	w := len(ch) >> c.setsShift // 0 for an absent chunk
-	lo := (int(si) & (chunkSets - 1)) * w
-	tag := (line >> c.tagShift) + 1
-	for i, t := range ch[lo : lo+w] {
-		if t == tag {
-			ch[lo+i] = 0
-			c.mark(si)
-			return
-		}
-	}
 }
 
 // flushAll invalidates the level in place; each chunk keeps its width.
@@ -433,17 +416,6 @@ func (h *Hierarchy) installFresh(line uint64) {
 	h.l1.install(line)
 	h.l2.install(line)
 	h.llc.install(line)
-}
-
-// FlushLine removes the line containing addr from every level. The
-// kernel uses it to approximate cache pollution from context switches.
-func (h *Hierarchy) FlushLine(addr uint64) {
-	if addr>>h.l1Shift+1 == h.lastLine {
-		h.lastLine = 0
-	}
-	h.l1.flushLine(addr)
-	h.l2.flushLine(addr)
-	h.llc.flushLine(addr)
 }
 
 // FlushAll invalidates the entire hierarchy. The levels keep their

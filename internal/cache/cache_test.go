@@ -103,15 +103,6 @@ func TestL2CatchesL1Evictions(t *testing.T) {
 	}
 }
 
-func TestFlushLine(t *testing.T) {
-	h := NewDefault()
-	h.Access(0x3000)
-	h.FlushLine(0x3000)
-	if r := h.Access(0x3000); !r.MissL1 || !r.MissL2 || !r.MissLLC {
-		t.Errorf("flushed line should miss everywhere: %+v", r)
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	h := NewDefault()
 	for addr := uint64(0); addr < 4096; addr += 64 {

@@ -44,7 +44,6 @@ var fuzzConfigs = []HierarchyConfig{
 // hierarchy is what the fuzz arms drive: a Hierarchy or the reference.
 type hierarchy interface {
 	Access(addr uint64) Result
-	FlushLine(addr uint64)
 	FlushAll()
 }
 
@@ -54,8 +53,8 @@ type perAccess struct{ hierarchy }
 
 // refLevel is the reference model of one level: a plain slice of Ways
 // line numbers (plus one, zero invalid) per set, most recent first,
-// with no chunks and no stored widths. A flush leaves its way invalid
-// in place, and a miss shifts every way down and drops the last.
+// with no chunks and no stored widths. A miss shifts every way down
+// and drops the last.
 type refLevel struct {
 	lineBytes, nsets uint64
 	ways             int
@@ -90,13 +89,6 @@ func (r *refLevel) access(addr uint64) bool {
 	return hit
 }
 
-func (r *refLevel) flush(addr uint64) {
-	line := addr / r.lineBytes
-	if i := slices.Index(r.sets[line%r.nsets], line+1); i >= 0 {
-		r.sets[line%r.nsets][i] = 0
-	}
-}
-
 // refHierarchy is three refLevels probed in order, without the
 // repeat-line shortcut or the high-water mark.
 type refHierarchy struct {
@@ -120,12 +112,6 @@ func (r *refHierarchy) Access(addr uint64) Result {
 	return Result{Cycles: r.mem, MissL1: true, MissL2: true, MissLLC: true}
 }
 
-func (r *refHierarchy) FlushLine(addr uint64) {
-	r.l1.flush(addr)
-	r.l2.flush(addr)
-	r.llc.flush(addr)
-}
-
 func (r *refHierarchy) FlushAll() {
 	for _, lv := range []*refLevel{r.l1, r.l2, r.llc} {
 		clear(lv.sets)
@@ -133,9 +119,9 @@ func (r *refHierarchy) FlushAll() {
 }
 
 // replay applies a byte-coded access history: every three bytes are
-// one operation — a FlushAll, a FlushLine anywhere or near base, an
-// access near base or anywhere in a 4 MiB window, or a walk of 0–69
-// lines at a 64-byte stride from up to 128 lines either side of base.
+// one operation — a FlushAll, an access near base or anywhere in a
+// 4 MiB window, or a walk of 0–69 lines at a 64-byte stride from up
+// to 128 lines either side of base.
 // A *Hierarchy walks through AccessLines; any other hierarchy walks as
 // Access calls.
 func replay(h hierarchy, hist []byte, base uint64) {
@@ -144,9 +130,7 @@ func replay(h hierarchy, hist []byte, base uint64) {
 		switch hist[0] % 16 {
 		case 0:
 			h.FlushAll()
-		case 1:
-			h.FlushLine(v << 6)
-		case 2, 3, 4, 5:
+		case 2, 3, 4, 5, 8:
 			h.Access(base + v<<3)
 		case 6, 7:
 			start, n := base+uint64(int8(hist[2]))*64, int(hist[1]%70)
@@ -155,8 +139,6 @@ func replay(h hierarchy, hist []byte, base uint64) {
 			} else {
 				walk(h, start, 64, n)
 			}
-		case 8:
-			h.FlushLine(base + v<<3)
 		default:
 			h.Access(v << 6)
 		}
@@ -276,11 +258,11 @@ func FuzzAccessLines(f *testing.F) {
 		8, 0x40, 0, 4, 8, 0, 1, 1, 0, 10, 0xff, 0xff, 5, 3, 0,
 	}
 	// Sliding 32-line walks from 12 lines before base, each 1–4 lines
-	// past the last, with one change to walked line 6's L1 set twice
+	// past the last, with one operation on walked line 6's L1 set twice
 	// between them: a user access above the walks (installed fresh,
-	// then an LRU move), one far below them (found by the scan), a
-	// FlushLine of line 6, or a FlushAll. The fuzz target's own walk,
-	// from base, slides on by two.
+	// then an LRU move), one far below them (found by the scan), an
+	// access of line 6 itself (an MRU hit, which moves nothing), or a
+	// FlushAll. The fuzz target's own walk, from base, slides on by two.
 	var slides [][]byte
 	for _, op := range [][]byte{{2, 0x30, 0x04}, {9, 6, 0}, {8, 48, 0}, {0, 0, 0}} {
 		slides = append(slides, slices.Concat(
@@ -415,7 +397,6 @@ func TestWalkSkipKnownAnswers(t *testing.T) {
 				h.Access(line5 + k*64*64)
 			}
 		}, [4]uint64{30*l1 + l2 + mem, 2, 1, 1}},
-		{"FlushLine of line 5", func(h hierarchy) { h.FlushLine(line5) }, [4]uint64{30*l1 + 2*mem, 2, 2, 2}},
 		{"FlushAll", func(h hierarchy) { h.FlushAll() }, [4]uint64{32 * mem, 32, 32, 32}},
 	} {
 		h, twin := NewHierarchy(cfg), NewHierarchy(cfg)

@@ -122,6 +122,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-experiments unmatched only", "limit-experiments", []string{"-only", "Z9"}, 2},
 		{"limitctl deleted list alias", "limitctl", []string{"-list"}, 2},
 		{"limitctl metrics deleted series alias", "limitctl", []string{"metrics", "-series"}, 2},
+		{"limitctl metrics deleted worker split alias", "limitctl", []string{"metrics", "-window", "1000", "-split", "worker"}, 2},
 		{"limitctl merge no files", "limitctl", []string{"merge"}, 2},
 		{"limitctl merge unknown format", "limitctl", []string{"merge", "-format", "bogus", "x.jsonl"}, 2},
 		{"limitctl trace stray arg", "limitctl", []string{"trace", "bogus"}, 2},

@@ -15,8 +15,8 @@ import (
 
 // Sample is one event's cumulative state within a frame. Name is the
 // event name plus a ring suffix: "" for user-only, ":k" kernel-only,
-// ":uk" both rings — the same names metric expressions use (with '_'
-// standing in for '-').
+// ":uk" both rings — the names a Def's Inputs list (its printed Expr
+// spells '-' as '_').
 type Sample struct {
 	Name    string `json:"name"`
 	Value   uint64 `json:"value"`   // scaled estimate (exact when never multiplexed)
@@ -48,7 +48,7 @@ func (f *Frame) TenantID() int {
 	return *f.Tenant
 }
 
-// SampleName renders a kernel group event as a sample/expression name.
+// SampleName renders a kernel group event as a sample name.
 func SampleName(ge kernel.GroupEvent) string {
 	switch {
 	case ge.CountUser && ge.CountKernel:
@@ -321,7 +321,7 @@ func Totals(frames []Frame) map[string]uint64 {
 	return totals
 }
 
-// Env converts totals into an expression environment.
+// Env converts totals into the sample values Def.Eval reads.
 func Env(totals map[string]uint64) map[string]float64 {
 	env := make(map[string]float64, len(totals))
 	for k, v := range totals {

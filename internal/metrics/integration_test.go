@@ -56,10 +56,10 @@ func TestWindowedSeriesReconcilesWithRun(t *testing.T) {
 	}
 	totals := metrics.Totals(frames)
 
-	// Every ident of every built-in metric must be measurable in this
+	// Every input of every built-in metric must be measurable in this
 	// stream — the catalogue and the default event set move together.
 	for i := range metrics.Builtin {
-		for _, id := range metrics.Builtin[i].Compiled().Idents() {
+		for _, id := range metrics.Builtin[i].Inputs {
 			if _, ok := totals[id]; !ok {
 				t.Errorf("metric %q input %q absent from the frame stream",
 					metrics.Builtin[i].Name, id)

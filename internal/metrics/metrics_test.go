@@ -2,6 +2,10 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,95 +18,131 @@ func env(pairs ...interface{}) map[string]float64 {
 	return m
 }
 
-func TestExprArithmetic(t *testing.T) {
+// Each built-in against a value worked by hand from its Expr. The
+// inputs are chosen so every quotient is exact in binary, so the rows
+// compare with ==.
+func TestBuiltinKnownAnswers(t *testing.T) {
 	cases := []struct {
-		src  string
-		env  map[string]float64
-		want float64
+		metric string
+		env    map[string]float64
+		want   float64
 	}{
-		{"1 + 2 * 3", nil, 7},
-		{"(1 + 2) * 3", nil, 9},
-		{"-4 + 6", nil, 2},
-		{"10 / 4", nil, 2.5},
-		{"min(3, 1, 2)", nil, 1},
-		{"max(3, 1, 2)", nil, 3},
-		{"cycles / instructions", env("cycles", 30.0, "instructions", 10.0), 3},
-		{"l1d_miss / loads", env("l1d-miss", 5.0, "loads", 100.0), 0.05},
-		{"cycles:k / cycles:uk", env("cycles:k", 25.0, "cycles:uk", 100.0), 0.25},
-		{"min(instructions / cycles, 1)", env("instructions", 80.0, "cycles", 40.0), 1},
+		// 300 / 200
+		{"cpi", env("cycles", 300.0, "instructions", 200.0), 1.5},
+		// 200 / 800
+		{"ipc", env("instructions", 200.0, "cycles", 800.0), 0.25},
+		// 15 / 120
+		{"kernel_share", env("cycles:k", 15.0, "cycles:uk", 120.0), 0.125},
+		// 12 / 96
+		{"branch_miss_rate", env("branch-miss", 12.0, "branches", 96.0), 0.125},
+		// 10 / 40
+		{"l1d_miss_rate", env("l1d-miss", 10.0, "loads", 40.0), 0.25},
+		// 5 / 40
+		{"llc_miss_rate", env("llc-miss", 5.0, "loads", 40.0), 0.125},
+		// 6 / (40 + 8) = 6 / 48
+		{"dtlb_miss_rate", env("dtlb-miss", 6.0, "loads", 40.0, "stores", 8.0), 0.125},
+		// 3 / (40 + 8) = 3 / 48
+		{"dtlb_walk_rate", env("dtlb-walk", 3.0, "loads", 40.0, "stores", 8.0), 0.0625},
+		// min(600 / 800, 1) = min(0.75, 1)
+		{"tma_retiring", env("instructions", 600.0, "cycles", 800.0), 0.75},
+		// min(900 / 600, 1) = min(1.5, 1): IPC above the scalar roof caps at 1
+		{"tma_retiring", env("instructions", 900.0, "cycles", 600.0), 1},
+		// min(15 * 8 / 960, 1) = min(120 / 960, 1) = min(0.125, 1)
+		{"tma_frontend", env("branch-miss", 8.0, "cycles", 960.0), 0.125},
+		// min(15 * 100 / 960, 1) = min(1500 / 960, 1) = min(1.5625, 1)
+		{"tma_frontend", env("branch-miss", 100.0, "cycles", 960.0), 1},
+		// max(1 - 480 / 960 - 15 * 16 / 960, 0) = max(1 - 0.5 - 0.25, 0)
+		{"tma_backend", env("instructions", 480.0, "cycles", 960.0, "branch-miss", 16.0), 0.25},
+		// max(1 - 960 / 960 - 15 * 16 / 960, 0) = max(0 - 0.25, 0):
+		// retiring and frontend over-fill the cycles, backend floors at 0
+		{"tma_backend", env("instructions", 960.0, "cycles", 960.0, "branch-miss", 16.0), 0},
 	}
+	covered := make(map[string]bool)
 	for _, c := range cases {
-		e, err := Parse(c.src)
+		covered[c.metric] = true
+		got, err := Lookup(c.metric).Eval(c.env)
 		if err != nil {
-			t.Errorf("Parse(%q): %v", c.src, err)
-			continue
-		}
-		got, err := e.Eval(c.env)
-		if err != nil {
-			t.Errorf("Eval(%q): %v", c.src, err)
+			t.Errorf("%s over %v: %v", c.metric, c.env, err)
 			continue
 		}
 		if got != c.want {
-			t.Errorf("Eval(%q) = %v, want %v", c.src, got, c.want)
+			t.Errorf("%s over %v = %v, want %v", c.metric, c.env, got, c.want)
+		}
+	}
+	for i := range Builtin {
+		if !covered[Builtin[i].Name] {
+			t.Errorf("builtin %q has no known-answer row", Builtin[i].Name)
 		}
 	}
 }
 
-func TestExprUnknownEvent(t *testing.T) {
-	e := MustParse("cycles / bogus_event")
-	if _, err := e.Eval(env("cycles", 10.0)); err == nil ||
-		!strings.Contains(err.Error(), "bogus-event") {
-		t.Errorf("unknown event error = %v, want mention of bogus-event", err)
-	}
-}
-
+// Def.Eval's division policy: a rate over nothing is 0, for every
+// division, so min(ipc, 1) over zero cycles reads 0, not 1. Non-finite
+// results collapse to 0 too.
 func TestExprDivByZeroPolicy(t *testing.T) {
-	for _, src := range []string{"1 / 0", "cycles / instructions", "1 / (2 - 2)"} {
-		e := MustParse(src)
-		got, err := e.Eval(env("cycles", 5.0, "instructions", 0.0))
+	cases := []struct {
+		metric string
+		env    map[string]float64
+		want   float64
+	}{
+		{"cpi", env("cycles", 5.0, "instructions", 0.0), 0},
+		{"ipc", env("instructions", 5.0, "cycles", 0.0), 0},
+		{"kernel_share", env("cycles:k", 5.0, "cycles:uk", 0.0), 0},
+		{"branch_miss_rate", env("branch-miss", 5.0, "branches", 0.0), 0},
+		{"l1d_miss_rate", env("l1d-miss", 5.0, "loads", 0.0), 0},
+		{"llc_miss_rate", env("llc-miss", 5.0, "loads", 0.0), 0},
+		{"dtlb_miss_rate", env("dtlb-miss", 5.0, "loads", 0.0, "stores", 0.0), 0},
+		// the denominator is the sum: 5 / (2 + -2)
+		{"dtlb_walk_rate", env("dtlb-walk", 5.0, "loads", 2.0, "stores", -2.0), 0},
+		// min(0, 1), not min(5 / 0 = Inf, 1) = 1
+		{"tma_retiring", env("instructions", 5.0, "cycles", 0.0), 0},
+		{"tma_frontend", env("branch-miss", 5.0, "cycles", 0.0), 0},
+		// max(1 - 0 - 0, 0): both divisions read 0, leaving the 1
+		{"tma_backend", env("instructions", 5.0, "cycles", 0.0, "branch-miss", 5.0), 1},
+		// +Inf / 2 = +Inf collapses to 0
+		{"cpi", env("cycles", math.Inf(1), "instructions", 2.0), 0},
+		// NaN / 2 = NaN collapses to 0
+		{"ipc", env("instructions", math.NaN(), "cycles", 2.0), 0},
+		// max(1 - Inf - -Inf, 0) = max(NaN, 0) = NaN collapses to 0
+		{"tma_backend", env("instructions", math.Inf(1), "cycles", 1.0, "branch-miss", math.Inf(-1)), 0},
+	}
+	for _, c := range cases {
+		got, err := Lookup(c.metric).Eval(c.env)
 		if err != nil {
-			t.Errorf("Eval(%q): %v", src, err)
+			t.Errorf("%s over %v: %v", c.metric, c.env, err)
+			continue
 		}
-		if got != 0 {
-			t.Errorf("Eval(%q) = %v, want 0 (div-by-zero policy)", src, got)
-		}
-	}
-}
-
-func TestExprSyntaxErrors(t *testing.T) {
-	for _, src := range []string{
-		"(1 + 2",     // unbalanced open paren
-		"1 + 2)",     // unbalanced close paren
-		"1 +",        // dangling operator
-		"min(1)",     // min needs 2+ args
-		"min 1, 2",   // missing parens
-		"cycles $ 2", // bad token
-		"",           // empty
-		"1 2",        // juxtaposition
-		"max(1, 2,)", // trailing comma
-		"1..5 + 2",   // malformed number
-	} {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) succeeded, want syntax error", src)
+		if got != c.want {
+			t.Errorf("%s over %v = %v, want %v", c.metric, c.env, got, c.want)
 		}
 	}
 }
 
-func TestExprIdents(t *testing.T) {
-	e := MustParse("max(1 - instructions / cycles - 15 * branch_miss / cycles, 0)")
-	got := e.Idents()
-	want := map[string]bool{"instructions": true, "cycles": true, "branch-miss": true}
-	if len(got) != len(want) {
-		t.Fatalf("Idents() = %v, want %v", got, want)
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Errorf("unexpected ident %q", id)
+// Def.Eval reports a missing input as an error naming the first input
+// missing, in Expr order: a metric never silently reads 0 for an event
+// not measured.
+func TestExprUnknownEvent(t *testing.T) {
+	for i := range Builtin {
+		d := &Builtin[i]
+		for k, missing := range d.Inputs {
+			e := env("bogus-event", 1.0)
+			for _, name := range d.Inputs[:k] {
+				e[name] = 1
+			}
+			_, err := d.Eval(e)
+			want := fmt.Sprintf("metrics: unknown event %q", missing)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s without %q: err = %v, want %s", d.Name, missing, err, want)
+			}
 		}
 	}
 }
 
+// Each Def's Inputs are the identifiers of its printed Expr, in first
+// occurrence order, with '_' read as '-', so the formula a user reads
+// and the inputs the code evaluates cannot drift apart.
 func TestBuiltinDefsParseAndCover(t *testing.T) {
+	ident := regexp.MustCompile(`\b[A-Za-z_][A-Za-z0-9_:]*`)
 	seen := make(map[string]bool)
 	for i := range Builtin {
 		d := &Builtin[i]
@@ -110,15 +150,38 @@ func TestBuiltinDefsParseAndCover(t *testing.T) {
 			t.Errorf("duplicate builtin %q", d.Name)
 		}
 		seen[d.Name] = true
-		if d.Compiled() == nil {
-			t.Errorf("builtin %q not compiled", d.Name)
-		}
 		if Lookup(d.Name) != d {
 			t.Errorf("Lookup(%q) misses", d.Name)
+		}
+		var want []string
+		for _, id := range ident.FindAllString(d.Expr, -1) {
+			id = strings.ReplaceAll(id, "_", "-")
+			if id != "min" && id != "max" && !slices.Contains(want, id) {
+				want = append(want, id)
+			}
+		}
+		if !slices.Equal(d.Inputs, want) {
+			t.Errorf("%s: Inputs %q, want %q from %q", d.Name, d.Inputs, want, d.Expr)
 		}
 	}
 	if Lookup("no_such_metric") != nil {
 		t.Error("Lookup of unknown metric returned a def")
+	}
+}
+
+func TestDefEvalAllocatesNothing(t *testing.T) {
+	e := env("cycles", 7.0, "instructions", 5.0, "cycles:k", 2.0, "cycles:uk", 9.0,
+		"branch-miss", 1.0, "branches", 4.0, "l1d-miss", 3.0, "llc-miss", 1.0,
+		"loads", 6.0, "stores", 2.0, "dtlb-miss", 1.0, "dtlb-walk", 1.0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range Builtin {
+			if _, err := Builtin[i].Eval(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("evaluating the catalogue allocated %v times, want 0", allocs)
 	}
 }
 
@@ -201,7 +264,7 @@ func TestTotals(t *testing.T) {
 		t.Errorf("instructions total %d, want 120", got)
 	}
 	cpi := Lookup("cpi")
-	v, err := cpi.Compiled().Eval(Env(totals))
+	v, err := cpi.Eval(Env(totals))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // Windowed metric evaluation: slice a per-rotation frame stream into
-// fixed cycle windows and evaluate catalogue expressions per window —
+// fixed cycle windows and evaluate catalogue metrics per window —
 // the time-series view of the same counters Totals folds into one
 // number. Window w covers machine cycles [w*W, (w+1)*W); a frame at
 // cycle c lands in window c/W. Samples are cumulative, so a window's
@@ -30,7 +30,7 @@ import (
 //   - An event that never ran in a window contributes a delta of 0;
 //     a metric whose inputs are all zero (or that references events
 //     absent from the stream) evaluates to 0, never NaN/Inf — the
-//     expression engine's division policy.
+//     catalogue's division policy.
 //   - Split keys and event names render in sorted order; windows in
 //     index order. Same frames, same bytes.
 
@@ -53,7 +53,7 @@ func ParseSplit(s string) (Split, bool) {
 		return SplitNone, true
 	case "tenant":
 		return SplitTenant, true
-	case "thread", "worker":
+	case "thread":
 		return SplitThread, true
 	}
 	return SplitNone, false
@@ -246,7 +246,7 @@ func (ss *SeriesSet) Rows(defs []*Def) []WindowRow {
 				env[name] = float64(d)
 			}
 			for _, d := range defs {
-				v, err := d.Compiled().Eval(env)
+				v, err := d.Eval(env)
 				if err != nil {
 					v = 0
 				}

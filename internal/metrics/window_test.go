@@ -345,7 +345,6 @@ func TestParseSplit(t *testing.T) {
 		{"none", SplitNone, true},
 		{"tenant", SplitTenant, true},
 		{"thread", SplitThread, true},
-		{"worker", SplitThread, true},
 		{"bogus", SplitNone, false},
 	}
 	for _, c := range cases {

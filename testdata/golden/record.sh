@@ -4,9 +4,11 @@
 # The perf work on the interpreter hot loop (PMU dispatch tables,
 # word-level memory, COW snapshots) must not change a single output
 # byte: campaign reports, soak reports, profiler output, experiment
-# tables, metric frames and HTML artifacts are pinned here at fixed
-# seeds. The files in this directory were recorded on the
-# pre-optimization tree.
+# tables, metric frames, derived-metric values (totals and a windowed
+# series) and HTML artifacts are pinned here at fixed seeds. The files
+# in this directory were recorded on the pre-optimization tree; the
+# derived-metric ones on the tree that still evaluated the catalogue
+# through an expression parser.
 #
 # Usage (from the repo root):
 #   ./testdata/golden/record.sh check    # re-run and byte-compare (CI)
@@ -15,7 +17,7 @@ set -eu
 
 dir="$(dirname "$0")"
 mode="${1:-check}"
-files="campaign.txt soak.txt soak-tenants.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html"
+files="campaign.txt soak.txt soak-tenants.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html metrics-mysql.txt series-mysql.jsonl"
 
 case "$mode" in
 record) out="$dir" ;;
@@ -30,6 +32,8 @@ go run ./cmd/limit-chaos -tenants 4 -seeds 2 -metrics -parallel 4 -report "$out/
 go run ./cmd/limitctl profile -app mysql -scale 0.3 -budget 1.05 -parallel 4 -html "$out/report-mysql.html" >"$out/profile-mysql.txt"
 go run ./cmd/limit-experiments -scale 0.1 -parallel 4 >"$out/experiments.txt"
 go run ./cmd/limitctl metrics -app apache -scale 0.3 -format frames >"$out/frames-apache.jsonl"
+go run ./cmd/limitctl metrics -app mysql -scale 0.3 >"$out/metrics-mysql.txt"
+go run ./cmd/limitctl metrics -app mysql -scale 0.3 -window 200000 -split thread -format jsonl >"$out/series-mysql.jsonl"
 
 if [ "$mode" = check ]; then
 	rc=0
