@@ -80,6 +80,17 @@ func TestExitCodeContract(t *testing.T) {
 	if err := os.WriteFile(good, []byte(`{"type":"counter","name":"c","value":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Frame streams that at a 1-cycle window need more windows than an
+	// int can count or than a slice can hold, and one whose last window
+	// ends past cycle 2^64-1 at a 2^62-cycle one.
+	farFrame := filepath.Join(tmp, "far-frame.jsonl")
+	bigFrame := filepath.Join(tmp, "big-frame.jsonl")
+	wrapFrame := filepath.Join(tmp, "wrap-frame.jsonl")
+	for path, cycle := range map[string]string{farFrame: "9223372036854775813", bigFrame: "4611686018427387904", wrapFrame: "18446744073709551615"} {
+		if err := os.WriteFile(path, []byte(`{"seq":0,"cycle":`+cycle+`,"tid":1,"samples":[]}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
 		bin  string
@@ -142,6 +153,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl report bad histogram bounds", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-telemetry", badBounds}, 1},
 		{"limitctl report unwritable output", "limitctl", []string{"report", "-o", filepath.Join(tmp, "no-such-dir", "r.html"), "-telemetry", good}, 1},
 		{"limitctl report full disk", "limitctl", []string{"report", "-o", "/dev/full", "-telemetry", good}, 1},
+		{"limitctl report window past int", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-frames", farFrame, "-window", "1"}, 1},
+		{"limitctl report windows past a slice", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-frames", bigFrame, "-window", "1"}, 1},
+		{"limitctl report window end past 2^64", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-frames", wrapFrame, "-window", "4611686018427387904"}, 1},
 		{"limit-chaos unwritable report", "limit-chaos", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
 	}
 	for _, tc := range cases {

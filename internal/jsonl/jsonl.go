@@ -13,8 +13,9 @@
 // field.
 //
 // Writing appends to a byte slice. AppendString escapes exactly as
-// json.Encoder does; numbers are written with strconv's append
-// functions, whose integers are JSON's and whose 'f' floats are fmt's.
+// json.Encoder does; integers are written with strconv's append
+// functions, and fixed-precision floats with AppendFixed, which appends
+// strconv's 'f' bytes without its multi-precision decimal.
 package jsonl
 
 import (
@@ -291,15 +292,20 @@ func (d *Decoder) StringBytes() ([]byte, error) {
 		return nil, err
 	}
 	start := d.pos
-	for d.pos < len(d.buf) {
-		if plain[d.buf[d.pos]] {
-			d.pos++
-			continue
+	for {
+		// Step over plain bytes with the position in a register.
+		buf, i := d.buf, d.pos
+		for i < len(buf) && plain[buf[i]] {
+			i++
 		}
-		switch c := d.buf[d.pos]; {
+		d.pos = i
+		if i == len(buf) {
+			return nil, d.errorf("unterminated string")
+		}
+		switch c := buf[i]; {
 		case c == '"':
 			d.pos++
-			return d.buf[start : d.pos-1], nil
+			return buf[start:i], nil
 		case c == '\\':
 			return d.unescape(start)
 		case c < 0x20:
@@ -310,7 +316,6 @@ func (d *Decoder) StringBytes() ([]byte, error) {
 			}
 		}
 	}
-	return nil, d.errorf("unterminated string")
 }
 
 // plain marks the bytes a string holds as they are: ASCII other than
@@ -426,8 +431,9 @@ func (d *Decoder) hex4() (rune, error) {
 // while it fits; ok is false if it overflowed.
 func (d *Decoder) digits() (v uint64, n int, ok bool) {
 	ok = true
-	for ; d.pos < len(d.buf); d.pos++ {
-		c := d.buf[d.pos] - '0'
+	buf, i := d.buf, d.pos
+	for ; i < len(buf); i++ {
+		c := buf[i] - '0'
 		if c > 9 {
 			break
 		}
@@ -442,6 +448,7 @@ func (d *Decoder) digits() (v uint64, n int, ok bool) {
 		}
 		v = lo
 	}
+	d.pos = i
 	return v, n, ok
 }
 

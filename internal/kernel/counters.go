@@ -91,9 +91,8 @@ func (k *Kernel) allocCounter(coreID int, t *Thread, tc *ThreadCounter) uint64 {
 	}
 	// A perf counter is a one-event group counting from this instant.
 	// SysPerfOpen enables it before charging the MSR writes.
-	ensureGroupSlots(core, t)
 	tc.group = perfGroup(tc)
-	k.startGroup(core, t, tc.group, t.freeSlots(n, false))
+	k.startGroup(core, t, tc.group, k.newPlan(core, t, false))
 	if tc.group.Loaded && !core.PMU.Features().HardwareVirtualization {
 		core.KernelWork(k.cfg.Costs.MSRWrite * 2) // evtsel + value
 	}

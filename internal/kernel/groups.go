@@ -75,7 +75,8 @@ type EventGroup struct {
 
 	Loaded bool
 	Closed bool
-	// slots are the hardware counters backing the group while loaded.
+	// slots are the hardware counters backing the group while loaded,
+	// allocated at open to the group's width.
 	slots []int
 	// perf marks a perf counter's one-event group.
 	perf bool
@@ -87,6 +88,7 @@ func perfGroup(tc *ThreadCounter) *EventGroup {
 		Events: []GroupEvent{{Event: tc.Event, CountUser: tc.CountUser, CountKernel: tc.CountKernel}},
 		Raw:    make([]uint64, 1),
 		True:   make([]uint64, 1),
+		slots:  make([]int, 0, 1),
 		perf:   true,
 	}
 }
@@ -140,27 +142,25 @@ type Frame struct {
 // Frames returns every event frame emitted during the run.
 func (k *Kernel) Frames() []Frame { return k.frames }
 
-// openGroups returns the thread's open SysGroupOpen groups.
-func (t *Thread) openGroups() []*EventGroup {
-	var open []*EventGroup
+// openGroups appends the thread's open SysGroupOpen groups to dst.
+func (t *Thread) openGroups(dst []*EventGroup) []*EventGroup {
 	for _, g := range t.groups {
 		if !g.Closed {
-			open = append(open, g)
+			dst = append(dst, g)
 		}
 	}
-	return open
+	return dst
 }
 
-// perfGroups returns the groups of the thread's open perf counters, in
-// fd order.
-func (t *Thread) perfGroups() []*EventGroup {
-	var open []*EventGroup
+// perfGroups appends the groups of the thread's open perf counters to
+// dst, in fd order.
+func (t *Thread) perfGroups(dst []*EventGroup) []*EventGroup {
 	for _, tc := range t.counters {
 		if g := tc.group; g != nil && !g.Closed {
-			open = append(open, g)
+			dst = append(dst, g)
 		}
 	}
-	return open
+	return dst
 }
 
 // holdsGroups reports whether the thread holds an open group in either
@@ -186,12 +186,11 @@ func ensureGroupSlots(core *cpu.Core, t *Thread) {
 	}
 }
 
-// freeSlots lists, in slot order, the hardware slots held by neither a
-// loaded pinned counter nor a loaded group. Quantum rotation passes
-// rotating to count the SysGroupOpen groups' slots as free: it plans
-// the state after it parks them, while perf groups stay put.
-func (t *Thread) freeSlots(n int, rotating bool) []int {
-	var free []int
+// freeSlots appends to dst, in slot order, the hardware slots held by
+// neither a loaded pinned counter nor a loaded group. Quantum rotation
+// passes rotating to count the SysGroupOpen groups' slots as free: it
+// plans the state after it parks them, while perf groups stay put.
+func (t *Thread) freeSlots(dst []int, n int, rotating bool) []int {
 	for slot := 0; slot < n; slot++ {
 		if t.pinnedIn(slot) != nil {
 			continue
@@ -199,9 +198,9 @@ func (t *Thread) freeSlots(n int, rotating bool) []int {
 		if g := t.groupSlots[slot]; g != nil && (g.perf || !rotating) {
 			continue
 		}
-		free = append(free, slot)
+		dst = append(dst, slot)
 	}
-	return free
+	return dst
 }
 
 // groupMark re-snapshots the per-event ground-truth baseline for the
@@ -275,11 +274,26 @@ func (k *Kernel) drainGroup(core *cpu.Core, t *Thread, g *EventGroup, span uint6
 }
 
 // groupPlan is a pure placement decision: which groups load into which
-// free slots.
+// free slots. Each planned group takes the next len(Events) slots of
+// free, in plan order, so the n slots in use are free[:n]. The kernel
+// owns one plan and rebuilds it in place for every placement (newPlan),
+// so switch-ins and rotations allocate nothing once it has grown;
+// applyGroupPlan copies the slots into each group, and a plan never
+// outlives the call that built it.
 type groupPlan struct {
-	gs    []*EventGroup
-	slots [][]int
-	n     int
+	gs   []*EventGroup
+	free []int
+	n    int
+}
+
+// newPlan empties the kernel's plan and lists t's free slots in it
+// (see freeSlots).
+func (k *Kernel) newPlan(core *cpu.Core, t *Thread, rotating bool) *groupPlan {
+	ensureGroupSlots(core, t)
+	p := &k.plan
+	p.gs, p.n = p.gs[:0], 0
+	p.free = t.freeSlots(p.free[:0], core.PMU.NumCounters(), rotating)
+	return p
 }
 
 // GroupFits is the placement rule: a group of n events loads only
@@ -291,14 +305,13 @@ func GroupFits(n, free int) bool { return n <= free }
 // place adds to the plan each group of open that fits whole into the
 // free slots the plan has not used yet, walking open cyclically from
 // rot so successive rotations advance the window.
-func (p *groupPlan) place(open []*EventGroup, rot int, free []int) {
+func (p *groupPlan) place(open []*EventGroup, rot int) {
 	for j := range open {
 		g := open[(rot+j)%len(open)]
-		if !GroupFits(len(g.Events), len(free)-p.n) {
+		if !GroupFits(len(g.Events), len(p.free)-p.n) {
 			continue
 		}
 		p.gs = append(p.gs, g)
-		p.slots = append(p.slots, free[p.n:p.n+len(g.Events)])
 		p.n += len(g.Events)
 	}
 }
@@ -307,9 +320,11 @@ func (p *groupPlan) place(open []*EventGroup, rot int, free []int) {
 // filter, enable, value zeroed. Costless at the simulation level — the
 // caller charges the MSR traffic, before this instant except where
 // SysPerfOpen's order says otherwise.
-func (k *Kernel) applyGroupPlan(core *cpu.Core, t *Thread, p groupPlan) {
-	for j, g := range p.gs {
-		g.slots = append(g.slots[:0], p.slots[j]...)
+func (k *Kernel) applyGroupPlan(core *cpu.Core, t *Thread, p *groupPlan) {
+	free := p.free
+	for _, g := range p.gs {
+		g.slots = append(g.slots[:0], free[:len(g.Events)]...)
+		free = free[len(g.Events):]
 		g.Loaded = true
 		for i, slot := range g.slots {
 			ge := g.Events[i]
@@ -333,14 +348,13 @@ func (k *Kernel) applyGroupPlan(core *cpu.Core, t *Thread, p groupPlan) {
 // switch-in: the caller re-marks truth and opens the span right after,
 // so the enable instant and the truth mark coincide.
 func (k *Kernel) groupsLoad(core *cpu.Core, t *Thread) {
-	ensureGroupSlots(core, t)
-	free := t.freeSlots(core.PMU.NumCounters(), false)
-	var p groupPlan
-	if perf := t.perfGroups(); len(perf) != 0 {
-		p.place(perf, t.muxPos, free)
+	p := k.newPlan(core, t, false)
+	if k.cands = t.perfGroups(k.cands[:0]); len(k.cands) != 0 {
+		p.place(k.cands, t.muxPos)
 		t.muxPos++
 	}
-	p.place(t.openGroups(), t.muxRot, free)
+	k.cands = t.openGroups(k.cands[:0])
+	p.place(k.cands, t.muxRot)
 	if p.n == 0 {
 		return
 	}
@@ -369,12 +383,13 @@ func (k *Kernel) groupPark(core *cpu.Core, t *Thread, g *EventGroup) int {
 
 // startGroup starts g's accounting at this instant, at which the
 // caller has just closed the span, and loads g onto the first free
-// slots when it fits whole.
-func (k *Kernel) startGroup(core *cpu.Core, t *Thread, g *EventGroup, free []int) {
+// slots of p, a plan from newPlan, when it fits whole.
+func (k *Kernel) startGroup(core *cpu.Core, t *Thread, g *EventGroup, p *groupPlan) {
 	g.OpenSchedMark = t.Stats.SchedCycles
 	k.groupMark(core, t)
-	if n := len(g.Events); GroupFits(n, len(free)) {
-		k.applyGroupPlan(core, t, groupPlan{gs: []*EventGroup{g}, slots: [][]int{free[:n]}, n: n})
+	if n := len(g.Events); GroupFits(n, len(p.free)) {
+		p.gs, p.n = append(p.gs, g), n
+		k.applyGroupPlan(core, t, p)
 	}
 }
 
@@ -420,7 +435,8 @@ func (k *Kernel) muxTick(coreID int, t *Thread) uint64 {
 // window, and emit one event frame. Perf groups stay loaded throughout.
 func (k *Kernel) muxRotate(coreID int, t *Thread) {
 	core := k.cores[coreID]
-	open := t.openGroups()
+	k.cands = t.openGroups(k.cands[:0])
+	open := k.cands
 	if len(open) == 0 {
 		// Every group closed: nothing rotates, but close the span so the
 		// quantum check restarts instead of firing again at once.
@@ -429,9 +445,8 @@ func (k *Kernel) muxRotate(coreID int, t *Thread) {
 		return
 	}
 	nextRot := (t.muxRot + 1) % len(open)
-	ensureGroupSlots(core, t)
-	var plan groupPlan
-	plan.place(open, nextRot, t.freeSlots(core.PMU.NumCounters(), true))
+	plan := k.newPlan(core, t, true)
+	plan.place(open, nextRot)
 
 	// Price everything before the atomic instant: rotation handler,
 	// save-side MSR reads/writes for loaded slots, load-side writes for
@@ -474,6 +489,11 @@ func (k *Kernel) emitFrame(coreID int, t *Thread, final bool) {
 		Final:  final,
 	}
 	k.frameSeq++
+	n := 0
+	for _, g := range t.groups {
+		n += len(g.Events)
+	}
+	f.Samples = make([]FrameSample, 0, n)
 	for gi, g := range t.groups {
 		for i := range g.Events {
 			f.Samples = append(f.Samples, FrameSample{
@@ -515,12 +535,11 @@ func (k *Kernel) groupOpen(coreID int, t *Thread, tableAddr, count uint64) uint6
 			CountKernel: flags&FlagKernel != 0,
 		}
 	}
-	ensureGroupSlots(core, t)
 
 	// Placement for the new group only: it may take any slot free of
 	// counters and of already-loaded groups.
-	free := t.freeSlots(core.PMU.NumCounters(), false)
-	if len(evs) <= len(free) && !core.PMU.Features().HardwareVirtualization {
+	p := k.newPlan(core, t, false)
+	if GroupFits(len(evs), len(p.free)) && !core.PMU.Features().HardwareVirtualization {
 		core.KernelWork(k.cfg.Costs.MSRWrite * 2 * uint64(len(evs)))
 	}
 
@@ -529,9 +548,10 @@ func (k *Kernel) groupOpen(coreID int, t *Thread, tableAddr, count uint64) uint6
 		Events: evs,
 		Raw:    make([]uint64, count),
 		True:   make([]uint64, count),
+		slots:  make([]int, 0, count),
 	}
 	t.groups = append(t.groups, g)
-	k.startGroup(core, t, g, free)
+	k.startGroup(core, t, g, p)
 	return uint64(len(t.groups) - 1)
 }
 

@@ -550,6 +550,11 @@ type Kernel struct {
 	// frameSeq is the kernel-wide emission counter stamped on each.
 	frames   []Frame
 	frameSeq uint64
+	// plan and cands are the group-placement scratch every switch-in,
+	// rotation and group start rebuilds in place: the plan, and the
+	// groups offered to it (groups.go).
+	plan  groupPlan
+	cands []*EventGroup
 
 	Stats Stats
 }

@@ -2,14 +2,17 @@ package metrics
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
 	"limitsim/internal/jsonl"
 	"limitsim/internal/kernel"
+	"limitsim/internal/pmu"
 	"limitsim/internal/telemetry"
 )
 
@@ -48,32 +51,56 @@ func (f *Frame) TenantID() int {
 	return *f.Tenant
 }
 
+// sampleNames holds every sample name by event and ring filter: user
+// only, kernel only, both rings. FromKernel takes names from it rather
+// than building a string per sample.
+var sampleNames = func() (t [pmu.NumEvents][3]string) {
+	for ev := range t {
+		name := pmu.Event(ev).String()
+		t[ev] = [3]string{name, name + ":k", name + ":uk"}
+	}
+	return t
+}()
+
 // SampleName renders a kernel group event as a sample name.
 func SampleName(ge kernel.GroupEvent) string {
+	ring := 0
 	switch {
 	case ge.CountUser && ge.CountKernel:
-		return ge.Event.String() + ":uk"
+		ring = 2
 	case ge.CountKernel:
-		return ge.Event.String() + ":k"
-	default:
-		return ge.Event.String()
+		ring = 1
 	}
+	return sampleNames[ge.Event][ring]
 }
 
 // FromKernel converts the kernel's frame log into the metric engine's
 // frame form. Tenant ids ride along only when the run's tenant layer
-// was active (Config.Tenants > 1).
+// was active (Config.Tenants > 1). Every frame's samples are a capped
+// slice of one backing array, and every tenant id an element of
+// another.
 func FromKernel(k *kernel.Kernel) []Frame {
 	kf := k.Frames()
-	tenants := k.Config().Tenants > 1
+	total := 0
+	for i := range kf {
+		total += len(kf[i].Samples)
+	}
+	samples := make([]Sample, total)
+	var tenants []int
+	if k.Config().Tenants > 1 {
+		tenants = make([]int, len(kf))
+	}
 	out := make([]Frame, len(kf))
-	for i, f := range kf {
-		nf := Frame{Seq: f.Seq, Cycle: f.Cycle, TID: f.TID, Final: f.Final}
-		if tenants {
-			tenant := f.Tenant
-			nf.Tenant = &tenant
+	for i := range kf {
+		f := &kf[i]
+		nf := &out[i]
+		*nf = Frame{Seq: f.Seq, Cycle: f.Cycle, TID: f.TID, Final: f.Final}
+		if tenants != nil {
+			tenants[i] = f.Tenant
+			nf.Tenant = &tenants[i]
 		}
-		nf.Samples = make([]Sample, len(f.Samples))
+		n := len(f.Samples)
+		nf.Samples, samples = samples[:n:n], samples[n:]
 		for j, s := range f.Samples {
 			nf.Samples[j] = Sample{
 				Name:    SampleName(s.Event),
@@ -82,7 +109,6 @@ func FromKernel(k *kernel.Kernel) []Frame {
 				Running: s.Running,
 			}
 		}
-		out[i] = nf
 	}
 	return out
 }
@@ -279,14 +305,8 @@ func Merge(streams ...[]Frame) []Frame {
 	for _, s := range streams {
 		all = append(all, s...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Cycle != all[j].Cycle {
-			return all[i].Cycle < all[j].Cycle
-		}
-		if all[i].TID != all[j].TID {
-			return all[i].TID < all[j].TID
-		}
-		return all[i].Seq < all[j].Seq
+	slices.SortStableFunc(all, func(a, b Frame) int {
+		return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.TID, b.TID), cmp.Compare(a.Seq, b.Seq))
 	})
 	return all
 }

@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"limitsim/internal/jsonl"
 	"limitsim/internal/tabwrite"
@@ -102,35 +106,88 @@ type SeriesSet struct {
 	Keys []int
 	// Names is the sorted union of sample names seen in the stream.
 	Names []string
-	// deltas[key][window][name]; absent names mean 0.
-	deltas map[int][]map[string]int64
+	// cells[k*len(Windows)+w] is 1 + the offset in deltas of key Keys[k]'s
+	// deltas in window w, one per name in Names order; 0 when the key
+	// never ran in the window.
+	cells  []int
+	deltas []int64
+}
+
+// maxSeriesBytes bounds each array built per window of a series set:
+// 2^47 bytes, half the largest allocation Go accepts on 64-bit Linux,
+// or the largest int where that is smaller.
+const maxSeriesBytes = min(math.MaxInt, 1<<47)
+
+// maxWindows is the most windows a series set of keys split keys may
+// have: its WindowSpans, and its cells and Rows' WindowRows (one per
+// key and window; a WindowRow outweighs a cell), stay within
+// maxSeriesBytes.
+func maxWindows(keys int) uint64 {
+	perWindow := max(unsafe.Sizeof(WindowSpan{}), uintptr(keys)*unsafe.Sizeof(WindowRow{}))
+	return maxSeriesBytes / uint64(perWindow)
 }
 
 // Windowed slices frames into fixed windows of window cycles. The
 // frames may come straight from FromKernel or from merged shards; they
 // are canonicalized with Merge first, so any input order yields the
-// same set.
+// same set. A stream that needs more windows than maxWindows allows,
+// or whose last window ends past cycle 2^64-1, is an error naming the
+// last cycle and the window.
 func Windowed(frames []Frame, window uint64, split Split) (*SeriesSet, error) {
 	if window == 0 {
 		return nil, fmt.Errorf("metrics: window must be positive")
 	}
 	frames = Merge(frames)
-	ss := &SeriesSet{
-		WindowCycles: window,
-		Split:        split,
-		deltas:       make(map[int][]map[string]int64),
-	}
+	ss := &SeriesSet{WindowCycles: window, Split: split}
 	if len(frames) == 0 {
 		return ss, nil
 	}
+	key := func(f *Frame) int {
+		switch split {
+		case SplitTenant:
+			return f.TenantID()
+		case SplitThread:
+			return f.TID
+		}
+		return 0
+	}
 
+	// First pass: the last cycle, the split keys and the names. Once
+	// sorted, each key and name is indexed by its sorted position.
+	keyIndex := make(map[int]int)
+	nameIndex := make(map[string]int)
 	var maxCycle uint64
 	for i := range frames {
-		if frames[i].Cycle > maxCycle {
-			maxCycle = frames[i].Cycle
+		f := &frames[i]
+		maxCycle = max(maxCycle, f.Cycle)
+		if k := key(f); keyIndex[k] == 0 {
+			keyIndex[k] = 1
+			ss.Keys = append(ss.Keys, k)
+		}
+		for j := range f.Samples {
+			if name := f.Samples[j].Name; nameIndex[name] == 0 {
+				nameIndex[name] = 1
+				ss.Names = append(ss.Names, name)
+			}
 		}
 	}
-	numWin := int(maxCycle/window) + 1
+	sort.Ints(ss.Keys)
+	for i, k := range ss.Keys {
+		keyIndex[k] = i
+	}
+	sort.Strings(ss.Names)
+	for i, name := range ss.Names {
+		nameIndex[name] = i
+	}
+
+	last := maxCycle / window
+	if last >= maxWindows(len(ss.Keys)) {
+		return nil, fmt.Errorf("metrics: cycle %d lies in window %d of %d-cycle windows: more windows than a series can hold", maxCycle, last, window)
+	}
+	if hi, _ := bits.Mul64(last+1, window); hi != 0 {
+		return nil, fmt.Errorf("metrics: cycle %d lies in window %d of %d-cycle windows, which ends past cycle 2^64-1", maxCycle, last, window)
+	}
+	numWin := int(last) + 1
 	ss.Windows = make([]WindowSpan, numWin)
 	for w := range ss.Windows {
 		ss.Windows[w] = WindowSpan{
@@ -139,67 +196,73 @@ func Windowed(frames []Frame, window uint64, split Split) (*SeriesSet, error) {
 			End:   uint64(w+1) * window,
 		}
 	}
-	last := &ss.Windows[numWin-1]
-	last.Partial = maxCycle+1 < last.End
+	tail := &ss.Windows[numWin-1]
+	tail.Partial = maxCycle+1 < tail.End
 
-	// Per-thread cumulative tracking mirrors Totals exactly: samples
-	// are cumulative, the first sample of a duplicated name wins
-	// within a frame (overlapping groups would double count), and the
-	// telescoped deltas of a thread sum to its last frame's values.
-	cum := make(map[int]map[string]uint64)
-	nameSet := make(map[string]bool)
+	// Second pass. Per-thread cumulative tracking mirrors Totals
+	// exactly: samples are cumulative, the first sample of a duplicated
+	// name wins within a frame (overlapping groups would double count),
+	// and the telescoped deltas of a thread sum to its last frame's
+	// values.
+	n := len(ss.Names)
+	ss.cells = make([]int, len(ss.Keys)*numWin)
+	ss.deltas = make([]int64, 0, n*min(len(frames), len(ss.cells)))
+	cum := make(map[int][]uint64)
+	seen := make([]int, n) // per name, 1 + the last frame that counted it
 	for i := range frames {
 		f := &frames[i]
-		key := 0
-		switch split {
-		case SplitTenant:
-			key = f.TenantID()
-		case SplitThread:
-			key = f.TID
+		c := keyIndex[key(f)]*numWin + int(f.Cycle/window)
+		if ss.cells[c] == 0 {
+			ss.cells[c] = len(ss.deltas) + 1
+			ss.deltas = append(ss.deltas, make([]int64, n)...)
 		}
-		wins, ok := ss.deltas[key]
-		if !ok {
-			wins = make([]map[string]int64, numWin)
-			ss.deltas[key] = wins
-			ss.Keys = append(ss.Keys, key)
-		}
-		w := int(f.Cycle / window)
-		if wins[w] == nil {
-			wins[w] = make(map[string]int64)
-		}
+		deltas := ss.deltas[ss.cells[c]-1:][:n]
 		prev := cum[f.TID]
 		if prev == nil {
-			prev = make(map[string]uint64)
+			prev = make([]uint64, n)
 			cum[f.TID] = prev
 		}
-		seen := make(map[string]bool, len(f.Samples))
-		for _, s := range f.Samples {
-			if seen[s.Name] {
+		for j := range f.Samples {
+			s := &f.Samples[j]
+			id := nameIndex[s.Name]
+			if seen[id] == i+1 {
 				continue
 			}
-			seen[s.Name] = true
-			nameSet[s.Name] = true
-			wins[w][s.Name] += int64(s.Value) - int64(prev[s.Name])
-			prev[s.Name] = s.Value
+			seen[id] = i + 1
+			deltas[id] += int64(s.Value) - int64(prev[id])
+			prev[id] = s.Value
 		}
 	}
-	sort.Ints(ss.Keys)
-	ss.Names = make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		ss.Names = append(ss.Names, name)
-	}
-	sort.Strings(ss.Names)
 	return ss, nil
 }
 
-// Delta returns one key's signed per-event deltas for window w (nil
-// for a window in which the key never ran).
-func (ss *SeriesSet) Delta(key, w int) map[string]int64 {
-	wins, ok := ss.deltas[key]
-	if !ok || w < 0 || w >= len(wins) {
+// cell returns key index k's deltas in window w, in Names order, or
+// nil when the key never ran in the window.
+func (ss *SeriesSet) cell(k, w int) []int64 {
+	off := ss.cells[k*len(ss.Windows)+w]
+	if off == 0 {
 		return nil
 	}
-	return wins[w]
+	return ss.deltas[off-1:][:len(ss.Names)]
+}
+
+// Delta returns one key's signed per-event deltas for window w, one
+// entry per name of the stream (nil for a window in which the key
+// never ran).
+func (ss *SeriesSet) Delta(key, w int) map[string]int64 {
+	k, ok := slices.BinarySearch(ss.Keys, key)
+	if !ok || w < 0 || w >= len(ss.Windows) {
+		return nil
+	}
+	deltas := ss.cell(k, w)
+	if deltas == nil {
+		return nil
+	}
+	m := make(map[string]int64, len(ss.Names))
+	for i, name := range ss.Names {
+		m[name] = deltas[i]
+	}
+	return m
 }
 
 // WindowRow is one (window, key) evaluation: the signed event deltas
@@ -224,26 +287,32 @@ type WindowRow struct {
 // the reconciliation guarantee sums.
 func (ss *SeriesSet) Rows(defs []*Def) []WindowRow {
 	rows := make([]WindowRow, 0, len(ss.Windows)*len(ss.Keys))
-	for _, win := range ss.Windows {
-		for _, key := range ss.Keys {
-			deltas := ss.Delta(key, win.Index)
+	labels := make([]string, len(ss.Keys))
+	for k, key := range ss.Keys {
+		labels[k] = ss.Split.keyLabel(key)
+	}
+	// One env serves every row: each row sets every name, and Eval
+	// keeps no reference to it.
+	env := make(map[string]float64, len(ss.Names))
+	for w, win := range ss.Windows {
+		for k := range ss.Keys {
+			deltas := ss.cell(k, w)
 			row := WindowRow{
 				Window:  win.Index,
 				Start:   win.Start,
 				End:     win.End,
 				Partial: win.Partial,
-				Key:     ss.Split.keyLabel(key),
+				Key:     labels[k],
 				Inputs:  make(map[string]int64, len(ss.Names)),
 				Metrics: make(map[string]float64, len(defs)),
 			}
-			env := make(map[string]float64, len(ss.Names))
-			for _, name := range ss.Names {
-				d := deltas[name]
-				row.Inputs[name] = d
-				if d < 0 {
-					d = 0
+			for i, name := range ss.Names {
+				var d int64
+				if deltas != nil {
+					d = deltas[i]
 				}
-				env[name] = float64(d)
+				row.Inputs[name] = d
+				env[name] = float64(max(d, 0))
 			}
 			for _, d := range defs {
 				v, err := d.Eval(env)
@@ -318,7 +387,7 @@ func WriteSeriesJSONL(w io.Writer, rows []WindowRow) error {
 			}
 			line = jsonl.AppendString(line, name)
 			line = append(line, ':')
-			line = strconv.AppendFloat(line, r.Metrics[name], 'f', 6, 64)
+			line = jsonl.AppendFixed(line, r.Metrics[name], 6)
 		}
 		line = append(line, "}}\n"...)
 		bw.Write(line) // a write error sticks; Flush returns it

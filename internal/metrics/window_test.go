@@ -3,8 +3,11 @@ package metrics
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"limitsim/internal/telemetry"
 )
@@ -161,6 +164,78 @@ func TestWindowedSplitThreadAndTenant(t *testing.T) {
 func TestWindowedZeroWindowRejected(t *testing.T) {
 	if _, err := Windowed(windowFrames(), 0, SplitNone); err == nil {
 		t.Error("window=0 accepted, want error")
+	}
+}
+
+// A stream that needs more windows than a series can hold, or whose
+// last window ends past cycle 2^64-1, is an error naming the cycle and
+// the window: not a makeslice panic, and not a span whose end wraps to
+// 0. A window count that is huge but fits is not tried here: it really
+// allocates.
+func TestWindowedRejectsWindowsItCannotIndexOrBound(t *testing.T) {
+	for _, c := range []struct {
+		cycle, window uint64
+		split         Split
+	}{
+		{9223372036854775813, 1, SplitNone},  // the window count overflows int
+		{math.MaxUint64, 1, SplitNone},       // and so would its index + 1
+		{1 << 62, 1, SplitNone},              // fits int, not a slice
+		{1 << 62, 1, SplitThread},            // keys × windows overflows int
+		{math.MaxUint64, 1 << 62, SplitNone}, // window 3 ends at 2^64
+		{math.MaxUint64, 1 << 63, SplitNone}, // window 1 ends at 2^64
+		{math.MaxUint64, math.MaxUint64 - 1, SplitNone},
+	} {
+		frames := []Frame{
+			{Seq: 0, Cycle: 0, TID: 1, Samples: []Sample{{Name: "cycles", Value: 1}}},
+			{Seq: 1, Cycle: c.cycle, TID: 2, Samples: []Sample{{Name: "cycles", Value: 2}}},
+		}
+		ss, err := Windowed(frames, c.window, c.split)
+		if err == nil {
+			t.Errorf("cycle %d, window %d: accepted with %d windows", c.cycle, c.window, len(ss.Windows))
+			continue
+		}
+		for _, want := range []string{fmt.Sprint(c.cycle), fmt.Sprintf("%d-cycle", c.window)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("cycle %d, window %d: error %q does not name %s", c.cycle, c.window, err, want)
+			}
+		}
+	}
+	// The largest spans that still fit: one window ending at 2^64-1,
+	// and three windows the last of which ends there.
+	for _, c := range []struct{ cycle, window, end uint64 }{
+		{math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64},
+		{math.MaxUint64 - 1, math.MaxUint64 / 3, math.MaxUint64},
+	} {
+		frames := []Frame{{Cycle: c.cycle, TID: 1, Samples: []Sample{{Name: "cycles", Value: 1}}}}
+		ss, err := Windowed(frames, c.window, SplitNone)
+		if err != nil {
+			t.Errorf("cycle %d, window %d: %v", c.cycle, c.window, err)
+			continue
+		}
+		if tail := ss.Windows[len(ss.Windows)-1]; tail.End != c.end || tail.Start >= tail.End {
+			t.Errorf("cycle %d, window %d: tail window [%d, %d), want end %d", c.cycle, c.window, tail.Start, tail.End, c.end)
+		}
+	}
+}
+
+// maxWindows keeps a series' WindowSpans and its WindowRows, one per
+// key and window, within maxSeriesBytes, and is the most windows that
+// do so: each key more allows fewer.
+func TestMaxWindowsBoundsEveryArray(t *testing.T) {
+	span, row := uint64(unsafe.Sizeof(WindowSpan{})), uint64(unsafe.Sizeof(WindowRow{}))
+	prev := uint64(math.MaxUint64)
+	for _, keys := range []uint64{1, 2, 3, 1000, 1 << 20} {
+		n := maxWindows(int(keys))
+		if n*span > maxSeriesBytes || n*keys*row > maxSeriesBytes {
+			t.Errorf("%d keys: %d windows pass %d bytes", keys, n, uint64(maxSeriesBytes))
+		}
+		if (n+1)*keys*row <= maxSeriesBytes {
+			t.Errorf("%d keys: %d windows is not the most that fit", keys, n)
+		}
+		if n >= prev {
+			t.Errorf("%d keys allow %d windows, no fewer than one key less", keys, n)
+		}
+		prev = n
 	}
 }
 

@@ -2,7 +2,8 @@ package report
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"limitsim/internal/metrics"
@@ -88,68 +89,65 @@ func (a *Artifact) AddSeries(title string, rows []metrics.WindowRow) {
 		return
 	}
 
-	// Index values by metric, then key, then window.
-	type keyed map[string]map[int]float64 // key -> window -> value
-	metricNames := map[string]bool{}
-	keys := map[string]bool{}
+	// The sorted metric names and keys, and the last window.
+	var names, keys []string
 	maxWin := 0
-	byMetric := map[string]keyed{}
-	for _, r := range rows {
-		if r.Window > maxWin {
-			maxWin = r.Window
+	for i := range rows {
+		r := &rows[i]
+		maxWin = max(maxWin, r.Window)
+		keys = insertSorted(keys, r.Key)
+		for name := range r.Metrics {
+			names = insertSorted(names, name)
 		}
-		keys[r.Key] = true
+	}
+	// vals holds every chart value by metric, then key, then window. A
+	// window with no row for a key reads 0; a later row for the same
+	// key and window overwrites the metrics it carries.
+	nWin := maxWin + 1
+	vals := make([]float64, len(names)*len(keys)*nWin)
+	for i := range rows {
+		r := &rows[i]
+		k, _ := slices.BinarySearch(keys, r.Key)
 		for name, v := range r.Metrics {
-			metricNames[name] = true
-			if byMetric[name] == nil {
-				byMetric[name] = keyed{}
-			}
-			if byMetric[name][r.Key] == nil {
-				byMetric[name][r.Key] = map[int]float64{}
-			}
-			byMetric[name][r.Key][r.Window] = v
+			m, _ := slices.BinarySearch(names, name)
+			vals[(m*len(keys)+k)*nWin:][:nWin][r.Window] = v
 		}
 	}
-	sortedMetrics := make([]string, 0, len(metricNames))
-	for name := range metricNames {
-		sortedMetrics = append(sortedMetrics, name)
-	}
-	sort.Strings(sortedMetrics)
-	sortedKeyList := make([]string, 0, len(keys))
-	for k := range keys {
-		sortedKeyList = append(sortedKeyList, k)
-	}
-	sort.Strings(sortedKeyList)
 
-	for _, name := range sortedMetrics {
-		fmt.Fprintf(&b, "<h3>%s</h3>\n", esc(name))
-		var series []chartSeries
-		for _, key := range sortedKeyList {
-			vals := make([]float64, maxWin+1)
-			for w, v := range byMetric[name][key] {
-				vals[w] = v
-			}
-			series = append(series, chartSeries{Label: key, Values: vals})
+	series := make([]chartSeries, len(keys))
+	for m, name := range names {
+		b.WriteString("<h3>" + esc(name) + "</h3>\n")
+		for k, key := range keys {
+			series[k] = chartSeries{Label: key, Values: vals[(m*len(keys)+k)*nWin:][:nWin]}
 		}
 		lineChart(&b, series)
 	}
 
 	// The compact table mirrors the text renderer: window-major rows.
-	header := append([]string{"window", "cycles", "key"}, sortedMetrics...)
-	var tbl [][]string
-	for _, r := range rows {
-		span := fmt.Sprintf("%d..%d", r.Start, r.End)
+	header := append([]string{"window", "cycles", "key"}, names...)
+	tbl := make([][]string, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		span := strconv.FormatUint(r.Start, 10) + ".." + strconv.FormatUint(r.End, 10)
 		if r.Partial {
 			span += " (partial)"
 		}
-		cells := []string{fmt.Sprintf("%d", r.Window), span, r.Key}
-		for _, name := range sortedMetrics {
+		cells := append(make([]string, 0, len(header)), strconv.Itoa(r.Window), span, r.Key)
+		for _, name := range names {
 			cells = append(cells, f4(r.Metrics[name]))
 		}
-		tbl = append(tbl, cells)
+		tbl[i] = cells
 	}
 	tableHTML(&b, header, tbl)
 	a.add(title, b.String())
+}
+
+// insertSorted adds s to the sorted list unless it holds it already.
+func insertSorted(list []string, s string) []string {
+	if i, found := slices.BinarySearch(list, s); !found {
+		list = slices.Insert(list, i, s)
+	}
+	return list
 }
 
 // AddFlame appends a flame view of the Chrome-span export.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"limitsim/internal/jsonl"
 	"limitsim/internal/trace"
 )
 
@@ -98,6 +99,7 @@ func lineChart(b *strings.Builder, series []chartSeries) {
 	fmt.Fprintf(b, "<text x=\"%d\" y=\"%d\" font-size=\"11\" fill=\"#51616f\" text-anchor=\"end\">window %d</text>\n",
 		chartW-chartPadR, chartH-6, n-1)
 
+	var line []byte
 	for _, s := range series {
 		color := colorFor(s.Label)
 		if len(s.Values) == 1 {
@@ -105,12 +107,19 @@ func lineChart(b *strings.Builder, series []chartSeries) {
 				f2(x(0)), f2(y(s.Values[0])), color)
 			continue
 		}
-		pts := make([]string, len(s.Values))
+		line = append(line[:0], `<polyline points="`...)
 		for i, v := range s.Values {
-			pts[i] = f2(x(i)) + "," + f2(y(v))
+			if i > 0 {
+				line = append(line, ' ')
+			}
+			line = jsonl.AppendFixed(line, x(i), 2)
+			line = append(line, ',')
+			line = jsonl.AppendFixed(line, y(v), 2)
 		}
-		fmt.Fprintf(b, "<polyline points=\"%s\" fill=\"none\" stroke=\"%s\" stroke-width=\"1.5\"></polyline>\n",
-			strings.Join(pts, " "), color)
+		line = append(line, `" fill="none" stroke="`...)
+		line = append(line, color...)
+		line = append(line, `" stroke-width="1.5"></polyline>`+"\n"...)
+		b.Write(line)
 	}
 	b.WriteString("</svg>\n")
 

@@ -21,8 +21,9 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"strconv"
 	"strings"
+
+	"limitsim/internal/jsonl"
 )
 
 // Artifact accumulates titled sections and renders them as one HTML
@@ -56,11 +57,17 @@ func (a *Artifact) add(title, body string) {
 func esc(s string) string { return html.EscapeString(s) }
 
 // f2, f4 and f6 render floats at fixed precision; all float output in
-// the artifact flows through them so formatting is uniform and
-// deterministic.
-func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
-func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-func f6(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
+// the artifact flows through them, or through jsonl.AppendFixed where
+// it is appended to a buffer, so formatting is uniform and
+// deterministic: the bytes of strconv's 'f' format.
+func f2(v float64) string { return fixed(v, 2) }
+func f4(v float64) string { return fixed(v, 4) }
+func f6(v float64) string { return fixed(v, 6) }
+
+func fixed(v float64, prec int) string {
+	var buf [32]byte
+	return string(jsonl.AppendFixed(buf[:0], v, prec))
+}
 
 // AddTable appends a plain table section. Cells are escaped; a cell
 // already formatted by the caller renders verbatim as text.

@@ -178,6 +178,41 @@ func TestAddSeries(t *testing.T) {
 	}
 }
 
+// The charts read a window a key has no row for as 0, and a later row
+// for the same key and window overwrites only the metrics it carries:
+// rows with a gap and a partial repeat chart exactly as the rows
+// written out in full.
+func TestAddSeriesGapsAndRepeats(t *testing.T) {
+	row := func(w int, key string, m map[string]float64) metrics.WindowRow {
+		return metrics.WindowRow{Window: w, Start: uint64(w) * 10, End: uint64(w+1) * 10, Key: key, Metrics: m}
+	}
+	sparse := []metrics.WindowRow{
+		row(0, "a", map[string]float64{"m": 1, "n": 2}),
+		row(0, "b", map[string]float64{"m": 3, "n": 4}),
+		row(1, "a", map[string]float64{"m": 5, "n": 6}),
+		row(2, "a", map[string]float64{"m": 7, "n": 8}),
+		row(2, "b", map[string]float64{"m": 9}),
+		row(1, "a", map[string]float64{"m": -5}),
+	}
+	full := []metrics.WindowRow{
+		row(0, "a", map[string]float64{"m": 1, "n": 2}),
+		row(0, "b", map[string]float64{"m": 3, "n": 4}),
+		row(1, "a", map[string]float64{"m": -5, "n": 6}),
+		row(1, "b", map[string]float64{"m": 0, "n": 0}),
+		row(2, "a", map[string]float64{"m": 7, "n": 8}),
+		row(2, "b", map[string]float64{"m": 9, "n": 0}),
+	}
+	charts := func(rows []metrics.WindowRow) string {
+		a := New("t", "")
+		a.AddSeries("S", rows)
+		out := render(t, a)
+		return out[:strings.Index(out, "<table>")]
+	}
+	if got, want := charts(sparse), charts(full); got != want {
+		t.Errorf("charts of sparse rows differ from the full rows':\n%s\nwant\n%s", got, want)
+	}
+}
+
 // The registry section renders counters, gauges and histograms; an
 // empty registry gets an explicit placeholder.
 func TestAddRegistry(t *testing.T) {

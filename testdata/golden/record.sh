@@ -8,7 +8,8 @@
 # series) and HTML artifacts are pinned here at fixed seeds. The files
 # in this directory were recorded on the pre-optimization tree; the
 # derived-metric ones on the tree that still evaluated the catalogue
-# through an expression parser.
+# through an expression parser; the series HTML on the tree that still
+# formatted its floats through strconv.
 #
 # Usage (from the repo root):
 #   ./testdata/golden/record.sh check    # re-run and byte-compare (CI)
@@ -17,7 +18,7 @@ set -eu
 
 dir="$(dirname "$0")"
 mode="${1:-check}"
-files="campaign.txt soak.txt soak-tenants.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html metrics-mysql.txt series-mysql.jsonl"
+files="campaign.txt soak.txt soak-tenants.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html metrics-mysql.txt series-mysql.jsonl series-report-mysql.html"
 
 case "$mode" in
 record) out="$dir" ;;
@@ -34,6 +35,12 @@ go run ./cmd/limit-experiments -scale 0.1 -parallel 4 >"$out/experiments.txt"
 go run ./cmd/limitctl metrics -app apache -scale 0.3 -format frames >"$out/frames-apache.jsonl"
 go run ./cmd/limitctl metrics -app mysql -scale 0.3 >"$out/metrics-mysql.txt"
 go run ./cmd/limitctl metrics -app mysql -scale 0.3 -window 200000 -split thread -format jsonl >"$out/series-mysql.jsonl"
+# The series report is built from multiplexed frames kept outside this
+# directory: only the HTML is pinned.
+frames="$(mktemp "${TMPDIR:-/tmp}/limitsim-frames.XXXXXX")"
+go run ./cmd/limitctl metrics -app mysql -scale 0.3 -counters 6 -width 2 -format frames >"$frames"
+go run ./cmd/limitctl report -frames "$frames" -window 200000 -split thread -o "$out/series-report-mysql.html"
+rm -f "$frames"
 
 if [ "$mode" = check ]; then
 	rc=0
