@@ -61,6 +61,13 @@ func NewGshare(bits uint) *Gshare {
 	return &Gshare{table: make([]uint8, n), mask: n - 1, histLen: hl}
 }
 
+// Reset returns the predictor to the state NewGshare built: every
+// counter weakly not-taken (zero) and an empty history.
+func (p *Gshare) Reset() {
+	clear(p.table)
+	p.history = 0
+}
+
 func (p *Gshare) index(pc uint64) uint64 { return (pc ^ p.history) & p.mask }
 
 // Predict implements Predictor.

@@ -1,6 +1,9 @@
 package branch
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func trainAndCount(p Predictor, pattern []bool, reps int) (mispredicts int) {
 	pc := uint64(0x40)
@@ -83,4 +86,23 @@ func TestAlwaysTaken(t *testing.T) {
 		t.Error("AlwaysTaken must predict taken")
 	}
 	p.Update(0, false) // must not panic
+}
+
+// Reset returns a trained gshare predictor to exactly what NewGshare
+// builds, and it then predicts as a new one does.
+func TestGshareResetEqualsNew(t *testing.T) {
+	pattern := []bool{true, true, false, true, false, false, true}
+	p := NewGshare(10)
+	trainAndCount(p, pattern, 50)
+	if p.history == 0 {
+		t.Fatal("training left an empty history")
+	}
+	p.Reset()
+	fresh := NewGshare(10)
+	if !reflect.DeepEqual(p, fresh) {
+		t.Fatalf("Reset left history %#x and a table differing from NewGshare's", p.history)
+	}
+	if a, b := trainAndCount(p, pattern, 20), trainAndCount(fresh, pattern, 20); a != b {
+		t.Errorf("after Reset: %d mispredicts, a new predictor %d", a, b)
+	}
 }

@@ -56,17 +56,24 @@ type Result struct {
 }
 
 // Sets are grouped into chunks of chunkSets, and a chunk's tag state is
-// allocated on first touch: machines are built per run by the campaign
-// workers, and most of the LLC's thousands of sets are never touched in
-// a short run. A chunk also stores only as many ways per set as its
-// fullest set has needed: materialize makes it one way wide, and a miss
-// that would evict a valid tag from the last stored way first widens
-// the chunk, doubling its width up to the level's associativity. A way
-// past the stored width is invalid, as a zero tag is, and a miss only
-// shifts an invalid entry off the end of a narrow set, so every hit,
-// miss and eviction is the same as at full width. Chunks never shrink:
-// FlushAll clears them in place, so flush storms allocate nothing once
-// a level has reached its footprint.
+// allocated on first touch: most of the LLC's thousands of sets are
+// never touched in a short run. A chunk also stores only as many ways
+// per set as its fullest set has needed: materialize makes it one way
+// wide, and a miss that would evict a valid tag from the last stored
+// way first widens the chunk, doubling its width up to the level's
+// associativity. A way past the stored width is invalid, as a zero tag
+// is, and a miss only shifts an invalid entry off the end of a narrow
+// set, so every hit, miss and eviction is the same as at full width.
+//
+// FlushAll parks the chunks, and a parked chunk's next touch takes it
+// back cleared: a flush costs the chunks touched after it, not every
+// chunk the level holds. A chunk keeps its width through a flush, as
+// the run that widened it is likely to widen it again, while Reset,
+// which starts a new run, parks each chunk one way wide, as a new
+// hierarchy would store it; widen spreads the sets in place while the
+// chunk's array has room. So flush storms and reset hierarchies
+// allocate nothing once a level has reached its footprint, and a reset
+// hierarchy stores, and widens, its chunks exactly as a new one.
 const (
 	chunkSetBits = 6
 	chunkSets    = 1 << chunkSetBits
@@ -86,6 +93,7 @@ type cacheLevel struct {
 	ways      int
 	setsShift uint // log2(sets per chunk): a chunk is len(chunk)>>setsShift ways wide
 	chunks    [][]uint64
+	parked    [][]uint64 // the chunks FlushAll took out, by index; nil before the first flush
 
 	// moved holds one bit per set, one word per chunk, set by every
 	// operation that changes the set's MRU way: a miss, an LRU move, an
@@ -125,27 +133,43 @@ func log2(v uint64) uint {
 	return n
 }
 
-// materialize installs an all-invalid chunk ci, one way wide. Kept
-// out of line: it runs once per chunk per run, and accessLine runs on
-// every cache access.
+// materialize installs an all-invalid chunk ci: the parked one,
+// cleared at its parked width, or else a new one, one way wide. Kept
+// out of line: it runs once per chunk per run or flush, and accessLine
+// runs on every cache access.
 //
 //go:noinline
 func (c *cacheLevel) materialize(ci uint64) []uint64 {
-	ch := make([]uint64, 1<<c.setsShift)
+	var ch []uint64
+	if c.parked != nil {
+		ch, c.parked[ci] = c.parked[ci], nil
+	}
+	if ch != nil {
+		clear(ch)
+	} else {
+		ch = make([]uint64, 1<<c.setsShift)
+	}
 	c.chunks[ci] = ch
 	return ch
 }
 
 // widen doubles the width of set si's chunk, up to the level's
-// associativity, copying each set's ways to the front of its new slot,
-// and returns si's new slot.
+// associativity, moving each set's ways to the front of its new slot,
+// and returns si's new slot. The sets spread in place, in a new array
+// first when the chunk's has no room, last set first, so that no set
+// lands on one not yet moved.
 func (c *cacheLevel) widen(si uint64) []uint64 {
-	old := c.chunks[si>>chunkSetBits]
-	w := len(old) >> c.setsShift
+	ch := c.chunks[si>>chunkSetBits]
+	w := len(ch) >> c.setsShift
 	nw := min(2*w, c.ways)
-	ch := make([]uint64, nw<<c.setsShift)
-	for s := range 1 << c.setsShift {
-		copy(ch[s*nw:], old[s*w:s*w+w])
+	if n := nw << c.setsShift; cap(ch) >= n {
+		ch = ch[:n]
+	} else {
+		ch = append(make([]uint64, 0, n), ch...)[:n]
+	}
+	for s := 1<<c.setsShift - 1; s >= 0; s-- {
+		copy(ch[s*nw:], ch[s*w:s*w+w])
+		clear(ch[s*nw+w : (s+1)*nw])
 	}
 	c.chunks[si>>chunkSetBits] = ch
 	lo := (int(si) & (chunkSets - 1)) * nw
@@ -238,10 +262,26 @@ func (c *cacheLevel) unmark(line uint64, n int) {
 	c.moved[(w+1)&uint64(len(c.moved)-1)] &^= sets >> (chunkSets - o)
 }
 
-// flushAll invalidates the level in place; each chunk keeps its width.
+// flushAll invalidates the level: it parks every chunk at its width.
+// A level that is never flushed, as in a machine built for one run,
+// never allocates parked.
 func (c *cacheLevel) flushAll() {
-	for _, ch := range c.chunks {
-		clear(ch)
+	for ci, ch := range c.chunks {
+		if ch != nil {
+			if c.parked == nil {
+				c.parked = make([][]uint64, len(c.chunks))
+			}
+			c.parked[ci], c.chunks[ci] = ch, nil
+		}
+	}
+}
+
+// narrow parks every parked chunk one way wide, keeping its array.
+func (c *cacheLevel) narrow() {
+	for ci, ch := range c.parked {
+		if ch != nil {
+			c.parked[ci] = ch[:1<<c.setsShift]
+		}
 	}
 }
 
@@ -259,12 +299,13 @@ type Hierarchy struct {
 	l1Shift  uint
 	l1Lat    uint64
 
-	// fresh is one past the highest line number ever accessed. Lines
-	// enter a level only through an access, so a line at or above it
-	// is in no level: it misses all three, and installing it at MRU
-	// needs no scan of their ways. That holds only when every level
-	// numbers lines alike; otherwise NewHierarchy pins fresh at the
-	// maximum, where no line reaches it.
+	// fresh is one past the highest line number accessed since the
+	// hierarchy was built or last flushed. Lines enter a level only
+	// through an access, so a line at or above it is in no level: it
+	// misses all three, and installing it at MRU needs no scan of their
+	// ways. That holds only when every level numbers lines alike;
+	// otherwise NewHierarchy pins fresh at freshPinned, where no line
+	// reaches it.
 	fresh uint64
 
 	// [mruLo, mruHi) is the L1 line range the last line-stride walks
@@ -307,10 +348,14 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		h.l1.moved = make([]uint64, len(h.l1.chunks))
 	}
 	if h.l2.lineShift != h.l1Shift || h.llc.lineShift != h.l1Shift {
-		h.fresh = ^uint64(0)
+		h.fresh = freshPinned
 	}
 	return h
 }
+
+// freshPinned is the cold-line mark of a hierarchy whose levels number
+// lines differently: no line reaches it, so every line scans.
+const freshPinned = ^uint64(0)
 
 // NewDefault builds a hierarchy with DefaultConfig.
 func NewDefault() *Hierarchy { return NewHierarchy(DefaultConfig()) }
@@ -418,12 +463,29 @@ func (h *Hierarchy) installFresh(line uint64) {
 	h.llc.install(line)
 }
 
-// FlushAll invalidates the entire hierarchy. The levels keep their
-// chunks, cleared, at their widths (see chunkSets).
+// FlushAll invalidates the entire hierarchy, which then answers every
+// access as NewHierarchy's does. The levels park their chunks at their
+// widths, to be cleared on their next touch (see chunkSets). A flushed
+// hierarchy holds no line, so the cold-line mark falls to 0 unless
+// NewHierarchy pinned it.
 func (h *Hierarchy) FlushAll() {
 	h.lastLine = 0
 	h.mruLo, h.mruHi = 0, 0
+	if h.fresh != freshPinned {
+		h.fresh = 0
+	}
 	h.l1.flushAll()
 	h.l2.flushAll()
 	h.llc.flushAll()
+	clear(h.l1.moved)
+}
+
+// Reset returns the hierarchy to the state NewHierarchy built, keeping
+// its storage: FlushAll, with every chunk parked one way wide, so the
+// next run stores and widens its chunks as a new hierarchy would.
+func (h *Hierarchy) Reset() {
+	h.FlushAll()
+	h.l1.narrow()
+	h.l2.narrow()
+	h.llc.narrow()
 }

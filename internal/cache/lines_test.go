@@ -192,6 +192,20 @@ func sameState(t *testing.T, what string, a, b *Hierarchy) {
 	}
 }
 
+// sameWidths fails unless the reset hierarchy a stores each chunk at
+// the width the new hierarchy b does after the same accesses, and has
+// none (it may hold it parked) where b has none.
+func sameWidths(t *testing.T, a, b *Hierarchy) {
+	t.Helper()
+	for i, lv := range [][2]*cacheLevel{{a.l1, b.l1}, {a.l2, b.l2}, {a.llc, b.llc}} {
+		for ci := range lv[0].chunks {
+			if x, y := len(lv[0].chunks[ci]), len(lv[1].chunks[ci]); x != y {
+				t.Fatalf("reset vs fresh: level %d chunk %d stores %d tag words, the fresh one %d", i+1, ci, x, y)
+			}
+		}
+	}
+}
+
 // mruHeld fails unless h keeps its walk invariant: the range spans at
 // most 64 lines, and each of its lines whose L1 set has not moved is in
 // that set's MRU way.
@@ -245,13 +259,15 @@ func sameProbes(t *testing.T, what string, a hierarchy, bs []hierarchy, hist []b
 // to the reference model (refHierarchy), which shares no code or
 // storage with Hierarchy, and to a scan-only hierarchy, whose
 // high-water mark is pinned at the maximum so that every line scans
-// the ways of every level; and a flushed hierarchy, refilled in chunks
-// that kept their widths, equal to a fresh one and to the flushed
-// reference: same sums, same tag state, same answers to every later
-// probe. The history's walks run in bulk on the bulk arms (fast,
-// flushed and fresh), which skip the lines earlier walks left at L1's
-// MRU way, and as Access calls on the others; mruHeld checks the bulk
-// arm's walk range after the history and after each walk.
+// the ways of every level; and a flushed and a reset hierarchy,
+// refilled in the chunks they parked, equal to a fresh one and to the
+// flushed reference: same sums, same tag state, cold-line mark, walk
+// range and moved bits (and, reset, the same chunk widths), same
+// answers to every later probe. The history's walks run in bulk on the
+// bulk arms (fast, then the flushed, reset and fresh hierarchies),
+// which skip the lines earlier walks left at L1's MRU way, and as
+// Access calls on the others; mruHeld checks the bulk arms' walk
+// ranges after the history and after each walk.
 func FuzzAccessLines(f *testing.F) {
 	hist := []byte{
 		2, 0, 0, 6, 1, 0, 7, 2, 0, 3, 4, 0, 9, 0, 1, 0, 0, 0,
@@ -326,24 +342,45 @@ func FuzzAccessLines(f *testing.F) {
 		sameState(t, "per-access vs scan-only", slow, scan)
 		sameProbes(t, "bulk, per-access and scan-only vs reference", ref, []hierarchy{fast, slow, scan}, hist, base, stride, lines)
 
-		// fast has materialized and widened chunks; FlushAll clears them
-		// at their widths and the refill below runs in them.
+		// fast and slow have materialized and widened chunks. FlushAll
+		// parks fast's at their widths and Reset parks slow's one way
+		// wide; the refill below takes them back cleared and widens
+		// them in place. Both lower the cold-line mark to 0, where a
+		// new hierarchy starts it, unless NewHierarchy pinned it.
 		fast.FlushAll()
+		slow.Reset()
 		ref.FlushAll()
 		fresh := NewHierarchy(cfg)
-		for _, h := range []hierarchy{fast, fresh, ref} {
+		type arm struct {
+			name string
+			h    *Hierarchy
+		}
+		arms := []arm{{"flushed", fast}, {"reset", slow}}
+		for _, a := range arms {
+			if a.h.fresh != fresh.fresh {
+				t.Fatalf("%s: cold-line mark %#x, NewHierarchy starts it at %#x", a.name, a.h.fresh, fresh.fresh)
+			}
+		}
+		for _, h := range []hierarchy{fast, slow, fresh, ref} {
 			replay(h, hist, base)
 		}
 		want = walk(ref, base, stride, lines)
-		if got := bulk(fast, base, stride, lines); got != want {
-			t.Fatalf("flushed walk %v, reference walk %v", got, want)
+		for _, a := range append(arms, arm{"fresh", fresh}) {
+			if got := bulk(a.h, base, stride, lines); got != want {
+				t.Fatalf("%s walk %v, reference walk %v", a.name, got, want)
+			}
 		}
-		if got := bulk(fresh, base, stride, lines); got != want {
-			t.Fatalf("fresh walk %v, reference walk %v", got, want)
+		for _, a := range arms {
+			h := a.h
+			mruHeld(t, a.name+" after the walk", h)
+			sameState(t, a.name+" vs fresh", h, fresh)
+			if h.fresh != fresh.fresh || h.mruLo != fresh.mruLo || h.mruHi != fresh.mruHi || !slices.Equal(h.l1.moved, fresh.l1.moved) {
+				t.Fatalf("%s vs fresh: cold-line mark %#x vs %#x, walk range [%#x, %#x) vs [%#x, %#x), moved bits %#x vs %#x",
+					a.name, h.fresh, fresh.fresh, h.mruLo, h.mruHi, fresh.mruLo, fresh.mruHi, h.l1.moved, fresh.l1.moved)
+			}
 		}
-		mruHeld(t, "flushed after the walk", fast)
-		sameState(t, "flushed vs fresh", fast, fresh)
-		sameProbes(t, "flushed and fresh vs reference", ref, []hierarchy{fast, fresh}, hist, base, stride, lines)
+		sameWidths(t, slow, fresh)
+		sameProbes(t, "flushed, reset and fresh vs reference", ref, []hierarchy{fast, slow, fresh}, hist, base, stride, lines)
 	})
 }
 
@@ -457,9 +494,11 @@ func TestWalkRange(t *testing.T) {
 	}
 }
 
-// TestFlushRecyclesChunks pins the chunk life cycle: FlushAll clears
-// each chunk in place at its width, so once a hierarchy has reached its
-// footprint, flushing and re-touching the same lines allocates nothing.
+// TestFlushRecyclesChunks pins the chunk life cycle: FlushAll parks
+// each chunk at its width and Reset one way wide, and the next touch
+// takes it back, widening it in place, so once a hierarchy has reached
+// its footprint, flushing or resetting and re-touching the same lines
+// allocates nothing.
 func TestFlushRecyclesChunks(t *testing.T) {
 	h := NewDefault()
 	touch := func() {
@@ -471,6 +510,9 @@ func TestFlushRecyclesChunks(t *testing.T) {
 	touch()
 	if allocs := testing.AllocsPerRun(10, func() { h.FlushAll(); touch() }); allocs != 0 {
 		t.Errorf("FlushAll + re-touch allocated %.1f times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { h.Reset(); touch() }); allocs != 0 {
+		t.Errorf("Reset + re-touch allocated %.1f times per run, want 0", allocs)
 	}
 	if r := h.Access(1 << 21); !r.MissLLC {
 		t.Error("an untouched line hit after the refill")

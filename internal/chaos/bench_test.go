@@ -5,14 +5,17 @@ import (
 
 	"limitsim/internal/faultinject"
 	"limitsim/internal/invariant"
+	"limitsim/internal/machine"
+	"limitsim/internal/trace"
 )
 
-// BenchmarkCampaignSetupFresh measures what every run used to pay
-// before worker pooling: assemble the workload (program, memory image,
-// counter tables, delta buffers), a fresh invariant checker, and a
-// fresh injector.
+// BenchmarkCampaignSetupFresh measures what every run would pay
+// without worker pooling: assemble the workload (program, memory
+// image, counter tables, delta buffers), a fresh invariant checker and
+// injector, and a new machine and trace ring.
 func BenchmarkCampaignSetupFresh(b *testing.B) {
 	cfg := Config{}.WithDefaults()
+	mc := machineConfig(RunSeed(0, 0), cfg.Cores, cfg.WriteWidth, cfg.Tenants)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := buildWorkload(cfg)
@@ -20,22 +23,24 @@ func BenchmarkCampaignSetupFresh(b *testing.B) {
 		inj := faultinject.New(faultinject.Config{})
 		inj.SetRegions(w.regions)
 		inj.SetCores(cfg.Cores)
+		m := machine.New(mc)
+		m.Kern.SetTracer(trace.NewBuffer(traceEvents))
 		_ = chk
 	}
 }
 
 // BenchmarkCampaignSetupPooled measures the pooled path a worker pays
-// per run instead: restore the memory snapshot and reset the checker
-// and injector in place. Allocations per op should be near zero.
+// per run instead, harness.start: restore the memory snapshot, reset
+// the machine and trace ring, and reset and attach the checker and
+// injector. The reset machine builds only its kernel.
 func BenchmarkCampaignSetupPooled(b *testing.B) {
 	cfg := Config{}.WithDefaults()
+	mc := machineConfig(RunSeed(0, 0), cfg.Cores, cfg.WriteWidth, cfg.Tenants)
 	ws := newCampaignWorker(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.w.space.Restore(ws.snap)
-		ws.chk.Reset()
-		ws.inj.Reset(faultinject.Config{})
+		ws.start(mc, faultinject.Config{})
 	}
 }
 
@@ -44,21 +49,23 @@ func BenchmarkCampaignSetupPooled(b *testing.B) {
 // worker pool avoids.
 func BenchmarkSoakSetupFresh(b *testing.B) {
 	cfg := SoakConfig{}.WithDefaults()
+	mc := machineConfig(RunSeed(0, 0), cfg.Cores, cfg.WriteWidth, cfg.Tenants)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ws := newSoakWorker(cfg)
+		m := machine.New(mc)
+		m.Kern.SetTracer(trace.NewBuffer(traceEvents))
 		_ = ws
 	}
 }
 
 func BenchmarkSoakSetupPooled(b *testing.B) {
 	cfg := SoakConfig{}.WithDefaults()
+	mc := machineConfig(RunSeed(0, 0), cfg.Cores, cfg.WriteWidth, cfg.Tenants)
 	ws := newSoakWorker(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.w.Space.Restore(ws.snap)
-		ws.chk.Reset()
-		ws.inj.Reset(faultinject.Config{})
+		ws.start(mc, faultinject.Config{})
 	}
 }

@@ -65,12 +65,16 @@ func newRegistry(tenants int) (*telemetry.Registry, *kernel.Metrics) {
 
 // harness holds one pool worker's reusable run artifacts: the
 // workload's memory image is snapshotted once and restored before every
-// run, and the invariant checker, injector and telemetry registry are
-// Reset in place instead of reallocated. Only the machine is rebuilt
-// per run — it is the simulation state itself, not scaffolding.
+// run, and the machine, trace ring, invariant checker, injector and
+// telemetry registry are reset in place instead of reallocated. The
+// machine keeps its cores' caches, TLBs, predictors and PMUs, so a
+// worker's cache tag chunks are allocated by its first runs and reused
+// by the rest; Machine.Reset builds only the kernel afresh.
 type harness struct {
 	space *mem.Space
 	snap  *mem.Snapshot
+	m     *machine.Machine
+	tr    *trace.Buffer
 	chk   *invariant.Checker
 	inj   *faultinject.Injector
 	reg   *telemetry.Registry // per-run registry (nil without Metrics)
@@ -81,6 +85,8 @@ func newHarness(space *mem.Space, regions [][2]int, cores, tenants int, metrics 
 	h := harness{
 		space: space,
 		snap:  space.Snapshot(),
+		m:     new(machine.Machine),
+		tr:    trace.NewBuffer(traceEvents),
 		chk:   invariant.New(regions),
 		inj:   faultinject.New(faultinject.Config{}),
 	}
@@ -92,14 +98,16 @@ func newHarness(space *mem.Space, regions [][2]int, cores, tenants int, metrics 
 	return h
 }
 
-// start restores the pristine workload image and boots a machine for
-// one seeded run with the trace ring, injector, checker and telemetry
-// attached, so a run cannot depend on which runs the worker executed
-// before it.
+// start restores the pristine workload image and resets the worker's
+// machine for one seeded run with the trace ring, injector, checker and
+// telemetry attached, so a run cannot depend on which runs the worker
+// executed before it.
 func (h *harness) start(mc machine.Config, inject faultinject.Config) *machine.Machine {
 	h.space.Restore(h.snap)
-	m := machine.New(mc)
-	m.Kern.SetTracer(trace.NewBuffer(traceEvents))
+	m := h.m
+	m.Reset(mc)
+	h.tr.Reset()
+	m.Kern.SetTracer(h.tr)
 
 	inject.Seed = mc.Kernel.Seed ^ 0x5ca1ab1e
 	inject.NumSlots = mc.PMU.NumCounters

@@ -92,25 +92,29 @@ func TestSoakParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCampaignWorkerReuseClean pins the pooling contract directly: one
-// worker running the same seed twice in a row (with an arbitrary run in
-// between) must produce identical outcomes — every field, tenant
-// accounting and telemetry block included — so Restore/Reset leave no
-// residue.
+// TestCampaignWorkerReuseClean pins the pooling contract directly: a
+// worker that has run a seed, then one seed of every mix, must run
+// that seed again to the outcome a fresh worker gives it — every
+// field, tenant accounting and telemetry block included — so the
+// reset machine, Restore and the in-place Resets leave no residue.
 func TestCampaignWorkerReuseClean(t *testing.T) {
 	for _, tenants := range []int{0, 2} {
 		cfg := Config{Seeds: 1, Threads: 4, Iters: 120, Metrics: true, Tenants: tenants}.WithDefaults()
 		ws := newCampaignWorker(cfg)
-		mix := cfg.Mixes[len(cfg.Mixes)-1] // the full mix: every injector path
+		mi := len(cfg.Mixes) - 1 // the full mix: every injector path
+		mix, seed := cfg.Mixes[mi], RunSeed(mi, 0)
 
-		first := ws.run(cfg, mix, RunSeed(4, 0))
-		ws.run(cfg, cfg.Mixes[2], RunSeed(2, 7))
-		again := ws.run(cfg, mix, RunSeed(4, 0))
-		if !reflect.DeepEqual(first, again) {
-			t.Errorf("tenants=%d: worker reuse changed a run's outcome:\nfirst: %+v\nagain: %+v", tenants, first, again)
+		first := ws.run(cfg, mix, seed)
+		for i, m := range cfg.Mixes {
+			ws.run(cfg, m, RunSeed(i, 7))
 		}
-		if first.Telemetry == "" || (tenants > 1 && first.VCpuSwitches == 0) {
-			t.Errorf("tenants=%d: outcome lacks telemetry or tenant accounting: %+v", tenants, first)
+		again := ws.run(cfg, mix, seed)
+		fresh := newCampaignWorker(cfg).run(cfg, mix, seed)
+		if !reflect.DeepEqual(first, fresh) || !reflect.DeepEqual(again, fresh) {
+			t.Errorf("tenants=%d: worker reuse changed a run's outcome:\nfirst: %+v\nagain: %+v\nfresh: %+v", tenants, first, again, fresh)
+		}
+		if fresh.Telemetry == "" || (tenants > 1 && fresh.VCpuSwitches == 0) {
+			t.Errorf("tenants=%d: outcome lacks telemetry or tenant accounting: %+v", tenants, fresh)
 		}
 	}
 }
@@ -124,16 +128,20 @@ func TestSoakWorkerReuseClean(t *testing.T) {
 		cfg.Metrics, cfg.Tenants = true, tenants
 		cfg = cfg.WithDefaults()
 		ws := newSoakWorker(cfg)
-		mix := cfg.Mixes[len(cfg.Mixes)-1] // full-churn: preempts, kills and clone storms
+		mi := len(cfg.Mixes) - 1 // full-churn: preempts, kills and clone storms
+		mix, seed := cfg.Mixes[mi], RunSeed(mi, 0)
 
-		first := ws.run(cfg, mix, RunSeed(6, 0))
-		ws.run(cfg, cfg.Mixes[4], RunSeed(4, 3))
-		again := ws.run(cfg, mix, RunSeed(6, 0))
-		if !reflect.DeepEqual(first, again) {
-			t.Errorf("tenants=%d: worker reuse changed a soak run's outcome:\nfirst: %+v\nagain: %+v", tenants, first, again)
+		first := ws.run(cfg, mix, seed)
+		for i, m := range cfg.Mixes {
+			ws.run(cfg, m, RunSeed(i, 3))
 		}
-		if first.Telemetry == "" || first.Clones == 0 || (tenants > 1 && first.VCpuSwitches == 0) {
-			t.Errorf("tenants=%d: soak outcome lacks telemetry, churn or tenant accounting: %+v", tenants, first)
+		again := ws.run(cfg, mix, seed)
+		fresh := newSoakWorker(cfg).run(cfg, mix, seed)
+		if !reflect.DeepEqual(first, fresh) || !reflect.DeepEqual(again, fresh) {
+			t.Errorf("tenants=%d: worker reuse changed a soak run's outcome:\nfirst: %+v\nagain: %+v\nfresh: %+v", tenants, first, again, fresh)
+		}
+		if fresh.Telemetry == "" || fresh.Clones == 0 || (tenants > 1 && fresh.VCpuSwitches == 0) {
+			t.Errorf("tenants=%d: soak outcome lacks telemetry, churn or tenant accounting: %+v", tenants, fresh)
 		}
 	}
 }

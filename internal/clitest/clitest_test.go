@@ -91,6 +91,13 @@ func TestExitCodeContract(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A series row with a negative window index, which once indexed
+	// the report's chart at -1 and panicked.
+	negSeries := filepath.Join(tmp, "neg-series.jsonl")
+	row := `{"window":-1,"start":0,"end":100,"partial":false,"key":"all","inputs":{"cycles":1},"metrics":{"cpi":1.5}}` + "\n"
+	if err := os.WriteFile(negSeries, []byte(row), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		bin  string
@@ -156,6 +163,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl report window past int", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-frames", farFrame, "-window", "1"}, 1},
 		{"limitctl report windows past a slice", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-frames", bigFrame, "-window", "1"}, 1},
 		{"limitctl report window end past 2^64", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-frames", wrapFrame, "-window", "4611686018427387904"}, 1},
+		{"limitctl report negative series window", "limitctl", []string{"report", "-o", filepath.Join(tmp, "x.html"), "-series", negSeries}, 1},
 		{"limit-chaos unwritable report", "limit-chaos", []string{"-report", filepath.Join(tmp, "no-such-dir", "r.txt")}, 1},
 	}
 	for _, tc := range cases {

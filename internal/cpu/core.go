@@ -127,6 +127,20 @@ func NewCore(id int, feats pmu.Features) *Core {
 	}
 }
 
+// Reset returns the core to the state NewCore(c.ID, feats) builds,
+// keeping the storage of its parts: clock 0, no translation hint,
+// empty caches and TLB, a cleared gshare predictor, and a PMU with
+// feats whose counters are all disabled and zero. The cost model,
+// which nothing changes after NewCore, stays as it is.
+func (c *Core) Reset(feats pmu.Features) {
+	c.Now = 0
+	c.hintSpace, c.hintBase, c.hintGen, c.hintRd, c.hintWr = nil, 0, 0, nil, nil
+	c.Caches.Reset()
+	c.TLB.FlushAll()
+	c.Pred.(*branch.Gshare).Reset()
+	c.PMU.Reset(feats)
+}
+
 // KernelWork models the kernel executing on this core for the given
 // number of cycles, retiring approximately 0.8 instructions per cycle.
 // Events land in the kernel ring. The kernel calls this for every

@@ -284,7 +284,7 @@ func (k *Kernel) schedule(coreID int) bool {
 		}
 	}
 	if pick == -1 && k.cfg.WorkStealing {
-		if victim, vi := k.stealVictim(coreID); victim != nil {
+		if victim, vi, ok := k.stealVictim(coreID); ok {
 			k.runq[vi] = append(k.runq[vi][:victim.qIdx], k.runq[vi][victim.qIdx+1:]...)
 			q = append(q, victim.t)
 			k.runq[coreID] = q
@@ -320,9 +320,10 @@ type stolen struct {
 }
 
 // stealVictim finds an immediately-runnable thread on the most loaded
-// other core. An idle core steals even a lone waiting thread — sitting
-// idle is never better.
-func (k *Kernel) stealVictim(thief int) (*stolen, int) {
+// other core, and that core; ok is false when there is none. An idle
+// core steals even a lone waiting thread — sitting idle is never
+// better.
+func (k *Kernel) stealVictim(thief int) (victim stolen, core int, ok bool) {
 	now := k.cores[thief].Now
 	bestCore, bestLen := -1, 0
 	for i := range k.cores {
@@ -334,14 +335,14 @@ func (k *Kernel) stealVictim(thief int) (*stolen, int) {
 		}
 	}
 	if bestCore == -1 {
-		return nil, 0
+		return stolen{}, 0, false
 	}
 	for j := len(k.runq[bestCore]) - 1; j >= 0; j-- {
 		if t := k.runq[bestCore][j]; t.ReadyAt <= now && k.tenantStealOK(thief, t) {
-			return &stolen{t: t, qIdx: j}, bestCore
+			return stolen{t: t, qIdx: j}, bestCore, true
 		}
 	}
-	return nil, 0
+	return stolen{}, 0, false
 }
 
 // preempt deschedules the current thread involuntarily — timer,

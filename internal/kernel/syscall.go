@@ -177,18 +177,18 @@ func (k *Kernel) syscall(coreID int, t *Thread, num int64) {
 		core.KernelWork(c.Futex)
 		addr, maxWake := regs[isa.R0], regs[isa.R1]
 		key := futexKey{proc: t.Proc.ID, addr: addr}
+		// The woken head of the queue shifts off in place and an
+		// emptied queue stays in the map, so the queue keeps its
+		// backing array and a warm wait/wake cycle allocates nothing.
 		waiters := k.futexes[key]
-		n := uint64(0)
-		for n < maxWake && len(waiters) > 0 {
-			w := waiters[0]
-			waiters = waiters[1:]
+		n := min(maxWake, uint64(len(waiters)))
+		for _, w := range waiters[:n] {
 			k.wake(w, core.Now)
-			n++
 		}
-		if len(waiters) == 0 {
-			delete(k.futexes, key)
-		} else {
-			k.futexes[key] = waiters
+		rest := copy(waiters, waiters[n:])
+		clear(waiters[rest:])
+		if waiters != nil {
+			k.futexes[key] = waiters[:rest]
 		}
 		regs[isa.R0] = n
 

@@ -244,7 +244,22 @@ func churnLaunch(tenants int, inject faultinject.Config) launcher {
 	}
 }
 
-func TestBurstMatchesSingleStep(t *testing.T) {
+// burstCase is one program and machine shape the burst and reset tests
+// run.
+type burstCase struct {
+	name     string
+	cores    int
+	counters int    // PMU counters (0: default)
+	width    int    // PMU write width (0: default)
+	tenants  int    // guest VMs (0: tenant layer off)
+	mux      uint64 // group rotation quantum (0: kernel default)
+	launch   launcher
+}
+
+// burstCases are the cases: four apps under every instrumentation kind,
+// 2 to 6 cores, sleepers, and the soak's churn workload quiet, under a
+// fault storm and with tenants.
+func burstCases() []burstCase {
 	mysql := workloads.DefaultMySQL()
 	mysql.TxnsPerWorker /= 4
 	apache := workloads.DefaultApache()
@@ -273,15 +288,7 @@ func TestBurstMatchesSingleStep(t *testing.T) {
 	vcpuStorm.VCpuPreemptInRegions = true
 	vcpuStorm.VCpuPreemptEvery = 701
 
-	cases := []struct {
-		name     string
-		cores    int
-		counters int    // PMU counters (0: default)
-		width    int    // PMU write width (0: default)
-		tenants  int    // guest VMs (0: tenant layer off)
-		mux      uint64 // group rotation quantum (0: kernel default)
-		launch   launcher
-	}{
+	return []burstCase{
 		{"mysql/limit", 4, 0, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, workloads.LimitInstr()) })},
 		{"mysql/mux", 4, 6, 0, 0, 0, appLaunch(func() *workloads.App { return workloads.BuildMySQL(mysql, muxIns) })},
 		// A rotation quantum of a few hundred cycles puts most
@@ -302,71 +309,98 @@ func TestBurstMatchesSingleStep(t *testing.T) {
 		{"churn/tenants", 4, 0, 10, 2, 0, churnLaunch(2, faultinject.Config{})},
 		{"churn/tenants-storm", 4, 0, 10, 2, 0, churnLaunch(2, vcpuStorm)},
 	}
-	for _, c := range cases {
+}
+
+// config is the machine c runs on.
+func (c burstCase) config() machine.Config {
+	cfg := machine.DefaultConfig()
+	cfg.NumCores = c.cores
+	cfg.Kernel.MigrateOnWake = true
+	if c.counters > 0 {
+		cfg.PMU.NumCounters = c.counters
+	}
+	if c.width > 0 {
+		cfg.PMU.WriteWidth = c.width
+	}
+	cfg.Kernel.MuxQuantum = c.mux
+	if c.tenants > 0 {
+		// The chaos harness's tenant shape: short thread and
+		// tenant quanta, residency capped below the core count.
+		cfg.Kernel.Quantum = 30_000
+		cfg.Kernel.Tenants = c.tenants
+		cfg.Kernel.TenantQuantum = 12_000
+		cfg.Kernel.VCPUs = c.cores - 1
+	}
+	return cfg
+}
+
+// run launches c on m, which must be fresh or just reset to
+// c.config(), and runs it in bursts or, when single, through
+// singleStep.
+func (c burstCase) run(m *machine.Machine, single bool) burstObs {
+	m.Kern.SetTracer(trace.NewBuffer(1 << 16))
+	space, hooks := c.launch(m)
+	var res machine.RunResult
+	if single {
+		res = singleStep(m)
+	} else {
+		res = m.Run(machine.RunLimits{MaxSteps: runLimit})
+	}
+	return observe(m, res, space, hooks)
+}
+
+func TestBurstMatchesSingleStep(t *testing.T) {
+	for _, c := range burstCases() {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(single bool) burstObs {
-				cfg := machine.DefaultConfig()
-				cfg.NumCores = c.cores
-				cfg.Kernel.MigrateOnWake = true
-				if c.counters > 0 {
-					cfg.PMU.NumCounters = c.counters
-				}
-				if c.width > 0 {
-					cfg.PMU.WriteWidth = c.width
-				}
-				cfg.Kernel.MuxQuantum = c.mux
-				if c.tenants > 0 {
-					// The chaos harness's tenant shape: short thread and
-					// tenant quanta, residency capped below the core count.
-					cfg.Kernel.Quantum = 30_000
-					cfg.Kernel.Tenants = c.tenants
-					cfg.Kernel.TenantQuantum = 12_000
-					cfg.Kernel.VCPUs = c.cores - 1
-				}
-				m := machine.New(cfg)
-				m.Kern.SetTracer(trace.NewBuffer(1 << 16))
-				space, hooks := c.launch(m)
-				var res machine.RunResult
-				if single {
-					res = singleStep(m)
-				} else {
-					res = m.Run(machine.RunLimits{MaxSteps: runLimit})
-				}
-				return observe(m, res, space, hooks)
-			}
-			burst, single := run(false), run(true)
+			burst := c.run(machine.New(c.config()), false)
+			single := c.run(machine.New(c.config()), true)
 			if !burst.Res.AllDone || burst.Res.Err != nil {
 				t.Fatalf("burst run did not finish cleanly: %v (%v)", burst.Res, burst.Res.Err)
 			}
-			compareObs(t, burst, single)
+			compareObs(t, burst, single, "burst", "single-step")
 		})
 	}
 }
 
-// compareObs reports every field where the burst run differs from the
-// single-step reference.
-func compareObs(t *testing.T, burst, single burstObs) {
+// TestResetMatchesNew runs every burst case on one machine, reset to
+// the case's config before each, and holds each run to the same case
+// on a new machine. Consecutive cases change the core count up and
+// down, the counter count and the write width, and the machine carries
+// caches, TLBs, predictors and PMUs that every earlier case dirtied.
+func TestResetMatchesNew(t *testing.T) {
+	reused := new(machine.Machine)
+	for _, c := range burstCases() {
+		t.Run(c.name, func(t *testing.T) {
+			reused.Reset(c.config())
+			compareObs(t, c.run(reused, false), c.run(machine.New(c.config()), false), "reset", "new")
+		})
+	}
+}
+
+// compareObs reports every field where run a, named an, differs from
+// the reference run b, named bn.
+func compareObs(t *testing.T, a, b burstObs, an, bn string) {
 	t.Helper()
-	bv, sv := reflect.ValueOf(burst), reflect.ValueOf(single)
-	for i := 0; i < bv.NumField(); i++ {
-		name := bv.Type().Field(i).Name
-		b, s := bv.Field(i), sv.Field(i)
-		if reflect.DeepEqual(b.Interface(), s.Interface()) {
+	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		x, y := av.Field(i), bv.Field(i)
+		if reflect.DeepEqual(x.Interface(), y.Interface()) {
 			continue
 		}
-		if b.Kind() == reflect.Slice {
-			if b.Len() != s.Len() {
-				t.Errorf("%s: burst has %d entries, single-step %d", name, b.Len(), s.Len())
+		if x.Kind() == reflect.Slice {
+			if x.Len() != y.Len() {
+				t.Errorf("%s: %s has %d entries, %s %d", name, an, x.Len(), bn, y.Len())
 				continue
 			}
-			for j := 0; j < b.Len(); j++ {
-				if !reflect.DeepEqual(b.Index(j).Interface(), s.Index(j).Interface()) {
-					t.Errorf("%s[%d]: burst %+v, single-step %+v", name, j, b.Index(j).Interface(), s.Index(j).Interface())
+			for j := 0; j < x.Len(); j++ {
+				if !reflect.DeepEqual(x.Index(j).Interface(), y.Index(j).Interface()) {
+					t.Errorf("%s[%d]: %s %+v, %s %+v", name, j, an, x.Index(j).Interface(), bn, y.Index(j).Interface())
 					break
 				}
 			}
 			continue
 		}
-		t.Errorf("%s: burst %+v, single-step %+v", name, b.Interface(), s.Interface())
+		t.Errorf("%s: %s %+v, %s %+v", name, an, x.Interface(), bn, y.Interface())
 	}
 }

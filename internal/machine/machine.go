@@ -10,6 +10,7 @@ package machine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"limitsim/internal/cpu"
@@ -54,6 +55,18 @@ type Machine struct {
 
 // New builds a machine from cfg, applying defaults for zero fields.
 func New(cfg Config) *Machine {
+	m := new(Machine)
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns m to exactly the machine New(cfg) builds: each core it
+// keeps is reset in place (cpu.Core.Reset), so its caches, TLB,
+// predictor and PMU keep their storage, cores are added or dropped to
+// match cfg.NumCores, and the kernel is built afresh from cfg. A run on
+// the reset machine is the run a new one gives. The zero Machine is a
+// valid receiver.
+func (m *Machine) Reset(cfg Config) {
 	if cfg.NumCores <= 0 {
 		cfg.NumCores = 4
 	}
@@ -63,11 +76,15 @@ func New(cfg Config) *Machine {
 	if cfg.Kernel.Quantum == 0 {
 		cfg.Kernel = kernel.DefaultConfig()
 	}
-	cores := make([]*cpu.Core, cfg.NumCores)
-	for i := range cores {
-		cores[i] = cpu.NewCore(i, cfg.PMU)
+	kept := min(len(m.Cores), cfg.NumCores)
+	m.Cores = slices.Grow(m.Cores[:kept], cfg.NumCores-kept)
+	for _, c := range m.Cores {
+		c.Reset(cfg.PMU)
 	}
-	return &Machine{Cores: cores, Kern: kernel.New(cfg.Kernel, cores)}
+	for i := kept; i < cfg.NumCores; i++ {
+		m.Cores = append(m.Cores, cpu.NewCore(i, cfg.PMU))
+	}
+	m.Kern = kernel.New(cfg.Kernel, m.Cores)
 }
 
 // RunLimits bounds a Run call. Zero fields mean "unbounded".

@@ -55,7 +55,9 @@ func copyModel(m map[uint64]uint64) map[uint64]uint64 {
 // Restore of both the active baseline (incremental) and an older
 // snapshot (full sweep) — over pages that collide in the direct-mapped
 // page cache, and checks every read and the final backing store
-// against a plain word map.
+// against a plain word map. Pages a Restore drops are recycled for the
+// next pages materialized, so the histories also check that a recycled
+// page reads as zero.
 func FuzzSpaceAccessors(f *testing.F) {
 	// An address byte is page index<<3 | word selector (0-3 first
 	// words, 4-7 last words); see opStream.addr.
@@ -63,6 +65,13 @@ func FuzzSpaceAccessors(f *testing.F) {
 	f.Add([]byte{8, 3, 0x07, 5, 1, 2, 3, 4, 5, 6, 4, 0x07, 7, 10, 0, 4, 0x07, 7})                      // snapshot, spill across pages, restore
 	f.Add([]byte{6, 0x20, 1, 1, 0x28, 2, 7, 0x01, 3, 0, 0x21, 8, 7, 0x02, 4, 9, 0, 0, 0x21})           // held handle across a pcache eviction and a snapshot
 	f.Add([]byte{1, 0x10, 5, 8, 1, 0x10, 6, 2, 0x18, 7, 8, 1, 0x10, 8, 9, 0, 0, 0x10, 10, 1, 0, 0x18}) // two snapshots, full-sweep restores
+	// Pages created after a snapshot, dropped by restoring it, then
+	// written again, and other pages materialized from the dropped
+	// ones' storage: every word a write did not set must read 0.
+	f.Add([]byte{8, 1, 0x08, 5, 1, 0x10, 6, 9, 0, 1, 0x1b, 7, 0, 0x18, 1, 0x0c, 9, 5, 0x08, 0, 0x0c, 4, 0x08, 3})
+	// The same through full sweeps: the sweep drops two pages, and the
+	// next one rebuilds a snapshot page from their storage.
+	f.Add([]byte{1, 0x00, 3, 8, 1, 0x08, 4, 8, 1, 0x10, 5, 9, 0, 1, 0x20, 6, 0, 0x21, 10, 1, 1, 0x28, 7, 4, 0x28, 8, 0, 0x08})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s := NewSpace()
 		model := map[uint64]uint64{}

@@ -161,3 +161,29 @@ func TestRestoreDropsReadMaterializedPages(t *testing.T) {
 		t.Fatalf("read-materialized page survived restore: %d pages", s.PageCount())
 	}
 }
+
+// Restore parks the pages it drops, and the next run's new pages reuse
+// them zeroed: once a run loop has materialized its pages, restoring
+// and materializing the same number again allocates nothing, and a
+// recycled page holds none of its old words.
+func TestRestoreRecyclesPages(t *testing.T) {
+	s := NewSpace()
+	snap := s.Snapshot()
+	run := func(first uint64) {
+		s.Restore(snap)
+		for p := first; p < first+8; p++ {
+			if v := s.Read64(p*PageSize + 8); v != 0 {
+				t.Fatalf("page %d reads %#x before any write, want 0", p, v)
+			}
+			s.Write64(p*PageSize, p)
+		}
+	}
+	run(16)
+	first := uint64(32)
+	if n := testing.AllocsPerRun(20, func() { run(first); first += 8 }); n != 0 {
+		t.Errorf("a run of 8 new pages after Restore allocates %v objects, want 0", n)
+	}
+	if got := s.PageCount(); got != 8 {
+		t.Errorf("%d pages after the last run, want 8", got)
+	}
+}

@@ -58,6 +58,9 @@ type Space struct {
 	active  *Snapshot
 	dirty   []uint64
 	created []uint64
+	// free holds the pages Restore dropped; pageFor reuses them,
+	// zeroed, before allocating.
+	free []*page
 
 	// pcache is a small direct-mapped page-pointer cache in front of
 	// the page map, serving every accessor (ReadPage/WritePage, and
@@ -92,13 +95,35 @@ func NewSpace() *Space {
 func (s *Space) pageFor(base uint64) *page {
 	p, ok := s.pages[base]
 	if !ok {
-		p = new(page)
+		p = s.newPage()
 		s.pages[base] = p
 		if s.active != nil {
 			s.created = append(s.created, base)
 		}
 	}
 	return p
+}
+
+// newPage returns a zero page with mark 0, recycled from free when it
+// holds one. Mark 0 is never the current generation, so the page's
+// first write records it as dirty.
+func (s *Space) newPage() *page {
+	n := len(s.free)
+	if n == 0 {
+		return new(page)
+	}
+	p := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	*p = page{}
+	return p
+}
+
+// dropPage removes the page based at base and parks it on free. No
+// handle to it survives: every caller bumps the generation after.
+func (s *Space) dropPage(base uint64) {
+	s.free = append(s.free, s.pages[base])
+	delete(s.pages, base)
 }
 
 // cachedPage resolves the page based at base through pcache.
@@ -262,7 +287,9 @@ func (s *Space) adoptBaseline(snap *Snapshot) {
 // Restore rewinds the space to exactly the snapshot's state: pages
 // materialized since are dropped, surviving pages are restored byte
 // for byte, and the allocation mark rewinds. After Restore the space
-// is indistinguishable from the one Snapshot saw.
+// is indistinguishable from the one Snapshot saw. Dropped pages wait
+// on a free list, so a run that materializes the same pages as the
+// last one allocates none.
 //
 // Restoring the space's current baseline (the common worker-pool loop:
 // one Snapshot, then Restore before every run) is incremental — cost
@@ -276,10 +303,10 @@ func (s *Space) Restore(snap *Snapshot) {
 				s.pages[base].words = *orig
 			}
 			// Pages dirtied but absent from the snapshot were created
-			// since it was taken; the created sweep deletes them.
+			// since it was taken; the created sweep drops them.
 		}
 		for _, base := range s.created {
-			delete(s.pages, base)
+			s.dropPage(base)
 		}
 		s.brk = snap.brk
 		s.adoptBaseline(snap)
@@ -290,14 +317,14 @@ func (s *Space) Restore(snap *Snapshot) {
 	for base, p := range s.pages {
 		orig, ok := snap.pages[base]
 		if !ok {
-			delete(s.pages, base)
+			s.dropPage(base)
 			continue
 		}
 		p.words = *orig
 	}
 	for base, orig := range snap.pages {
 		if _, ok := s.pages[base]; !ok {
-			p := new(page)
+			p := s.newPage()
 			p.words = *orig
 			s.pages[base] = p
 		}

@@ -124,6 +124,7 @@ func FuzzParseSeriesJSONL(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte(`{"window":-1,"start":0,"end":1e0,"partial":true,"key":"t\u0000","inputs":{"a":-9,"b":1},"metrics":{"m":1.25e-3,"n":-0.5}}`))
+	f.Add([]byte(`{"window":3,"start":0,"end":1e0,"partial":true,"key":"t\u0000","inputs":{"a":-9,"b":1},"metrics":{"m":1.25e-3,"n":-0.5}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := ParseSeriesJSONL(bytes.NewReader(data))
 		if err != nil {

@@ -412,7 +412,8 @@ const (
 // ParseSeriesJSONL reads a WriteSeriesJSONL stream back. Strict like
 // ParseJSONL: every field is required, and an unknown, duplicate or
 // missing field (a duplicate input or metric name included) is schema
-// drift (*telemetry.SchemaError).
+// drift (*telemetry.SchemaError). A negative window index, which no
+// writer produces, is an error naming its line.
 func ParseSeriesJSONL(r io.Reader) ([]WindowRow, error) {
 	var (
 		out   []WindowRow
@@ -429,7 +430,9 @@ func ParseSeriesJSONL(r io.Reader) ([]WindowRow, error) {
 			switch i {
 			case rWindow:
 				var w int64
-				w, err = d.Int()
+				if w, err = d.Int(); err == nil && w < 0 {
+					err = fmt.Errorf("window %d is negative", w)
+				}
 				row.Window = int(w)
 			case rStart:
 				row.Start, err = d.Uint()

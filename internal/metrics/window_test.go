@@ -389,6 +389,28 @@ func TestSeriesJSONLSchemaDrift(t *testing.T) {
 	}
 }
 
+// A negative window index would index a report's chart before its
+// first window; the parser rejects it and names the line.
+func TestSeriesJSONLRejectsNegativeWindow(t *testing.T) {
+	row := `{"window":%d,"start":0,"end":100,"partial":false,"key":"all","inputs":{"cycles":1},"metrics":{"cpi":1.5}}` + "\n"
+	for _, tc := range []struct {
+		in   string
+		want string // "" when the stream parses
+	}{
+		{fmt.Sprintf(row, 0) + fmt.Sprintf(row, 1), ""},
+		{fmt.Sprintf(row, 0) + fmt.Sprintf(row, -1), "series line 2: window -1 is negative"},
+		{fmt.Sprintf(row, math.MinInt64), "series line 1: window -9223372036854775808 is negative"},
+	} {
+		_, err := ParseSeriesJSONL(strings.NewReader(tc.in))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("ParseSeriesJSONL(%q): %v", tc.in, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("ParseSeriesJSONL(%q) err = %v, want one containing %q", tc.in, err, tc.want)
+		}
+	}
+}
+
 func TestRenderSeriesTextMarksPartial(t *testing.T) {
 	ss, err := Windowed(windowFrames(), 100, SplitNone)
 	if err != nil {

@@ -248,6 +248,16 @@ type PMU struct {
 // New returns a PMU with the given features. All counters start
 // disabled and zero.
 func New(f Features) *PMU {
+	p := new(PMU)
+	p.Reset(f)
+	return p
+}
+
+// Reset returns the PMU to the state New(f) builds: features f, every
+// counter disabled and zero, no overflow pending, zero ground truth and
+// no deferral window. The counter array is reused when it is large
+// enough.
+func (p *PMU) Reset(f Features) {
 	if f.NumCounters <= 0 {
 		panic("pmu: NumCounters must be positive")
 	}
@@ -263,11 +273,13 @@ func New(f Features) *PMU {
 	} else {
 		mask = (1 << uint(f.CounterWidth)) - 1
 	}
-	return &PMU{
-		feats:    f,
-		counters: make([]counter, f.NumCounters),
-		mask:     mask,
+	counters := p.counters[:0]
+	if cap(counters) < f.NumCounters {
+		counters = make([]counter, 0, f.NumCounters)
 	}
+	counters = counters[:f.NumCounters]
+	clear(counters)
+	*p = PMU{feats: f, counters: counters, mask: mask}
 }
 
 // Features returns the PMU's capability set.

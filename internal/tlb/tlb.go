@@ -43,8 +43,8 @@ func DefaultConfig() Config {
 // TLB is one core's data TLB. Entries store page+1 so that zero means
 // invalid; both levels keep ways in LRU order (index 0 = MRU). The L2
 // is one flat array — set s occupies [s*ways, (s+1)*ways) — because
-// TLBs are rebuilt with every machine the worker pools construct and
-// per-set slice allocations add up.
+// every machine.New builds one TLB per core and per-set slice
+// allocations add up.
 type TLB struct {
 	cfg      Config
 	pageBits uint // cfg.PageBits, hoisted for the Translate fast path

@@ -102,6 +102,12 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{events: make([]Event, 0, min(capacity, 1024)), capacity: capacity}
 }
 
+// Reset empties the ring, keeping its capacity and storage.
+func (b *Buffer) Reset() {
+	b.events = b.events[:0]
+	b.next, b.total = 0, 0
+}
+
 // Append records one event, evicting the oldest when full.
 func (b *Buffer) Append(e Event) {
 	b.total++
